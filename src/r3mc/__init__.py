@@ -32,7 +32,6 @@ from .manifold import (
     retract,
     rotate_vector,
     tangency_defect,
-    transport,
     transport_to,
     vertical_lift,
 )
@@ -57,6 +56,7 @@ from .solver import (
     SolverConfig,
     SolverTrace,
     TraceRow,
+    ValidationMonitor,
     cg_solve,
     initial_rank_one_point,
     pr_plus_beta,

@@ -53,6 +53,7 @@ from .solver import (
     REASON_STALL,
     RankSchedule,
     SolverConfig,
+    ValidationMonitor,
     cg_solve,
     rank_incremental_solve,
     truncated_warm_start,
@@ -198,17 +199,13 @@ def _check_grid(data, other, name):
         )
 
 
-def _validation_stop(validation, window=5):
-    """Monitor that stops a solve after ``window`` straight validation rises."""
-    state = {"prev": float("inf"), "bad": 0}
-
-    def monitor(iteration, x, f):
-        v = mean_squared_error(x, validation)
-        state["bad"] = state["bad"] + 1 if v > state["prev"] else 0
-        state["prev"] = v
-        return state["bad"] >= window
-
-    return monitor
+def _early_stopped_solve(problem, x0, config, validation):
+    """cg_solve, returning the best-validation iterate when validation is given."""
+    if validation is None:
+        return cg_solve(problem, x0, config)
+    monitor = ValidationMonitor(validation)
+    x, trace = cg_solve(problem, x0, config, monitor=monitor)
+    return monitor.best_point(x)[0], trace
 
 
 def _solve(args, problem, validation, config):
@@ -223,8 +220,7 @@ def _solve(args, problem, validation, config):
         x0 = truncated_warm_start(problem, args.warm_start_cols, config, args.seed)
     else:
         x0 = random_point(problem.n, problem.m, problem.rank, args.seed)
-    monitor = _validation_stop(validation) if validation is not None else None
-    x, trace = cg_solve(problem, x0, config, monitor=monitor)
+    x, trace = _early_stopped_solve(problem, x0, config, validation)
     return x, [trace], None, trace.reason
 
 
@@ -362,17 +358,15 @@ def _bench_movielens_run(params):
         "reason": "", "time_s": 0.0, "error": "",
     }
     try:
-        dataset = parse_movielens(params["ratings"])
-        entries = to_entries(dataset)
         train, val, test = split_train_val_test(
-            entries, params["fractions"], params["seed"]
+            params["entries"], params["fractions"], params["seed"]
         )
         config = SolverConfig(**params["config"])
         t0 = time.perf_counter()
         problem = CompletionProblem(train, params["rank"])
         x0 = random_point(problem.n, problem.m, problem.rank, params["seed"])
-        monitor = _validation_stop(val) if val.count else None
-        x, trace = cg_solve(problem, x0, config, monitor=monitor)
+        x, trace = _early_stopped_solve(problem, x0, config,
+                                        val if val.count else None)
         row["iterations"] = trace.iterations
         row["final_cost"] = trace.final_cost
         if val.count:
@@ -423,9 +417,10 @@ def cmd_bench(args):
         ranks = _int_list(args.ranks)
         fractions = tuple(_float_list(args.fractions))
         seed0 = _int_list(args.seeds)[0]
+        entries = to_entries(parse_movielens(args.movielens))
         tasks = [
             {
-                "ratings": args.movielens, "rank": rank, "seed": seed0 + k,
+                "entries": entries, "rank": rank, "seed": seed0 + k,
                 "fractions": fractions, "config": config,
                 "deterministic": args.deterministic,
             }

@@ -45,10 +45,6 @@ def enable_invariant_checks(flag=True):
     _checks_enabled = bool(flag)
 
 
-def invariant_checks_enabled():
-    return _checks_enabled
-
-
 def _as_factor(name, a, rows=None, cols=None):
     a = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
     if a.ndim != 2:
@@ -311,11 +307,6 @@ def retract(x, xi, step):
 def transport_to(y, eta):
     """Transport a horizontal vector to the point y (tangent then horizontal projection)."""
     return project_to_horizontal(y, project_to_tangent(y, eta.triple()))
-
-
-def transport(x, xi, eta, step):
-    """Transport eta from x to retract(x, xi, step)."""
-    return transport_to(retract(x, xi, step), eta)
 
 
 def group_action(x, o1, o2):

@@ -4,9 +4,10 @@ The objective is the mean squared error over the observed set Omega,
 
     f(x) = |P_Omega(U R VT) - data|^2 / |Omega|,
 
-so gradients carry a 2 / |Omega| scale.  All sparse kernels run over
-row-major sorted triplets with segment sums, which keeps accumulation
-order fixed and results bit-reproducible for a fixed thread count.
+so gradients carry a 2 / |Omega| scale.  Products with the sparse matrix
+on Omega are one ``np.bincount`` scatter-add per dense column over the
+row-major sorted triplets, accumulating in triplet order, so results are
+bit-reproducible for a fixed thread count.
 """
 
 from dataclasses import dataclass
@@ -50,10 +51,9 @@ def op_count():
 class ObservedEntries:
     """Sorted sparse pattern with values on an n x m grid.
 
-    Triplets are stored row-major sorted with no duplicates; a
-    column-sorted permutation is kept alongside for transpose products.
-    An empty pattern is allowed here and rejected where a nonempty one is
-    required (problem construction).
+    Triplets are stored row-major sorted with no duplicates.  An empty
+    pattern is allowed here and rejected where a nonempty one is required
+    (problem construction).
     """
 
     def __init__(self, n, m, rows, cols, vals):
@@ -83,11 +83,6 @@ class ObservedEntries:
                 )
         self.n, self.m = n, m
         self.rows, self.cols, self.vals = rows, cols, vals
-        counts = np.bincount(rows, minlength=n)
-        self.row_starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        self.col_perm = np.lexsort((rows, cols))
-        ccounts = np.bincount(cols, minlength=m)
-        self.col_starts = np.concatenate(([0], np.cumsum(ccounts))).astype(np.int64)
 
     @property
     def count(self):
@@ -149,16 +144,6 @@ class CompletionProblem:
         return self.entries.count / self.dof
 
 
-def _segment_sums(contrib, starts, out_rows):
-    """Sum contiguous row segments of ``contrib`` given segment start offsets."""
-    out = np.zeros((out_rows, contrib.shape[1]))
-    first = starts[:-1]
-    nonempty = first < starts[1:]
-    if np.any(nonempty):
-        out[nonempty] = np.add.reduceat(contrib, first[nonempty], axis=0)
-    return out
-
-
 def masked_values(x, entries):
     """Model values U R VT evaluated on the pattern, in pattern order."""
     if x.n != entries.n or x.m != entries.m:
@@ -172,22 +157,24 @@ def masked_values(x, entries):
 
 
 def sparse_apply(s, dense, transpose=False):
-    """Product S @ dense (or ST @ dense) for a sparse S on the pattern."""
+    """Product S @ dense (or ST @ dense) for a sparse S on the pattern:
+    column j scatter-adds s.vals * dense[in, j] into the rows out, with
+    (out, in) = (rows, cols) for S and (cols, rows) for ST."""
     pat = s.pattern
     dense = np.asarray(dense, dtype=np.float64)
     if transpose:
-        if dense.shape[0] != pat.n:
-            raise DimensionError("dense operand must have n rows")
-        perm = pat.col_perm
-        contrib = s.vals[perm, None] * dense[pat.rows[perm]]
-        out = _segment_sums(contrib, pat.col_starts, pat.m)
+        out_idx, in_idx, size, in_size = pat.cols, pat.rows, pat.m, pat.n
     else:
-        if dense.shape[0] != pat.m:
-            raise DimensionError("dense operand must have m rows")
-        contrib = s.vals[:, None] * dense[pat.cols]
-        out = _segment_sums(contrib, pat.row_starts, pat.n)
+        out_idx, in_idx, size, in_size = pat.rows, pat.cols, pat.n, pat.m
+    if dense.shape[0] != in_size:
+        raise DimensionError("dense operand must have %d rows" % in_size)
+    # gathers from contiguous columns run faster than strided ones
+    columns = np.ascontiguousarray(dense.T)
+    out = np.empty((dense.shape[1], size))
+    for j, column in enumerate(columns):
+        out[j] = np.bincount(out_idx, weights=s.vals * column[in_idx], minlength=size)
     op_counter.add(2 * pat.count * dense.shape[1])
-    return out
+    return out.T
 
 
 def residual(problem, x):

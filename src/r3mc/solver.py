@@ -39,7 +39,6 @@ from .problem import (
     initial_step,
     masked_values,
     mean_squared_error,
-    op_counter,
     residual,
     riemannian_gradient,
     sparse_apply,
@@ -398,19 +397,38 @@ def _check_disjoint(train, validation):
         raise ConfigError("validation pattern overlaps the training pattern")
 
 
-def _rank_monitor(schedule, recent_costs, val_state):
+class ValidationMonitor:
+    """``cg_solve`` monitor that stops after ``window`` straight rises of
+    the validation error and keeps the iterate where it was lowest."""
+
+    def __init__(self, validation, window=5):
+        self.validation, self.window = validation, window
+        self.best, self.best_x, self.prev, self.rises = np.inf, None, np.inf, 0
+
+    def __call__(self, iteration, x, f):
+        v = mean_squared_error(x, self.validation)
+        if v < self.best:
+            self.best, self.best_x = v, x
+        self.rises = self.rises + 1 if v > self.prev else 0
+        self.prev = v
+        return self.rises >= self.window
+
+    def best_point(self, x):
+        """(point, validation MSE): the best monitored iterate, or x if no worse."""
+        v = mean_squared_error(x, self.validation)
+        return (self.best_x, self.best) if self.best < v else (x, v)
+
+
+def _rank_monitor(schedule, validation):
+    """Stop on the validation monitor or on a cost plateau."""
+    recent = deque(maxlen=schedule.plateau_window + 1)
+
     def monitor(iteration, x, f):
-        if schedule.validation is not None:
-            v = mean_squared_error(x, schedule.validation)
-            if v < val_state["best"]:
-                val_state["best"], val_state["best_x"] = v, x
-            val_state["bad"] = val_state["bad"] + 1 if v > val_state["prev"] else 0
-            val_state["prev"] = v
-            if val_state["bad"] >= schedule.stall_window:
-                return True
-        recent_costs.append(f)
-        if len(recent_costs) == recent_costs.maxlen:
-            old = recent_costs[0]
+        if validation is not None and validation(iteration, x, f):
+            return True
+        recent.append(f)
+        if len(recent) == recent.maxlen:
+            old = recent[0]
             if old - f <= schedule.plateau_tol * max(old, 1e-300):
                 return True
         return False
@@ -460,11 +478,11 @@ def rank_incremental_solve(problem, schedule, config=SolverConfig(), seed=0):
     prev_val = np.inf
     for r in range(schedule.start_rank, schedule.max_rank + 1):
         prob_r = CompletionProblem(problem.entries, r)
-        recent = deque(maxlen=schedule.plateau_window + 1)
-        val_state = {"prev": np.inf, "bad": 0, "best": np.inf, "best_x": None}
+        validation = None if schedule.validation is None else ValidationMonitor(
+            schedule.validation, schedule.stall_window)
         try:
             solved, trace = cg_solve(
-                prob_r, start, config, monitor=_rank_monitor(schedule, recent, val_state)
+                prob_r, start, config, monitor=_rank_monitor(schedule, validation)
             )
         except SingularMatrixError:
             # the grown direction sits below the numerical noise of the
@@ -473,10 +491,8 @@ def rank_incremental_solve(problem, schedule, config=SolverConfig(), seed=0):
                 raise
             break
         val = None
-        if schedule.validation is not None:
-            val = mean_squared_error(solved, schedule.validation)
-            if val_state["best"] < val:
-                solved, val = val_state["best_x"], val_state["best"]
+        if validation is not None:
+            solved, val = validation.best_point(solved)
         steps.append(RankStep(rank=r, trace=trace, validation_mse=val))
         x = solved
         if val is not None:
@@ -524,7 +540,8 @@ def truncated_warm_start(problem, p, config=SolverConfig(), seed=0):
     n > m), keeps its left factor U, fits each full column of the data
     by ridge least squares against U, and orthonormalizes the fitted
     coefficients into (R, V).  Warns when the truncated problem drops
-    below unit oversampling or when columns carry no observations.
+    below unit oversampling, when the truncated solve does not converge,
+    and when columns carry no observations or fewer than the rank.
     """
     rank = problem.rank
     if problem.n > problem.m:
@@ -550,30 +567,29 @@ def truncated_warm_start(problem, p, config=SolverConfig(), seed=0):
     trunc = ObservedEntries(n, p, ent.rows[keep], remap[ent.cols[keep]], ent.vals[keep])
     trunc_problem = CompletionProblem(trunc, rank)
     x0 = random_point(n, p, rank, seed + 1)
-    x_trunc, _ = cg_solve(trunc_problem, x0, config)
+    x_trunc, inner = cg_solve(trunc_problem, x0, config)
+    if not inner.converged:
+        warnings.warn("truncated solve stopped without converging (%s); the warm "
+                      "start may be poor" % inner.reason, RuntimeWarning, stacklevel=2)
     u = x_trunc.U
 
-    w = np.zeros((rank, m))
-    ridge = 1e-10 * np.eye(rank)
-    empty_columns = 0
-    for j in range(m):
-        lo, hi = ent.col_starts[j], ent.col_starts[j + 1]
-        if lo == hi:
-            empty_columns += 1
-            continue
-        idx = ent.col_perm[lo:hi]
-        a = u[ent.rows[idx]]
-        b = ent.vals[idx]
-        w[:, j] = np.linalg.solve(a.T @ a + ridge, a.T @ b)
-        op_counter.add(2 * (hi - lo) * rank * (rank + 1))
+    # per-column normal equations: gram[j] = U_jT U_j and rhs[j] = U_jT b_j
+    # over the observed rows of column j, both scatter-added on the pattern
+    gram = np.stack([sparse_apply(SparseResidual(ent, u[ent.rows, a]), u, transpose=True)
+                     for a in range(rank)], axis=1)
+    rhs = sparse_apply(SparseResidual(ent, ent.vals), u, transpose=True)
+    w = np.linalg.solve(gram + 1e-10 * np.eye(rank), rhs[:, :, None])[:, :, 0]
+    counts = np.bincount(ent.cols, minlength=m)
+    empty_columns = np.count_nonzero(counts == 0)
     if empty_columns:
-        warnings.warn(
-            "%d columns have no observed entries; their fitted "
-            "coefficients are zero" % empty_columns,
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    q, t = np.linalg.qr(w.T)
+        warnings.warn("%d columns have no observed entries; their fitted coefficients "
+                      "are zero" % empty_columns, RuntimeWarning, stacklevel=2)
+    short_columns = np.count_nonzero((counts > 0) & (counts < rank))
+    if short_columns:
+        warnings.warn("%d columns have fewer observed entries than the rank %d; their "
+                      "fit is under-determined" % (short_columns, rank),
+                      RuntimeWarning, stacklevel=2)
+    q, t = np.linalg.qr(w)
     sig = np.linalg.svd(t, compute_uv=False)
     if sig[0] == 0.0 or sig[-1] <= 1e-12 * sig[0]:
         raise SingularMatrixError("fitted coefficients are rank deficient")

@@ -467,7 +467,7 @@ def test_11_ratings_protocol_reaches_the_reference_error():
     if path is None:
         pytest.skip("MovieLens-1M ratings file not available")
     from r3mc import parse_movielens, split_train_val_test, to_entries
-    from r3mc.cli import _validation_stop
+    from r3mc.solver import ValidationMonitor
 
     t0 = time.perf_counter()
     dataset = parse_movielens(path)
@@ -476,7 +476,9 @@ def test_11_ratings_protocol_reaches_the_reference_error():
     problem = CompletionProblem(train, 5)
     x0 = random_point(problem.n, problem.m, 5, 1)
     config = SolverConfig(max_iterations=1000)
-    x, trace = cg_solve(problem, x0, config, monitor=_validation_stop(val))
+    monitor = ValidationMonitor(val)
+    x, trace = cg_solve(problem, x0, config, monitor=monitor)
+    x, _ = monitor.best_point(x)
     assert mean_squared_error(x, test) <= 0.80
     assert time.perf_counter() - t0 < 600.0, "ratings protocol overran its budget"
 

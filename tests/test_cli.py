@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 
 from r3mc import (
+    CompletionProblem,
+    CounterRng,
+    ObservedEntries,
+    SolverConfig,
     SyntheticSpec,
+    cg_solve,
+    masked_values,
+    mean_squared_error,
+    random_point,
     read_dense_matrix_market,
     read_matrix_market,
+    sample_mask,
     split_train_val_test,
     synthesize,
     write_matrix_market,
@@ -196,6 +205,38 @@ def test_complete_rejects_mismatched_validation_grid(tmp_path, capsys):
                    "--seed", "0", "--val", str(other))
     assert code == 2
     assert "does not match" in capsys.readouterr().err
+
+
+def test_complete_val_returns_the_best_validation_iterate(tmp_path):
+    # rank 5 on noisy rank-2 data overfits, so validation error turns up
+    # and the solve stops five rises after its best iterate
+    x_true = random_point(30, 30, 2, 0)
+    rows, cols = sample_mask(30, 30, 450, 1)
+    probe = ObservedEntries(30, 30, rows, cols, np.zeros(450))
+    vals = masked_values(x_true, probe) + 0.05 * CounterRng(2).standard_normal(450)
+    train = ObservedEntries(30, 30, rows[:360], cols[:360], vals[:360])
+    val = ObservedEntries(30, 30, rows[360:], cols[360:], vals[360:])
+    write_matrix_market(tmp_path / "train.mtx", train)
+    write_matrix_market(tmp_path / "val.mtx", val)
+    report = tmp_path / "report.json"
+    code = run_cli("complete", "--data", str(tmp_path / "train.mtx"), "--rank", "5",
+                   "--val", str(tmp_path / "val.mtx"), "--seed", "3",
+                   "--report", str(report))
+    assert code == 0
+    result = json.loads(report.read_text())["result"]
+    assert result["reason"] == "monitor_stop"
+
+    # replay the same iterates and score each one on the validation set
+    history = []
+
+    def record(iteration, x, f):
+        history.append(mean_squared_error(x, val))
+
+    cg_solve(CompletionProblem(train, 5), random_point(30, 30, 5, 3),
+             SolverConfig(max_iterations=result["iterations"]), monitor=record)
+    assert len(history) == result["iterations"]
+    assert min(history) < history[-1]
+    assert result["validation_mse"] == min(history)
 
 
 def test_bench_synthetic_sweep_and_aggregates(tmp_path, capsys):

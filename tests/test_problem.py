@@ -105,14 +105,22 @@ def test_masked_values_rejects_grid_mismatch():
 
 def test_sparse_apply_matches_dense_products():
     rng = CounterRng(2)
-    for seed in range(10):
-        e = random_entries(6, 8, 25, seed + 10)
-        s = SparseResidual(e, rng.standard_normal(25))
+    patterns = [random_entries(6, 8, 25, seed + 10) for seed in range(10)]
+    # rows 2 and 5 and columns 3 and 7 are empty, the last row and the
+    # last column among them, so both orientations rely on minlength
+    rows, cols = np.meshgrid([0, 1, 3, 4], [0, 1, 2, 4, 5, 6], indexing="ij")
+    keep = rng.permutation(24)[:15]
+    patterns.append(ObservedEntries(6, 8, rows.ravel()[keep], cols.ravel()[keep],
+                                    np.zeros(15)))
+    patterns.append(ObservedEntries(6, 8, [], [], []))
+    for e in patterns:
+        s = SparseResidual(e, rng.standard_normal(e.count))
         dense = dense_of(e.with_values(s.vals))
         b = rng.standard_normal((8, 3))
         c = rng.standard_normal((6, 3))
-        assert np.allclose(sparse_apply(s, b), dense @ b, atol=1e-12)
-        assert np.allclose(sparse_apply(s, c, transpose=True), dense.T @ c, atol=1e-12)
+        np.testing.assert_allclose(sparse_apply(s, b), dense @ b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sparse_apply(s, c, transpose=True), dense.T @ c,
+                                   rtol=0, atol=1e-12)
 
 
 def test_residual_is_scaled_error():

@@ -376,3 +376,42 @@ def test_truncated_warm_start_warns_on_empty_columns():
     with pytest.warns(RuntimeWarning, match="no observed entries"):
         warm = truncated_warm_start(problem, 10, seed=6)
     assert warm.r == 1
+
+
+def test_truncated_warm_start_fit_matches_dense_least_squares():
+    problem, _ = make_problem(30, 200, 3, 3.0, 61, noise=1e-3)
+    config = SolverConfig(gradient_norm_tolerance=1e-8)
+    warm = truncated_warm_start(problem, 100, config, seed=7)
+    e = problem.entries
+    fitted = warm.matrix()
+    checked = 0
+    for j in range(e.m):
+        a, b = warm.U[e.rows[e.cols == j]], e.vals[e.cols == j]
+        if b.size < problem.rank:
+            continue
+        coef = np.linalg.lstsq(a, b, rcond=None)[0]
+        # the 1e-10 ridge moves the fit by at most 1e-10 |coef| / smin^2
+        smin = np.linalg.svd(a, compute_uv=False)[-1]
+        tol = 1e-9 * np.linalg.norm(coef) / smin**2 + 1e-12
+        np.testing.assert_allclose(fitted[:, j], warm.U @ coef, rtol=0, atol=tol)
+        checked += 1
+    assert checked >= 0.9 * e.m
+
+
+def test_truncated_warm_start_warns_on_under_determined_columns():
+    x = random_point(20, 30, 3, 62)
+    full = np.ones((20, 30), dtype=bool)
+    full[2:, 5] = False   # two observations
+    full[1:, 7] = False   # one observation
+    rows, cols = np.nonzero(full)
+    entries = ObservedEntries(20, 30, rows, cols, x.matrix()[rows, cols])
+    problem = CompletionProblem(entries, 3)
+    with pytest.warns(RuntimeWarning, match="2 columns have fewer observed entries"):
+        truncated_warm_start(problem, 30, seed=8)
+
+
+def test_truncated_warm_start_warns_when_the_inner_solve_stops_early():
+    problem, _ = make_problem(20, 30, 2, 4.0, 63)
+    with pytest.warns(RuntimeWarning, match=r"without converging \(max_iterations\)"):
+        warm = truncated_warm_start(problem, 20, SolverConfig(max_iterations=1), seed=9)
+    assert warm.r == 2
