@@ -38,9 +38,11 @@ from .manifold import (
 from .problem import (
     CompletionProblem,
     ObservedEntries,
+    PointEvaluation,
     SparseResidual,
     cost,
     direction_values,
+    evaluate,
     initial_step,
     masked_values,
     mean_squared_error,

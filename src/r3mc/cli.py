@@ -244,6 +244,9 @@ def cmd_complete(args):
     t0 = time.perf_counter()
     x, traces, steps, reason = _solve(args, problem, validation, config)
     elapsed = 0.0 if args.deterministic else time.perf_counter() - t0
+    # the solve's own sparse work, before the evaluations of the report below
+    sparse_flops = op_count()
+    final_cost = cost(problem, x)
     rows = [row for tr in traces for row in tr.rows]
     exit_code = _REASON_EXIT.get(reason, EXIT_OK)
     val_mse = mean_squared_error(x, validation) if validation is not None else None
@@ -257,11 +260,11 @@ def cmd_complete(args):
             "reason": reason,
             "exit_code": exit_code,
             "iterations": len(rows),
-            "final_cost": cost(problem, x),
+            "final_cost": final_cost,
             "final_rank": x.r,
             "validation_mse": val_mse,
             "test_mse": test_mse,
-            "sparse_flops": op_count(),
+            "sparse_flops": sparse_flops,
             "time_s": elapsed,
         }
         if steps is not None:
@@ -306,7 +309,7 @@ def cmd_complete(args):
                 lambda fh, mat=mat: write_dense_matrix_market(fh, mat),
             )
     line = "reason=%s iterations=%d final_cost=%.6e rank=%d" % (
-        reason, len(rows), cost(problem, x), x.r,
+        reason, len(rows), final_cost, x.r,
     )
     if val_mse is not None:
         line += " val_mse=%.6e" % val_mse

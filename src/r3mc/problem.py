@@ -7,7 +7,11 @@ The objective is the mean squared error over the observed set Omega,
 so gradients carry a 2 / |Omega| scale.  Products with the sparse matrix
 on Omega are one ``np.bincount`` scatter-add per dense column over the
 row-major sorted triplets, accumulating in triplet order, so results are
-bit-reproducible for a fixed thread count.
+bit-reproducible for a fixed thread count.  Model values on Omega are
+gathered the other way round, one pair of contiguous factor columns at a
+time.  ``evaluate`` computes the error at a point once; the gradient, the
+initial step and the residual accept that ``PointEvaluation`` in place of
+the point and then do not evaluate the model again.
 """
 
 from dataclasses import dataclass
@@ -144,14 +148,21 @@ class CompletionProblem:
         return self.entries.count / self.dof
 
 
+def _gather_sum(left, right, rows, cols):
+    """vals[k] = sum_j left[j, rows[k]] * right[j, cols[k]] for (k, n) and
+    (k, m) blocks, gathering from one contiguous row of each at a time
+    (a contiguous column of the factors), which beats gathering r-wide rows."""
+    vals = np.zeros(rows.size)
+    for a, b in zip(np.ascontiguousarray(left), np.ascontiguousarray(right)):
+        vals += a[rows] * b[cols]
+    return vals
+
+
 def masked_values(x, entries):
     """Model values U R VT evaluated on the pattern, in pattern order."""
     if x.n != entries.n or x.m != entries.m:
         raise DimensionError("point shape does not match the pattern grid")
-    if entries.count == 0:
-        return np.zeros(0)
-    ur = x.U @ x.R
-    vals = np.einsum("ij,ij->i", ur[entries.rows], x.V[entries.cols])
+    vals = _gather_sum((x.U @ x.R).T, x.V.T, entries.rows, entries.cols)
     op_counter.add(2 * entries.count * x.r)
     return vals
 
@@ -177,22 +188,46 @@ def sparse_apply(s, dense, transpose=False):
     return out.T
 
 
+def cost(problem, x, out=None):
+    """Mean squared error over the observed entries; the error
+    P_Omega(U R VT) - data is written into ``out`` when it is given."""
+    e = np.subtract(masked_values(x, problem.entries), problem.entries.vals, out=out)
+    return float(e @ e) / problem.entries.count
+
+
+@dataclass(frozen=True)
+class PointEvaluation:
+    """One model evaluation at a point: the read-only error
+    e = P_Omega(U R VT) - data in pattern order and the cost |e|^2 / |Omega|."""
+
+    point: FixedRankPoint
+    error: np.ndarray
+    cost: float
+
+
+def evaluate(problem, x):
+    """Evaluate the model at x once, for the cost and everything after it."""
+    error = np.empty(problem.entries.count)
+    f = cost(problem, x, out=error)
+    error.flags.writeable = False
+    return PointEvaluation(x, error, f)
+
+
+def _evaluation(problem, x):
+    """x when it already is an evaluation (of this problem), else evaluate it."""
+    return x if isinstance(x, PointEvaluation) else evaluate(problem, x)
+
+
 def residual(problem, x):
-    """Scaled residual 2 (P_Omega(U R VT) - data) / |Omega| on the pattern.
+    """Scaled residual 2 (P_Omega(U R VT) - data) / |Omega| on the pattern,
+    at a point or from its PointEvaluation.
 
     This is the Euclidean gradient of the mean-square objective seen as a
     sparse matrix, the quantity every downstream consumer (gradient,
     rank update) actually wants.
     """
-    vals = masked_values(x, problem.entries) - problem.entries.vals
-    vals *= 2.0 / problem.entries.count
-    return SparseResidual(problem.entries, vals)
-
-
-def cost(problem, x):
-    """Mean squared error over the observed entries."""
-    e = masked_values(x, problem.entries) - problem.entries.vals
-    return float(e @ e) / problem.entries.count
+    ev = _evaluation(problem, x)
+    return SparseResidual(problem.entries, ev.error * (2.0 / problem.entries.count))
 
 
 def mean_squared_error(x, entries):
@@ -204,7 +239,8 @@ def mean_squared_error(x, entries):
 
 
 def riemannian_gradient(problem, x):
-    """Gradient of the objective in the quotient metric.
+    """Gradient of the objective in the quotient metric, at a point or
+    from its PointEvaluation.
 
     Writing S for the scaled residual 2 e / |Omega| on the pattern and
     W1 = R RT, W2 = RT R, the components are
@@ -217,7 +253,9 @@ def riemannian_gradient(problem, x):
     W2 B + B W2 = 2 Sym(W2 VT ST U R).  The result is horizontal by
     construction, no explicit projection needed.
     """
-    s = residual(problem, x)
+    ev = _evaluation(problem, x)
+    x = ev.point
+    s = residual(problem, ev)
     sv = sparse_apply(s, x.V)
     stu = sparse_apply(s, x.U, transpose=True)
     w1 = x.R @ x.R.T
@@ -235,20 +273,20 @@ def riemannian_gradient(problem, x):
 def direction_values(x, xi, entries):
     """Directional derivative of the model on the pattern:
 
-        P_Omega(dU R VT + U dR VT + U R dVT)  evaluated entrywise.
+        P_Omega(dU R VT + U dR VT + U R dVT)  evaluated entrywise,
+
+    one 2r-wide gather of [dU R + U dR | U R] against [V | dV].
     """
-    if entries.count == 0:
-        return np.zeros(0)
-    a = xi.dU @ x.R + x.U @ xi.dR
-    ur = x.U @ x.R
-    vals = np.einsum("ij,ij->i", a[entries.rows], x.V[entries.cols])
-    vals += np.einsum("ij,ij->i", ur[entries.rows], xi.dV[entries.cols])
+    left = np.hstack([xi.dU @ x.R + x.U @ xi.dR, x.U @ x.R])
+    right = np.hstack([x.V, xi.dV])
+    vals = _gather_sum(left.T, right.T, entries.rows, entries.cols)
     op_counter.add(4 * entries.count * x.r)
     return vals
 
 
 def initial_step(problem, x, xi):
-    """Exact minimizer of the linearized objective along xi.
+    """Exact minimizer of the linearized objective along xi, at a point or
+    from its PointEvaluation.
 
     Solves min_s |e + s d|^2 where e is the plain model-minus-data error
     and d the directional derivative of the model on the pattern, giving
@@ -257,8 +295,9 @@ def initial_step(problem, x, xi):
     """
     if not isinstance(xi, TangentTriple):
         raise TypeError("initial_step expects a tangent vector")
-    e = masked_values(x, problem.entries) - problem.entries.vals
-    d = direction_values(x, xi, problem.entries)
+    ev = _evaluation(problem, x)
+    e = ev.error
+    d = direction_values(ev.point, xi, problem.entries)
     dd = float(d @ d)
     if dd == 0.0:
         raise DegenerateDirectionError("direction vanishes on the observed entries")

@@ -35,9 +35,8 @@ from .problem import (
     CompletionProblem,
     ObservedEntries,
     SparseResidual,
-    cost,
+    evaluate,
     initial_step,
-    masked_values,
     mean_squared_error,
     residual,
     riemannian_gradient,
@@ -132,18 +131,20 @@ def pr_plus_beta(x_new, grad_new, grad_prev_transported, prev_norm_sq):
     return max(0.0, raw / prev_norm_sq)
 
 
-def _armijo_search(problem, x, f, eta, slope, s0, config):
-    """Backtrack from s0 until the Armijo bound holds; None when exhausted."""
+def _armijo_search(problem, ev, eta, slope, s0, config):
+    """Backtrack from s0 until the Armijo bound holds; returns the accepted
+    trial's evaluation, its step and the backtrack count, or None when
+    exhausted.  Each trial point is evaluated once."""
     s = s0
     for k in range(config.max_backtracks + 1):
         try:
-            y = retract(x, eta, s)
+            y = retract(ev.point, eta, s)
         except RetractionError:
             s *= config.backtrack_factor
             continue
-        fy = cost(problem, y)
-        if fy <= f + config.armijo_slope * s * slope:
-            return y, fy, s, k
+        trial = evaluate(problem, y)
+        if trial.cost <= ev.cost + config.armijo_slope * s * slope:
+            return trial, s, k
         s *= config.backtrack_factor
     return None
 
@@ -174,10 +175,10 @@ def cg_solve(problem, x0, config=SolverConfig(), monitor=None):
         raise DimensionError("start point rank does not match the problem rank")
 
     t0 = time.perf_counter()
-    x = x0
-    f = cost(problem, x)
+    ev = evaluate(problem, x0)
+    x, f = x0, ev.cost
     trace = SolverTrace(initial_cost=f)
-    grad = riemannian_gradient(problem, x)
+    grad = riemannian_gradient(problem, ev)
     grad_norm_sq = metric(x, grad, grad)
     grad_norm_0 = np.sqrt(grad_norm_sq)
     eta = -grad
@@ -201,7 +202,7 @@ def cg_solve(problem, x0, config=SolverConfig(), monitor=None):
         accepted = None
         while True:
             try:
-                s0 = initial_step(problem, x, eta)
+                s0 = initial_step(problem, ev, eta)
             except NonDescentDirectionError:
                 s0 = None
             except DegenerateDirectionError:
@@ -210,7 +211,7 @@ def cg_solve(problem, x0, config=SolverConfig(), monitor=None):
                 # backtracking decide; otherwise reset below.
                 s0 = 1.0 if reset else None
             if s0 is not None and s0 > 0.0:
-                accepted = _armijo_search(problem, x, f, eta, slope, s0, config)
+                accepted = _armijo_search(problem, ev, eta, slope, s0, config)
             if accepted is not None or reset:
                 break
             # CG direction failed; retry once from steepest descent.
@@ -219,14 +220,15 @@ def cg_solve(problem, x0, config=SolverConfig(), monitor=None):
             trace.reason = REASON_STALL
             break
 
-        x_new, f_new, s, backtracks = accepted
-        grad_new = riemannian_gradient(problem, x_new)
+        ev, s, backtracks = accepted
+        x_new = ev.point
+        grad_new = riemannian_gradient(problem, ev)
         grad_norm_sq_new = metric(x_new, grad_new, grad_new)
         beta = pr_plus_beta(
             x_new, grad_new, transport_to(x_new, grad), grad_norm_sq
         )
         eta = -grad_new + beta * transport_to(x_new, eta)
-        x, f, grad, grad_norm_sq = x_new, f_new, grad_new, grad_norm_sq_new
+        x, f, grad, grad_norm_sq = x_new, ev.cost, grad_new, grad_norm_sq_new
         trace.rows.append(
             TraceRow(
                 iteration=trace.iterations + 1,
@@ -334,8 +336,8 @@ def rank_one_update(problem, x, seed=0, exact_scale=False):
     """
     if x.r >= min(x.n, x.m):
         raise ConfigError("rank is already at min(n, m)")
-    res = residual(problem, x)
-    sigma, u, v = _dominant_residual_pair(res, seed)
+    ev = evaluate(problem, x)
+    sigma, u, v = _dominant_residual_pair(residual(problem, ev), seed)
     rng = CounterRng(seed + 1)
     u_new, u_fresh = _complement_direction(x.U, u, rng)
     v_new, v_fresh = _complement_direction(x.V, v, rng)
@@ -351,7 +353,7 @@ def rank_one_update(problem, x, seed=0, exact_scale=False):
         if not v_fresh:
             v = v_new
     if exact_scale:
-        e = masked_values(x, problem.entries) - problem.entries.vals
+        e = ev.error
         d = u[problem.entries.rows] * v[problem.entries.cols]
         dd = float(d @ d)
         if dd > 0.0 and float(e @ d) != 0.0:
@@ -404,18 +406,20 @@ class ValidationMonitor:
     def __init__(self, validation, window=5):
         self.validation, self.window = validation, window
         self.best, self.best_x, self.prev, self.rises = np.inf, None, np.inf, 0
+        self.last_x = None
 
     def __call__(self, iteration, x, f):
         v = mean_squared_error(x, self.validation)
         if v < self.best:
             self.best, self.best_x = v, x
         self.rises = self.rises + 1 if v > self.prev else 0
-        self.prev = v
+        self.prev, self.last_x = v, x
         return self.rises >= self.window
 
     def best_point(self, x):
-        """(point, validation MSE): the best monitored iterate, or x if no worse."""
-        v = mean_squared_error(x, self.validation)
+        """(point, validation MSE): the best monitored iterate, or x if no
+        worse; x is scored again only when it is not the last monitored one."""
+        v = self.prev if x is self.last_x else mean_squared_error(x, self.validation)
         return (self.best_x, self.best) if self.best < v else (x, v)
 
 

@@ -13,12 +13,15 @@ from r3mc import (
     ObservedEntries,
     SolverConfig,
     SyntheticSpec,
+    ValidationMonitor,
     cg_solve,
     masked_values,
     mean_squared_error,
+    op_count,
     random_point,
     read_dense_matrix_market,
     read_matrix_market,
+    reset_op_count,
     sample_mask,
     split_train_val_test,
     synthesize,
@@ -237,6 +240,33 @@ def test_complete_val_returns_the_best_validation_iterate(tmp_path):
     assert len(history) == result["iterations"]
     assert min(history) < history[-1]
     assert result["validation_mse"] == min(history)
+
+
+def test_complete_report_counts_only_the_solves_sparse_work(tmp_path):
+    # the validation and test scores and the final cost are evaluated after
+    # the solve; sparse_flops must not include them
+    x_true = random_point(40, 30, 3, 0)
+    rows, cols = sample_mask(40, 30, 600, 1)
+    vals = masked_values(x_true, ObservedEntries(40, 30, rows, cols, np.zeros(600)))
+    for name, part in (("train", slice(0, 480)), ("val", slice(480, 540)),
+                       ("test", slice(540, 600))):
+        write_matrix_market(tmp_path / (name + ".mtx"),
+                            ObservedEntries(40, 30, rows[part], cols[part], vals[part]))
+    report = tmp_path / "report.json"
+    code = run_cli("complete", "--data", str(tmp_path / "train.mtx"), "--rank", "3",
+                   "--val", str(tmp_path / "val.mtx"), "--test", str(tmp_path / "test.mtx"),
+                   "--seed", "4", "--max-iters", "60", "--report", str(report))
+    assert code in (0, 3)
+    result = json.loads(report.read_text())["result"]
+
+    train = read_matrix_market(tmp_path / "train.mtx")
+    reset_op_count()
+    monitor = ValidationMonitor(read_matrix_market(tmp_path / "val.mtx"))
+    x, trace = cg_solve(CompletionProblem(train, 3), random_point(40, 30, 3, 4),
+                        SolverConfig(max_iterations=60), monitor=monitor)
+    monitor.best_point(x)
+    assert trace.iterations == result["iterations"]
+    assert result["sparse_flops"] == op_count()
 
 
 def test_bench_synthetic_sweep_and_aggregates(tmp_path, capsys):

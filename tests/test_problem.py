@@ -9,11 +9,18 @@ from r3mc import (
     CounterRng,
     DegenerateDirectionError,
     DimensionError,
+    FixedRankPoint,
+    HorizontalVector,
     NonDescentDirectionError,
     ObservedEntries,
+    PointEvaluation,
+    SolverConfig,
     SparseResidual,
+    SyntheticSpec,
+    cg_solve,
     cost,
     direction_values,
+    evaluate,
     initial_step,
     masked_values,
     mean_squared_error,
@@ -24,7 +31,10 @@ from r3mc import (
     residual,
     riemannian_gradient,
     sparse_apply,
+    synthesize,
 )
+from r3mc import problem as problem_module
+from r3mc import solver as solver_module
 from r3mc.data_io import sample_mask
 
 
@@ -87,6 +97,36 @@ def test_completion_problem_validations_and_ratios():
         CompletionProblem(e, 9)
 
 
+def gather_patterns(n, m, seed):
+    """A random pattern, one with empty rows and columns (the last of each
+    among them) and the empty pattern, all on an n x m grid."""
+    rng = CounterRng(seed)
+    rows, cols = np.meshgrid(np.arange(0, n - 1, 2), np.arange(1, m - 1, 2), indexing="ij")
+    keep = rng.permutation(rows.size)[: rows.size // 2]
+    return [
+        random_entries(n, m, n * m // 3, seed + 1),
+        ObservedEntries(n, m, rows.ravel()[keep], cols.ravel()[keep], np.zeros(keep.size)),
+        ObservedEntries(n, m, [], [], []),
+    ]
+
+
+def layouts(a):
+    """The same matrix C-ordered, Fortran-ordered and as a strided view."""
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+    wide[:, ::2] = a
+    return [a.copy(), np.asfortranarray(a), wide[:, ::2]]
+
+
+def laid_out(x, xi):
+    """(point, tangent) pairs equal to (x, xi), built from factors in each layout."""
+    pairs = []
+    for k, (u, r, v) in enumerate(zip(layouts(x.U), layouts(x.R), layouts(x.V))):
+        y = FixedRankPoint(u, r, v)
+        du, dr, dv = layouts(xi.dU)[k], layouts(xi.dR)[k - 1], layouts(xi.dV)[k - 2]
+        pairs.append((y, HorizontalVector(y, du, dr, dv)))
+    return pairs
+
+
 def test_masked_values_match_dense_model():
     for seed in range(10):
         x = random_point(7, 9, 3, seed)
@@ -94,6 +134,15 @@ def test_masked_values_match_dense_model():
         got = masked_values(x, e)
         want = x.matrix()[e.rows, e.cols]
         assert np.allclose(got, want, atol=1e-13)
+    # ranks 1 and 7, factors in any memory layout, empty rows, columns and pattern
+    for r in (1, 7):
+        base = random_point(9, 11, r, 40 + r)
+        for x, _ in laid_out(base, random_horizontal(base, 41 + r)):
+            for e in gather_patterns(9, 11, 7 * r):
+                got = masked_values(x, e)
+                assert got.shape == (e.count,)
+                np.testing.assert_allclose(got, base.matrix()[e.rows, e.cols],
+                                           rtol=0, atol=1e-13)
 
 
 def test_masked_values_rejects_grid_mismatch():
@@ -197,6 +246,17 @@ def test_direction_values_match_dense_derivative():
             xi.dU @ x.R @ x.V.T + x.U @ xi.dR @ x.V.T + x.U @ x.R @ xi.dV.T
         )
         assert np.allclose(got, dense[e.rows, e.cols], atol=1e-12)
+    # ranks 1 and 7, factors in any memory layout, empty rows, columns and pattern
+    for r in (1, 7):
+        base = random_point(9, 11, r, 50 + r)
+        xi_base = random_horizontal(base, 51 + r)
+        dense = (xi_base.dU @ base.R @ base.V.T + base.U @ xi_base.dR @ base.V.T
+                 + base.U @ base.R @ xi_base.dV.T)
+        for x, xi in laid_out(base, xi_base):
+            for e in gather_patterns(9, 11, 7 * r + 1):
+                got = direction_values(x, xi, e)
+                assert got.shape == (e.count,)
+                np.testing.assert_allclose(got, dense[e.rows, e.cols], rtol=0, atol=1e-12)
 
 
 def test_initial_step_is_the_linearized_minimizer():
@@ -256,3 +316,60 @@ def test_operation_counter_tracks_sparse_work():
     before = op_count()
     direction_values(x, xi, e)
     assert op_count() - before == 4 * 30 * 4
+
+
+def test_evaluation_holds_the_error_and_the_cost():
+    x = random_point(8, 6, 2, 11)
+    e = random_entries(8, 6, 25, 12)
+    p = CompletionProblem(e, 2)
+    ev = evaluate(p, x)
+    assert isinstance(ev, PointEvaluation) and ev.point is x
+    np.testing.assert_array_equal(ev.error, masked_values(x, e) - e.vals)
+    assert ev.cost == cost(p, x)
+    assert not ev.error.flags.writeable
+    out = np.full(25, np.nan)
+    assert cost(p, x, out=out) == ev.cost
+    np.testing.assert_array_equal(out, ev.error)
+
+
+def test_shared_evaluation_gives_the_from_scratch_results_bit_for_bit():
+    for seed in range(5):
+        x = random_point(12, 10, 3, seed)
+        e = random_entries(12, 10, 60, seed + 20)
+        p = CompletionProblem(e, 3)
+        ev = evaluate(p, x)
+        np.testing.assert_array_equal(residual(p, ev).vals, residual(p, x).vals)
+        shared, fresh = riemannian_gradient(p, ev), riemannian_gradient(p, x)
+        for a, b in zip(shared.triple(), fresh.triple()):
+            np.testing.assert_array_equal(a, b)
+        for xi in (-fresh, random_horizontal(x, seed + 30)):
+            try:
+                want = initial_step(p, x, xi)
+            except NonDescentDirectionError:
+                with pytest.raises(NonDescentDirectionError):
+                    initial_step(p, ev, xi)
+                continue
+            assert initial_step(p, ev, xi) == want
+
+
+def test_cg_solve_evaluates_each_trial_point_once(monkeypatch):
+    # this run backtracks once, so one accepted point has two trials
+    p, _ = synthesize(SyntheticSpec(30, 40, 3, 3.0), 0)
+    counts = {"masked_values": 0, "trial_points": 0}
+    masked, retract = problem_module.masked_values, solver_module.retract
+
+    def counted_masked(*args, **kwargs):
+        counts["masked_values"] += 1
+        return masked(*args, **kwargs)
+
+    def counted_retract(*args, **kwargs):
+        y = retract(*args, **kwargs)
+        counts["trial_points"] += 1
+        return y
+
+    monkeypatch.setattr(problem_module, "masked_values", counted_masked)
+    monkeypatch.setattr(solver_module, "retract", counted_retract)
+    _, trace = cg_solve(p, random_point(30, 40, 3, 50), SolverConfig(max_iterations=60))
+    assert sum(row.backtracks for row in trace.rows) > 0
+    assert counts["trial_points"] == trace.iterations + sum(r.backtracks for r in trace.rows)
+    assert counts["masked_values"] == counts["trial_points"] + 1

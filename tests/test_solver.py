@@ -14,6 +14,7 @@ from r3mc import (
     RankSchedule,
     SolverConfig,
     SparseResidual,
+    ValidationMonitor,
     cg_solve,
     cost,
     initial_rank_one_point,
@@ -29,8 +30,22 @@ from r3mc import (
     truncated_oversampling,
     truncated_warm_start,
 )
+from r3mc import problem as problem_module
+from r3mc import solver as solver_module
 from r3mc.data_io import sample_mask
 from r3mc.solver import _dominant_residual_pair
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name with a wrapper counting its calls; returns the count list."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def make_problem(n, m, r, ratio, seed, noise=0.0, rank=None):
@@ -266,6 +281,14 @@ def test_rank_one_update_exact_scale_never_raises_cost():
         assert cost(prob3, exact) <= cost(prob3, plain) + 1e-15
 
 
+def test_rank_one_update_evaluates_the_model_once(monkeypatch):
+    problem, _ = make_problem(30, 30, 3, 4.0, 75, rank=2)
+    x, _ = cg_solve(problem, random_point(30, 30, 2, 1))
+    calls = count_calls(monkeypatch, problem_module, "masked_values")
+    rank_one_update(problem_at_rank(problem, 3), x, seed=2, exact_scale=True)
+    assert len(calls) == 1
+
+
 def problem_at_rank(problem, r):
     return CompletionProblem(problem.entries, r)
 
@@ -333,6 +356,22 @@ def test_rank_incremental_solve_returns_best_validation_point():
     mses = [s.validation_mse for s in steps]
     assert all(v is not None for v in mses)
     assert mean_squared_error(x, val) == pytest.approx(min(mses), rel=1e-12)
+
+
+def test_validation_monitor_reuses_the_score_of_its_last_iterate(monkeypatch):
+    problem, _ = make_problem(30, 30, 2, 4.0, 57)
+    val, _ = make_problem(30, 30, 2, 0.5, 58)  # any pattern on the grid will do
+    monitor = ValidationMonitor(val.entries)
+    x, trace = cg_solve(problem, random_point(30, 30, 2, 3), SolverConfig(max_iterations=8),
+                        monitor=monitor)
+    assert trace.iterations >= 1
+    calls = count_calls(monkeypatch, solver_module, "mean_squared_error")
+    best, v = monitor.best_point(x)
+    assert calls == []
+    assert v == min(monitor.best, mean_squared_error(x, val.entries))
+    other = random_point(30, 30, 2, 4)
+    monitor.best_point(other)
+    assert len(calls) == 1
 
 
 def test_truncated_oversampling_formula():
