@@ -15,6 +15,8 @@ full reproducibility).
 
 import argparse
 import concurrent.futures
+import functools
+import itertools
 import json
 import os
 import statistics
@@ -200,28 +202,35 @@ def _check_grid(data, other, name):
 
 
 def _early_stopped_solve(problem, x0, config, validation):
-    """cg_solve, returning the best-validation iterate when validation is given."""
+    """cg_solve; returns (point, trace, validation MSE of the point).  With
+    validation the point is the best-validation iterate, else the last
+    iterate and the MSE is None."""
     if validation is None:
-        return cg_solve(problem, x0, config)
+        x, trace = cg_solve(problem, x0, config)
+        return x, trace, None
     monitor = ValidationMonitor(validation)
     x, trace = cg_solve(problem, x0, config, monitor=monitor)
-    return monitor.best_point(x)[0], trace
+    x, val_mse = monitor.best_point(x)
+    return x, trace, val_mse
 
 
 def _solve(args, problem, validation, config):
-    """Run the configured solve; returns (point, traces, rank_steps, reason)."""
+    """Run the configured solve; returns (point, traces, rank_steps, reason,
+    validation MSE of the point or None)."""
     if args.rank_updates is not None and args.warm_start_cols is not None:
         raise ConfigError("--rank-updates and --warm-start-cols are exclusive")
     if args.rank_updates is not None:
         schedule = RankSchedule(max_rank=args.rank_updates, validation=validation)
         x, steps = rank_incremental_solve(problem, schedule, config, args.seed)
-        return x, [s.trace for s in steps], steps, steps[-1].trace.reason
+        # with validation the homotopy returns its best-validation step's point
+        val_mse = None if validation is None else min(s.validation_mse for s in steps)
+        return x, [s.trace for s in steps], steps, steps[-1].trace.reason, val_mse
     if args.warm_start_cols is not None:
         x0 = truncated_warm_start(problem, args.warm_start_cols, config, args.seed)
     else:
         x0 = random_point(problem.n, problem.m, problem.rank, args.seed)
-    x, trace = _early_stopped_solve(problem, x0, config, validation)
-    return x, [trace], None, trace.reason
+    x, trace, val_mse = _early_stopped_solve(problem, x0, config, validation)
+    return x, [trace], None, trace.reason, val_mse
 
 
 def cmd_complete(args):
@@ -242,14 +251,13 @@ def cmd_complete(args):
     config = _solver_config(args)
     reset_op_count()
     t0 = time.perf_counter()
-    x, traces, steps, reason = _solve(args, problem, validation, config)
+    x, traces, steps, reason, val_mse = _solve(args, problem, validation, config)
     elapsed = 0.0 if args.deterministic else time.perf_counter() - t0
     # the solve's own sparse work, before the evaluations of the report below
     sparse_flops = op_count()
     final_cost = cost(problem, x)
     rows = [row for tr in traces for row in tr.rows]
     exit_code = _REASON_EXIT.get(reason, EXIT_OK)
-    val_mse = mean_squared_error(x, validation) if validation is not None else None
     test_mse = mean_squared_error(x, test) if test is not None else None
 
     if args.trace:
@@ -319,65 +327,56 @@ def cmd_complete(args):
     return exit_code
 
 
-def _bench_synth_run(params):
-    """One sweep cell: generate, solve, compare to the ground truth.
+def _bench_synth_cell(params):
+    """Generate, solve from a random point, compare to the ground truth."""
+    spec = SyntheticSpec(
+        n=params["n"], m=params["m"], rank=params["rank"],
+        oversampling=params["os"], condition_number=params["cn"],
+    )
+    problem, (left, right) = synthesize(spec, params["seed"])
+    config = SolverConfig(**params["config"])
+    t0 = time.perf_counter()
+    x0 = random_point(spec.n, spec.m, spec.rank, params["seed"])
+    x, trace = cg_solve(problem, x0, config)
+    diff = x.matrix() - left @ right
+    return trace, {"mse": float((diff * diff).mean()),
+                   "time_s": time.perf_counter() - t0}
 
-    Any failure lands in the row's error column; the sweep never dies on
-    a single run.
-    """
-    row = {
-        "n": params["n"], "m": params["m"], "rank": params["rank"],
-        "os": params["os"], "cn": params["cn"], "seed": params["seed"],
-        "iterations": 0, "final_cost": float("nan"), "mse": float("nan"),
-        "reason": "", "time_s": 0.0, "error": "",
-    }
+
+def _bench_movielens_cell(params):
+    """Split, solve with early stopping, score the held-out parts."""
+    train, val, test = split_train_val_test(
+        params["entries"], params["fractions"], params["seed"]
+    )
+    config = SolverConfig(**params["config"])
+    t0 = time.perf_counter()
+    problem = CompletionProblem(train, params["rank"])
+    x0 = random_point(problem.n, problem.m, problem.rank, params["seed"])
+    x, trace, val_mse = _early_stopped_solve(problem, x0, config,
+                                             val if val.count else None)
+    scores = {} if val_mse is None else {"val_mse": val_mse}
+    if test.count:
+        scores["test_mse"] = mean_squared_error(x, test)
+    scores["time_s"] = time.perf_counter() - t0
+    return trace, scores
+
+
+_RUN_DEFAULTS = {"iterations": 0, "reason": "", "time_s": 0.0, "error": ""}
+
+
+def _bench_run(cell, header, params):
+    """One sweep task as a row of ``header``: the task's own columns, then
+    the trace's and the scores ``cell(params)`` returns; columns nothing
+    fills are nan.  Any failure lands in the row's error column, so the
+    sweep never dies on a single run."""
+    row = {key: params.get(key, _RUN_DEFAULTS.get(key, float("nan")))
+           for key in header}
     try:
-        spec = SyntheticSpec(
-            n=params["n"], m=params["m"], rank=params["rank"],
-            oversampling=params["os"], condition_number=params["cn"],
-        )
-        problem, (left, right) = synthesize(spec, params["seed"])
-        config = SolverConfig(**params["config"])
-        t0 = time.perf_counter()
-        x0 = random_point(spec.n, spec.m, spec.rank, params["seed"])
-        x, trace = cg_solve(problem, x0, config)
-        diff = x.matrix() - left @ right
-        row["iterations"] = trace.iterations
-        row["final_cost"] = trace.final_cost
-        row["mse"] = float((diff * diff).mean())
-        row["reason"] = trace.reason
-        row["time_s"] = 0.0 if params["deterministic"] else time.perf_counter() - t0
-    except Exception as exc:
-        row["error"] = "%s: %s" % (type(exc).__name__, exc)
-    return row
-
-
-def _bench_movielens_run(params):
-    """One ratings-protocol cell: split, solve with early stopping, test."""
-    row = {
-        "rank": params["rank"], "seed": params["seed"],
-        "iterations": 0, "final_cost": float("nan"),
-        "val_mse": float("nan"), "test_mse": float("nan"),
-        "reason": "", "time_s": 0.0, "error": "",
-    }
-    try:
-        train, val, test = split_train_val_test(
-            params["entries"], params["fractions"], params["seed"]
-        )
-        config = SolverConfig(**params["config"])
-        t0 = time.perf_counter()
-        problem = CompletionProblem(train, params["rank"])
-        x0 = random_point(problem.n, problem.m, problem.rank, params["seed"])
-        x, trace = _early_stopped_solve(problem, x0, config,
-                                        val if val.count else None)
-        row["iterations"] = trace.iterations
-        row["final_cost"] = trace.final_cost
-        if val.count:
-            row["val_mse"] = mean_squared_error(x, val)
-        if test.count:
-            row["test_mse"] = mean_squared_error(x, test)
-        row["reason"] = trace.reason
-        row["time_s"] = 0.0 if params["deterministic"] else time.perf_counter() - t0
+        trace, scores = cell(params)
+        row.update(scores, iterations=trace.iterations, final_cost=trace.final_cost,
+                   reason=trace.reason)
+        if params["deterministic"]:
+            row["time_s"] = 0.0
     except Exception as exc:
         row["error"] = "%s: %s" % (type(exc).__name__, exc)
     return row
@@ -398,116 +397,79 @@ def _aggregate(values):
     return statistics.fmean(good), dev
 
 
-def _write_rows_csv(fh, header, rows, float_keys):
+def _summarize(rows, constants, axes, count_column, summarized):
+    """One summary row per point of the sweep grid, in task order: the
+    constant columns, the axis values, the run count, the failed-run
+    count, and the mean and standard deviation of each (column, label)
+    pair over the runs that did not fail."""
+    summary = []
+    for point in itertools.product(*axes.values()):
+        group = [r for r in rows if tuple(r[a] for a in axes) == point]
+        ok = [r for r in group if not r["error"]]
+        row = dict(constants, **dict(zip(axes, point)))
+        row[count_column] = len(group)
+        row["failures"] = len(group) - len(ok)
+        for column, label in summarized:
+            row[label + "_mean"], row[label + "_std"] = _aggregate(
+                [r[column] for r in ok])
+        summary.append(row)
+    return summary
+
+
+def _write_rows_csv(fh, header, rows):
     fh.write(",".join(header) + "\n")
     for row in rows:
-        cells = []
-        for key in header:
-            v = row[key]
-            if key in float_keys:
-                cells.append(repr(float(v)))
-            else:
-                cells.append(str(v))
-        fh.write(",".join(cells) + "\n")
+        fh.write(",".join(str(row[key]) for key in header) + "\n")
 
 
 def cmd_bench(args):
-    config = asdict(_solver_config(args))
-    out_dir = Path(args.out_dir)
+    common = {"config": asdict(_solver_config(args)),
+              "deterministic": args.deterministic}
+    # each protocol supplies its cell, run columns, constant columns,
+    # sweep axes, seeds, count column and summarized (column, label) pairs
     if args.movielens:
         if args.ranks is None:
             raise ConfigError("--movielens needs --ranks")
-        ranks = _int_list(args.ranks)
-        fractions = tuple(_float_list(args.fractions))
-        seed0 = _int_list(args.seeds)[0]
-        entries = to_entries(parse_movielens(args.movielens))
-        tasks = [
-            {
-                "entries": entries, "rank": rank, "seed": seed0 + k,
-                "fractions": fractions, "config": config,
-                "deterministic": args.deterministic,
-            }
-            for rank in ranks
-            for k in range(args.splits)
-        ]
-        rows = _run_tasks(_bench_movielens_run, tasks, args.jobs)
+        axes = {"rank": _int_list(args.ranks)}
+        common["fractions"] = tuple(_float_list(args.fractions))
+        seeds = _int_list(args.seeds or "")
+        if not seeds:
+            raise ConfigError("--movielens needs --seeds")
+        seeds = range(seeds[0], seeds[0] + args.splits)
+        common["entries"] = to_entries(parse_movielens(args.movielens))
+        cell, constants, count_column = _bench_movielens_cell, {}, "splits"
         run_header = ["rank", "seed", "iterations", "final_cost", "val_mse",
                       "test_mse", "reason", "time_s", "error"]
-        run_floats = {"final_cost", "val_mse", "test_mse", "time_s"}
-        summary = []
-        for rank in ranks:
-            group = [r for r in rows if r["rank"] == rank]
-            ok = [r for r in group if not r["error"]]
-            test_mean, test_dev = _aggregate([r["test_mse"] for r in ok])
-            cost_mean, cost_dev = _aggregate([r["final_cost"] for r in ok])
-            time_mean, time_dev = _aggregate([r["time_s"] for r in ok])
-            summary.append({
-                "rank": rank, "splits": len(group),
-                "failures": len(group) - len(ok),
-                "test_mse_mean": test_mean, "test_mse_std": test_dev,
-                "final_cost_mean": cost_mean, "final_cost_std": cost_dev,
-                "time_mean": time_mean, "time_std": time_dev,
-            })
-        summary_header = ["rank", "splits", "failures", "test_mse_mean",
-                          "test_mse_std", "final_cost_mean", "final_cost_std",
-                          "time_mean", "time_std"]
-        summary_floats = set(summary_header[3:])
+        summarized = (("test_mse", "test_mse"), ("final_cost", "final_cost"),
+                      ("time_s", "time"))
     else:
         for flag, value in (("--n", args.n), ("--m", args.m),
                             ("--ranks", args.ranks), ("--os", args.os),
                             ("--seeds", args.seeds)):
             if value is None:
                 raise ConfigError("bench needs %s" % flag)
-        ranks = _int_list(args.ranks)
-        os_values = _float_list(args.os)
-        cn_values = [None] if args.cn is None else _float_list(args.cn)
+        axes = {"rank": _int_list(args.ranks), "os": _float_list(args.os),
+                "cn": [None] if args.cn is None else _float_list(args.cn)}
         seeds = _int_list(args.seeds)
-        tasks = [
-            {
-                "n": args.n, "m": args.m, "rank": rank, "os": os_, "cn": cn,
-                "seed": seed, "config": config,
-                "deterministic": args.deterministic,
-            }
-            for rank in ranks
-            for os_ in os_values
-            for cn in cn_values
-            for seed in seeds
-        ]
-        rows = _run_tasks(_bench_synth_run, tasks, args.jobs)
+        constants = {"n": args.n, "m": args.m}
+        common.update(constants)
+        cell, count_column = _bench_synth_cell, "seeds"
         run_header = ["n", "m", "rank", "os", "cn", "seed", "iterations",
                       "final_cost", "mse", "reason", "time_s", "error"]
-        run_floats = {"os", "final_cost", "mse", "time_s"}
-        summary = []
-        for rank in ranks:
-            for os_ in os_values:
-                for cn in cn_values:
-                    group = [
-                        r for r in rows
-                        if (r["rank"], r["os"], r["cn"]) == (rank, os_, cn)
-                    ]
-                    ok = [r for r in group if not r["error"]]
-                    cost_mean, cost_dev = _aggregate([r["final_cost"] for r in ok])
-                    mse_mean, mse_dev = _aggregate([r["mse"] for r in ok])
-                    time_mean, time_dev = _aggregate([r["time_s"] for r in ok])
-                    summary.append({
-                        "n": args.n, "m": args.m, "rank": rank, "os": os_,
-                        "cn": cn, "seeds": len(group),
-                        "failures": len(group) - len(ok),
-                        "final_cost_mean": cost_mean, "final_cost_std": cost_dev,
-                        "mse_mean": mse_mean, "mse_std": mse_dev,
-                        "time_mean": time_mean, "time_std": time_dev,
-                    })
-        summary_header = ["n", "m", "rank", "os", "cn", "seeds", "failures",
-                          "final_cost_mean", "final_cost_std", "mse_mean",
-                          "mse_std", "time_mean", "time_std"]
-        summary_floats = {"os"} | set(summary_header[7:])
+        summarized = (("final_cost", "final_cost"), ("mse", "mse"),
+                      ("time_s", "time"))
 
+    tasks = [dict(common, **dict(zip(axes, point)), seed=seed)
+             for point in itertools.product(*axes.values()) for seed in seeds]
+    rows = _run_tasks(functools.partial(_bench_run, cell, run_header), tasks, args.jobs)
+    summary = _summarize(rows, constants, axes, count_column, summarized)
+    summary_header = list(constants) + list(axes) + [count_column, "failures"] + [
+        label + stat for _, label in summarized for stat in ("_mean", "_std")]
+    out_dir = Path(args.out_dir)
     _atomic_write(out_dir / "runs.csv",
-                  lambda fh: _write_rows_csv(fh, run_header, rows, run_floats))
-    _atomic_write(
-        out_dir / "summary.csv",
-        lambda fh: _write_rows_csv(fh, summary_header, summary, summary_floats),
-    )
+                  lambda fh: _write_rows_csv(fh, run_header, rows))
+    _atomic_write(out_dir / "summary.csv",
+                  lambda fh: _write_rows_csv(fh, summary_header, summary))
     failures = sum(1 for r in rows if r["error"])
     print(
         "wrote %s and %s (%d runs, %d failed)"

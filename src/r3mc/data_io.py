@@ -6,7 +6,7 @@ the dense array format for factor matrices; values are written with
 shortest exact float representations so read(write(x)) is lossless.
 """
 
-import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -148,13 +148,9 @@ def parse_movielens(source):
     re-indexed densely from zero.  Accepts a path or an iterable of
     lines.
     """
-    close = False
-    if isinstance(source, (str, Path)):
-        source = open(source, "r", encoding="utf-8")
-        close = True
     users, items, ratings, stamps = [], [], [], []
-    try:
-        for lineno, line in enumerate(source, start=1):
+    with _opened(source, "r") as stream:
+        for lineno, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -175,9 +171,6 @@ def parse_movielens(source):
             items.append(mid)
             ratings.append(rating)
             stamps.append(stamp)
-    finally:
-        if close:
-            source.close()
     if not users:
         raise ParseError("no ratings found")
     raw_users = np.asarray(users, dtype=np.int64)
@@ -232,35 +225,74 @@ def split_train_val_test(entries, fractions, seed):
     )
 
 
-_COORD_BANNER = "%%matrixmarket matrix coordinate real general"
-_ARRAY_BANNER = "%%matrixmarket matrix array real general"
+@contextmanager
+def _opened(source, mode):
+    """Yield a text stream for ``source``.
 
-
-def _reader(source):
+    A path (str or Path) is opened as UTF-8 in ``mode`` and closed when
+    the block exits, also on an exception; anything else is yielded as
+    the stream itself and left open for its owner.
+    """
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8"), True
-    return source, False
+        with open(source, mode, encoding="utf-8") as stream:
+            yield stream
+    else:
+        yield source
 
 
-def _writer(target):
-    if isinstance(target, (str, Path)):
-        return open(target, "w", encoding="utf-8"), True
-    return target, False
+def _content_lines(lines):
+    for lineno, line in lines:
+        text = line.strip()
+        if text and not text.startswith("%"):
+            yield lineno, text
+
+
+def _read_header(stream, banner, fields):
+    """Read a Matrix Market banner and size line from ``stream``.
+
+    ``banner`` is the format word ("coordinate" or "array") and
+    ``fields`` names the size-line fields, the first two of which (rows,
+    cols) must be at least one and the rest at least zero.  Returns
+    (sizes, body): the sizes as a tuple of ints and an iterator of
+    (line number, stripped text) over the remaining lines that are
+    neither blank nor comments.  Raises ParseError for an empty file, a
+    wrong banner (line 1), a size line with the wrong field count,
+    non-integer or invalid sizes (all at the size line's number), and a
+    missing size line.
+    """
+    lines = enumerate(stream, start=1)
+    first = next(lines, None)
+    if first is None:
+        raise ParseError("empty file")
+    expected = "%%%%matrixmarket matrix %s real general" % banner
+    if " ".join(first[1].lower().split()) != expected:
+        raise ParseError("expected %s real general banner" % banner, 1)
+    body = _content_lines(lines)
+    size_line = next(body, None)
+    if size_line is None:
+        raise ParseError("missing size line")
+    lineno, text = size_line
+    parts = text.split()
+    if len(parts) != len(fields):
+        raise ParseError("expected '%s'" % " ".join(fields), lineno)
+    try:
+        sizes = tuple(int(p) for p in parts)
+    except ValueError:
+        raise ParseError("non-integer size field", lineno) from None
+    if min(sizes[:2]) < 1 or min(sizes) < 0:
+        raise ParseError("invalid sizes %r" % (sizes,), lineno)
+    return sizes, body
 
 
 def write_matrix_market(target, entries, comments=()):
     """Write observed entries in the 1-based coordinate format."""
-    stream, close = _writer(target)
-    try:
+    with _opened(target, "w") as stream:
         stream.write("%%MatrixMarket matrix coordinate real general\n")
         for c in comments:
             stream.write("% " + str(c) + "\n")
         stream.write("%d %d %d\n" % (entries.n, entries.m, entries.count))
         for i, j, v in zip(entries.rows, entries.cols, entries.vals):
             stream.write("%d %d %s\n" % (i + 1, j + 1, repr(float(v))))
-    finally:
-        if close:
-            stream.close()
 
 
 def read_matrix_market(source):
@@ -270,45 +302,17 @@ def read_matrix_market(source):
     of range, duplicate entries (both occurrences reported), and entry
     count mismatches.
     """
-    stream, close = _reader(source)
-    try:
-        lines = enumerate(stream, start=1)
-        try:
-            lineno, banner = next(lines)
-        except StopIteration:
-            raise ParseError("empty file") from None
-        if " ".join(banner.lower().split()) != _COORD_BANNER:
-            raise ParseError("expected coordinate real general banner", 1)
-        shape = None
-        for lineno, line in lines:
-            body = line.strip()
-            if not body or body.startswith("%"):
-                continue
-            parts = body.split()
-            if len(parts) != 3:
-                raise ParseError("expected 'rows cols nnz'", lineno)
-            try:
-                shape = tuple(int(p) for p in parts)
-            except ValueError:
-                raise ParseError("non-integer size field", lineno) from None
-            break
-        if shape is None:
-            raise ParseError("missing size line")
-        n, m, nnz = shape
-        if n < 1 or m < 1 or nnz < 0:
-            raise ParseError("invalid sizes %r" % (shape,), lineno)
+    with _opened(source, "r") as stream:
+        (n, m, nnz), body = _read_header(stream, "coordinate", ("rows", "cols", "nnz"))
         rows = np.empty(nnz, dtype=np.int64)
         cols = np.empty(nnz, dtype=np.int64)
         vals = np.empty(nnz)
         seen = {}
         k = 0
-        for lineno, line in lines:
-            body = line.strip()
-            if not body or body.startswith("%"):
-                continue
+        for lineno, text in body:
             if k >= nnz:
                 raise ParseError("more than %d entries" % nnz, lineno)
-            parts = body.split()
+            parts = text.split()
             if len(parts) != 3:
                 raise ParseError("expected 'row col value'", lineno)
             try:
@@ -329,12 +333,9 @@ def read_matrix_market(source):
                 )
             rows[k], cols[k], vals[k] = i - 1, j - 1, v
             k += 1
-        if k != nnz:
-            raise ParseError("expected %d entries, found %d" % (nnz, k))
-        return ObservedEntries(n, m, rows, cols, vals)
-    finally:
-        if close:
-            stream.close()
+    if k != nnz:
+        raise ParseError("expected %d entries, found %d" % (nnz, k))
+    return ObservedEntries(n, m, rows, cols, vals)
 
 
 def write_dense_matrix_market(target, matrix, comments=()):
@@ -342,64 +343,29 @@ def write_dense_matrix_market(target, matrix, comments=()):
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ConfigError("expected a matrix")
-    stream, close = _writer(target)
-    try:
+    with _opened(target, "w") as stream:
         stream.write("%%MatrixMarket matrix array real general\n")
         for c in comments:
             stream.write("% " + str(c) + "\n")
         stream.write("%d %d\n" % matrix.shape)
         for v in matrix.T.ravel():
             stream.write(repr(float(v)) + "\n")
-    finally:
-        if close:
-            stream.close()
 
 
 def read_dense_matrix_market(source):
     """Read an array real general file into an ndarray."""
-    stream, close = _reader(source)
-    try:
-        lines = enumerate(stream, start=1)
-        try:
-            lineno, banner = next(lines)
-        except StopIteration:
-            raise ParseError("empty file") from None
-        if " ".join(banner.lower().split()) != _ARRAY_BANNER:
-            raise ParseError("expected array real general banner", 1)
-        shape = None
-        for lineno, line in lines:
-            body = line.strip()
-            if not body or body.startswith("%"):
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise ParseError("expected 'rows cols'", lineno)
-            try:
-                shape = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ParseError("non-integer size field", lineno) from None
-            break
-        if shape is None:
-            raise ParseError("missing size line")
-        rows, cols = shape
-        if rows < 1 or cols < 1:
-            raise ParseError("invalid sizes %r" % (shape,), lineno)
+    with _opened(source, "r") as stream:
+        (rows, cols), body = _read_header(stream, "array", ("rows", "cols"))
         data = np.empty(rows * cols)
         k = 0
-        for lineno, line in lines:
-            body = line.strip()
-            if not body or body.startswith("%"):
-                continue
+        for lineno, text in body:
             if k >= data.size:
                 raise ParseError("more than %d values" % data.size, lineno)
             try:
-                data[k] = float(body)
+                data[k] = float(text)
             except ValueError:
                 raise ParseError("malformed value", lineno) from None
             k += 1
-        if k != data.size:
-            raise ParseError("expected %d values, found %d" % (data.size, k))
-        return data.reshape((cols, rows)).T
-    finally:
-        if close:
-            stream.close()
+    if k != data.size:
+        raise ParseError("expected %d values, found %d" % (data.size, k))
+    return data.reshape((cols, rows)).T

@@ -92,16 +92,6 @@ class ObservedEntries:
     def count(self):
         return int(self.vals.size)
 
-    def with_values(self, vals):
-        """Same pattern, different values (already in row-major order)."""
-        vals = np.asarray(vals, dtype=np.float64).ravel()
-        if vals.size != self.count:
-            raise DimensionError("value count does not match pattern")
-        out = object.__new__(ObservedEntries)
-        out.__dict__.update(self.__dict__)
-        out.vals = vals
-        return out
-
 
 @dataclass(frozen=True)
 class SparseResidual:

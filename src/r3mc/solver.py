@@ -548,10 +548,9 @@ def truncated_warm_start(problem, p, config=SolverConfig(), seed=0):
     and when columns carry no observations or fewer than the rank.
     """
     rank = problem.rank
-    if problem.n > problem.m:
-        flipped = CompletionProblem(_transpose_entries(problem.entries), rank)
-        return _transpose_point(truncated_warm_start(flipped, p, config, seed))
-    n, m = problem.n, problem.m
+    tall = problem.n > problem.m
+    ent = _transpose_entries(problem.entries) if tall else problem.entries
+    n, m = ent.n, ent.m
     if not rank <= p <= m:
         raise ConfigError("need rank <= p <= m")
     if truncated_oversampling(problem, p) <= 1.0:
@@ -566,7 +565,6 @@ def truncated_warm_start(problem, p, config=SolverConfig(), seed=0):
     chosen = rng.sample_without_replacement(m, p)
     remap = np.full(m, -1, dtype=np.int64)
     remap[chosen] = np.arange(p)
-    ent = problem.entries
     keep = remap[ent.cols] >= 0
     trunc = ObservedEntries(n, p, ent.rows[keep], remap[ent.cols[keep]], ent.vals[keep])
     trunc_problem = CompletionProblem(trunc, rank)
@@ -597,4 +595,5 @@ def truncated_warm_start(problem, p, config=SolverConfig(), seed=0):
     sig = np.linalg.svd(t, compute_uv=False)
     if sig[0] == 0.0 or sig[-1] <= 1e-12 * sig[0]:
         raise SingularMatrixError("fitted coefficients are rank deficient")
-    return FixedRankPoint(u, t.T, q)
+    x = FixedRankPoint(u, t.T, q)
+    return _transpose_point(x) if tall else x

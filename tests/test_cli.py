@@ -27,11 +27,44 @@ from r3mc import (
     synthesize,
     write_matrix_market,
 )
+from r3mc import cli, solver
 from r3mc.cli import TRACE_HEADER, main
+
+SYNTH_RUNS_HEADER = "n,m,rank,os,cn,seed,iterations,final_cost,mse,reason,time_s,error"
+SYNTH_SUMMARY_HEADER = ("n,m,rank,os,cn,seeds,failures,final_cost_mean,final_cost_std,"
+                        "mse_mean,mse_std,time_mean,time_std")
+RATINGS_RUNS_HEADER = "rank,seed,iterations,final_cost,val_mse,test_mse,reason,time_s,error"
+RATINGS_SUMMARY_HEADER = ("rank,splits,failures,test_mse_mean,test_mse_std,"
+                          "final_cost_mean,final_cost_std,time_mean,time_std")
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def read_csv(path, header):
+    """Rows of a bench CSV whose first line must be exactly ``header``."""
+    with open(path) as fh:
+        assert fh.readline() == header + "\n"
+        fh.seek(0)
+        return list(csv.DictReader(fh))
+
+
+def check_summary(runs, summary, axes, labels):
+    """Every _mean and _std cell equals fmean and stdev of its group's
+    error-free runs (nan for a group where every run failed)."""
+    assert len(summary) == len({tuple(r[a] for a in axes) for r in runs})
+    for group in summary:
+        ok = [r for r in runs if all(r[a] == group[a] for a in axes) and not r["error"]]
+        for column, label in labels:
+            values = [float(r[column]) for r in ok]
+            assert all(v == v for v in values)
+            if not values:
+                assert (group[label + "_mean"], group[label + "_std"]) == ("nan", "nan")
+                continue
+            dev = statistics.stdev(values) if len(values) > 1 else 0.0
+            assert float(group[label + "_mean"]) == statistics.fmean(values)
+            assert float(group[label + "_std"]) == dev
 
 
 def write_problem(tmp_path, n=40, m=40, rank=2, ratio=4.0, seed=0, name="entries.mtx"):
@@ -269,6 +302,31 @@ def test_complete_report_counts_only_the_solves_sparse_work(tmp_path):
     assert result["sparse_flops"] == op_count()
 
 
+def test_complete_val_scores_the_validation_set_once_per_accepted_iteration(
+        tmp_path, monkeypatch):
+    problem, _ = synthesize(SyntheticSpec(30, 30, 2, 5.0), 4)
+    train, val, test = split_train_val_test(problem.entries, (0.7, 0.2, 0.1), 5)
+    for name, part in (("train", train), ("val", val), ("test", test)):
+        write_matrix_market(tmp_path / ("%s.mtx" % name), part)
+    scored = []
+
+    def counting(x, entries):
+        if np.array_equal(entries.vals, val.vals):
+            scored.append(x)
+        return mean_squared_error(x, entries)
+
+    monkeypatch.setattr(solver, "mean_squared_error", counting)
+    monkeypatch.setattr(cli, "mean_squared_error", counting)
+    report = tmp_path / "report.json"
+    code = run_cli("complete", "--data", str(tmp_path / "train.mtx"), "--rank", "2",
+                   "--val", str(tmp_path / "val.mtx"), "--test", str(tmp_path / "test.mtx"),
+                   "--seed", "6", "--max-iters", "40", "--report", str(report))
+    assert code in (0, 3)
+    result = json.loads(report.read_text())["result"]
+    assert result["iterations"] > 0
+    assert len(scored) == result["iterations"]
+
+
 def test_bench_synthetic_sweep_and_aggregates(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = run_cli(
@@ -277,21 +335,17 @@ def test_bench_synthetic_sweep_and_aggregates(tmp_path, capsys):
     )
     assert code == 0
     assert "6 runs, 0 failed" in capsys.readouterr().out
-    with open(out / "runs.csv") as fh:
-        runs = list(csv.DictReader(fh))
+    runs = read_csv(out / "runs.csv", SYNTH_RUNS_HEADER)
     assert len(runs) == 6
     assert {r["os"] for r in runs} == {"3.0", "4.0"}
     assert all(r["error"] == "" for r in runs)
     assert all(float(r["final_cost"]) <= 1e-10 for r in runs)
     assert all(r["time_s"] == "0.0" for r in runs)
-    with open(out / "summary.csv") as fh:
-        summary = list(csv.DictReader(fh))
+    summary = read_csv(out / "summary.csv", SYNTH_SUMMARY_HEADER)
     assert len(summary) == 2
-    for group in summary:
-        members = [r for r in runs if r["os"] == group["os"]]
-        assert group["seeds"] == "3" and group["failures"] == "0"
-        want = statistics.fmean(float(r["final_cost"]) for r in members)
-        assert float(group["final_cost_mean"]) == want
+    assert all(g["seeds"] == "3" and g["failures"] == "0" for g in summary)
+    check_summary(runs, summary, ("rank", "os", "cn"),
+                  (("final_cost", "final_cost"), ("mse", "mse"), ("time_s", "time")))
 
 
 def test_bench_isolates_per_run_failures(tmp_path, capsys):
@@ -302,12 +356,13 @@ def test_bench_isolates_per_run_failures(tmp_path, capsys):
     )
     assert code == 0
     assert "4 runs, 2 failed" in capsys.readouterr().out
-    with open(out / "runs.csv") as fh:
-        runs = list(csv.DictReader(fh))
+    runs = read_csv(out / "runs.csv", SYNTH_RUNS_HEADER)
     bad = [r for r in runs if r["os"] == "40.0"]
     assert len(bad) == 2 and all("ConfigError" in r["error"] for r in bad)
-    with open(out / "summary.csv") as fh:
-        summary = {row["os"]: row for row in csv.DictReader(fh)}
+    rows = read_csv(out / "summary.csv", SYNTH_SUMMARY_HEADER)
+    check_summary(runs, rows, ("rank", "os", "cn"),
+                  (("final_cost", "final_cost"), ("mse", "mse"), ("time_s", "time")))
+    summary = {row["os"]: row for row in rows}
     assert summary["40.0"]["failures"] == "2"
     assert summary["3.0"]["failures"] == "0"
 
@@ -336,8 +391,7 @@ def test_bench_movielens_protocol(tmp_path):
         "--max-iters", "50", "--deterministic",
     )
     assert code == 0
-    with open(out / "runs.csv") as fh:
-        runs = list(csv.DictReader(fh))
+    runs = read_csv(out / "runs.csv", RATINGS_RUNS_HEADER)
     assert len(runs) == 4
     assert [(r["rank"], r["seed"]) for r in runs] == [
         ("1", "7"), ("1", "8"), ("2", "7"), ("2", "8")
@@ -345,10 +399,22 @@ def test_bench_movielens_protocol(tmp_path):
     assert all(r["error"] == "" for r in runs)
     assert all(float(r["val_mse"]) > 0 for r in runs)
     assert all(float(r["test_mse"]) > 0 for r in runs)
-    with open(out / "summary.csv") as fh:
-        summary = list(csv.DictReader(fh))
+    summary = read_csv(out / "summary.csv", RATINGS_SUMMARY_HEADER)
     assert [row["rank"] for row in summary] == ["1", "2"]
     assert all(row["splits"] == "2" for row in summary)
+    check_summary(runs, summary, ("rank",), (("test_mse", "test_mse"),
+                  ("final_cost", "final_cost"), ("time_s", "time")))
+
+
+@pytest.mark.parametrize("seeds", [None, "", ","])
+def test_bench_movielens_needs_seeds(tmp_path, capsys, seeds):
+    ratings = write_ratings(tmp_path)
+    args = ["bench", "--movielens", str(ratings), "--ranks", "1",
+            "--out-dir", str(tmp_path / "ml")]
+    if seeds is not None:
+        args += ["--seeds", seeds]
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err == "error: --movielens needs --seeds\n"
 
 
 def test_movielens_prep_writes_splits_and_meta(tmp_path):

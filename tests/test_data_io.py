@@ -253,10 +253,6 @@ def test_matrix_market_interops_with_scipy():
 
 
 def test_matrix_market_parse_errors():
-    with pytest.raises(ParseError, match="banner"):
-        read_matrix_market(io.StringIO("%%MatrixMarket matrix array real general\n"))
-    with pytest.raises(ParseError, match="empty"):
-        read_matrix_market(io.StringIO(""))
     head = "%%MatrixMarket matrix coordinate real general\n"
     with pytest.raises(ParseError, match="duplicate entry \\(2, 3\\), first seen at line 3"):
         read_matrix_market(io.StringIO(head + "4 4 2\n2 3 1.0\n2 3 2.0\n"))
@@ -268,8 +264,39 @@ def test_matrix_market_parse_errors():
         read_matrix_market(io.StringIO(head + "4 4 1\n5 3 1.0\n"))
     with pytest.raises(ParseError, match="non-finite"):
         read_matrix_market(io.StringIO(head + "4 4 1\n2 3 nan\n"))
-    with pytest.raises(ParseError, match="missing size"):
-        read_matrix_market(io.StringIO(head + "% only comments\n"))
+
+
+@pytest.mark.parametrize("reader, kind, fields, wrong_count, non_integer, invalid", [
+    (read_matrix_market, "coordinate", "rows cols nnz", "4 4", "4 4 two",
+     ("0 4 1", "4 0 1", "4 4 -1")),
+    (read_dense_matrix_market, "array", "rows cols", "4 4 2", "4 four",
+     ("0 4", "4 0")),
+])
+@pytest.mark.parametrize("failure", ["empty", "banner", "field_count", "non_integer",
+                                     "invalid", "missing"])
+def test_matrix_market_header_errors(reader, kind, fields, wrong_count, non_integer,
+                                     invalid, failure):
+    banner = "%%%%MatrixMarket matrix %s real general\n" % kind
+    other = "array" if kind == "coordinate" else "coordinate"
+    # the size line sits at line 4, after a comment and a blank line
+    head = banner + "% comment\n\n"
+    cases = {
+        "empty": [("", "empty file", None)],
+        "banner": [("%%%%MatrixMarket matrix %s real general\n4 4 1\n" % other,
+                    "expected %s real general banner" % kind, 1)],
+        "field_count": [(head + wrong_count + "\n", "expected '%s'" % fields, 4)],
+        "non_integer": [(head + non_integer + "\n", "non-integer size field", 4)],
+        "invalid": [(head + size + "\n",
+                     "invalid sizes %r" % (tuple(int(v) for v in size.split()),), 4)
+                    for size in invalid],
+        "missing": [(head + "% only comments\n", "missing size line", None)],
+    }
+    for text, message, line in cases[failure]:
+        with pytest.raises(ParseError) as info:
+            reader(io.StringIO(text))
+        assert info.value.line == line
+        assert str(info.value) == (message if line is None
+                                   else "line %d: %s" % (line, message))
 
 
 def test_matrix_market_accepts_comments_and_case():
@@ -319,10 +346,6 @@ def test_dense_matrix_market_interops_with_scipy():
 def test_dense_matrix_market_errors():
     with pytest.raises(ConfigError):
         write_dense_matrix_market(io.StringIO(), np.arange(4.0))
-    with pytest.raises(ParseError, match="banner"):
-        read_dense_matrix_market(
-            io.StringIO("%%MatrixMarket matrix coordinate real general\n")
-        )
     with pytest.raises(ParseError, match="expected 6 values, found 5"):
         read_dense_matrix_market(
             io.StringIO("%%MatrixMarket matrix array real general\n2 3\n1\n2\n3\n4\n5\n")

@@ -77,15 +77,6 @@ def test_observed_entries_empty_pattern_allowed():
     assert e.count == 0
 
 
-def test_with_values_shares_pattern():
-    e = random_entries(5, 6, 10, 0)
-    f = e.with_values(np.arange(10, dtype=float))
-    assert f.vals.tolist() == list(range(10))
-    assert f.rows is e.rows
-    with pytest.raises(DimensionError):
-        e.with_values(np.zeros(9))
-
-
 def test_completion_problem_validations_and_ratios():
     e = random_entries(10, 8, 40, 1)
     p = CompletionProblem(e, 2)
@@ -164,7 +155,7 @@ def test_sparse_apply_matches_dense_products():
     patterns.append(ObservedEntries(6, 8, [], [], []))
     for e in patterns:
         s = SparseResidual(e, rng.standard_normal(e.count))
-        dense = dense_of(e.with_values(s.vals))
+        dense = dense_of(ObservedEntries(e.n, e.m, e.rows, e.cols, s.vals))
         b = rng.standard_normal((8, 3))
         c = rng.standard_normal((6, 3))
         np.testing.assert_allclose(sparse_apply(s, b), dense @ b, rtol=0, atol=1e-12)
@@ -205,7 +196,7 @@ def test_gradient_satisfies_the_defining_identity():
         e = random_entries(n, m, 50, seed + 50)
         p = CompletionProblem(e, r)
         grad = riemannian_gradient(p, x)
-        s_dense = dense_of(e.with_values(residual(p, x).vals))
+        s_dense = dense_of(ObservedEntries(n, m, e.rows, e.cols, residual(p, x).vals))
         for k in range(5):
             xi = random_horizontal(x, 1000 * seed + k)
             from r3mc import metric
@@ -297,7 +288,7 @@ def test_initial_step_zero_residual_returns_zero():
     x = random_point(6, 6, 2, 3)
     rows, cols = sample_mask(6, 6, 20, 4)
     probe = ObservedEntries(6, 6, rows, cols, np.zeros(20))
-    e = probe.with_values(masked_values(x, probe))
+    e = ObservedEntries(6, 6, probe.rows, probe.cols, masked_values(x, probe))
     p = CompletionProblem(e, 2)
     xi = random_horizontal(x, 5)
     assert initial_step(p, x, xi) == 0.0

@@ -1,5 +1,7 @@
 """Conjugate gradient, rank homotopy, and warm start behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from r3mc import (
     RankSchedule,
     SolverConfig,
     SparseResidual,
+    SyntheticSpec,
     ValidationMonitor,
     cg_solve,
     cost,
@@ -27,6 +30,7 @@ from r3mc import (
     rank_incremental_solve,
     rank_one_update,
     riemannian_gradient,
+    synthesize,
     truncated_oversampling,
     truncated_warm_start,
 )
@@ -57,7 +61,7 @@ def make_problem(n, m, r, ratio, seed, noise=0.0, rank=None):
     vals = masked_values(x_true, probe)
     if noise:
         vals = vals + noise * CounterRng(seed + 2).standard_normal(count)
-    entries = probe.with_values(vals)
+    entries = ObservedEntries(n, m, probe.rows, probe.cols, vals)
     return CompletionProblem(entries, r if rank is None else rank), x_true
 
 
@@ -454,3 +458,21 @@ def test_truncated_warm_start_warns_when_the_inner_solve_stops_early():
     with pytest.warns(RuntimeWarning, match=r"without converging \(max_iterations\)"):
         warm = truncated_warm_start(problem, 20, SolverConfig(max_iterations=1), seed=9)
     assert warm.r == 2
+
+
+def test_truncated_warm_start_warnings_point_at_the_caller_on_tall_problems():
+    problem, _ = synthesize(SyntheticSpec(60, 30, 2, 1.5), seed=3)
+    config = SolverConfig(max_iterations=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warm = truncated_warm_start(problem, 5, config)
+    assert len(caught) == 3   # undersampled, inner stop, under-determined columns
+    assert [w.filename for w in caught] == [__file__] * 3
+    # the tall problem is fitted in the wide orientation and transposed back
+    e = problem.entries
+    wide = CompletionProblem(ObservedEntries(30, 60, e.cols, e.rows, e.vals), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        flipped = truncated_warm_start(wide, 5, config)
+    assert np.array_equal(warm.U, flipped.V) and np.array_equal(warm.V, flipped.U)
+    assert np.array_equal(warm.R, flipped.R.T)
