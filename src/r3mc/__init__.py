@@ -41,6 +41,7 @@ from .problem import (
     PointEvaluation,
     SparseResidual,
     cost,
+    degrees_of_freedom,
     direction_values,
     evaluate,
     initial_step,
@@ -70,8 +71,6 @@ from .solver import (
 from .data_io import (
     RatingsDataset,
     SyntheticSpec,
-    degrees_of_freedom,
-    os_ratio,
     parse_movielens,
     read_dense_matrix_market,
     read_matrix_market,

@@ -112,6 +112,14 @@ def _float_list(text):
         raise ConfigError("expected a comma-separated number list, got %r" % text)
 
 
+def _distinct(option, values):
+    """A sweep's value list; a repeated value would run its tasks twice and
+    count both copies in each of its summary rows."""
+    if len(set(values)) < len(values):
+        raise ConfigError("%s lists a value twice" % option)
+    return values
+
+
 def _atomic_write(path, write_body):
     path = Path(path)
     if path.parent and not path.parent.exists():
@@ -430,11 +438,13 @@ def cmd_bench(args):
     if args.movielens:
         if args.ranks is None:
             raise ConfigError("--movielens needs --ranks")
-        axes = {"rank": _int_list(args.ranks)}
+        axes = {"rank": _distinct("--ranks", _int_list(args.ranks))}
         common["fractions"] = tuple(_float_list(args.fractions))
-        seeds = _int_list(args.seeds or "")
+        seeds = _distinct("--seeds", _int_list(args.seeds or ""))
         if not seeds:
             raise ConfigError("--movielens needs --seeds")
+        if args.splits < 1:
+            raise ConfigError("--splits must be at least 1")
         seeds = range(seeds[0], seeds[0] + args.splits)
         common["entries"] = to_entries(parse_movielens(args.movielens))
         cell, constants, count_column = _bench_movielens_cell, {}, "splits"
@@ -448,9 +458,10 @@ def cmd_bench(args):
                             ("--seeds", args.seeds)):
             if value is None:
                 raise ConfigError("bench needs %s" % flag)
-        axes = {"rank": _int_list(args.ranks), "os": _float_list(args.os),
-                "cn": [None] if args.cn is None else _float_list(args.cn)}
-        seeds = _int_list(args.seeds)
+        cns = [None] if args.cn is None else _distinct("--cn", _float_list(args.cn))
+        axes = {"rank": _distinct("--ranks", _int_list(args.ranks)),
+                "os": _distinct("--os", _float_list(args.os)), "cn": cns}
+        seeds = _distinct("--seeds", _int_list(args.seeds))
         constants = {"n": args.n, "m": args.m}
         common.update(constants)
         cell, count_column = _bench_synth_cell, "seeds"

@@ -13,19 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .problem import CompletionProblem, ObservedEntries
+from .problem import CompletionProblem, ObservedEntries, degrees_of_freedom
 from .rng import CounterRng
 from .smallmat import polar_orthonormal_factor
-
-
-def degrees_of_freedom(n, m, rank):
-    """Parameter count of a rank-r matrix: r (n + m - r)."""
-    return rank * (n + m - rank)
-
-
-def os_ratio(n, m, rank, count):
-    """Observed entries per degree of freedom."""
-    return count / degrees_of_freedom(n, m, rank)
 
 
 def required_count(n, m, rank, oversampling):

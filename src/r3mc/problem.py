@@ -107,6 +107,11 @@ class SparseResidual:
         object.__setattr__(self, "vals", vals)
 
 
+def degrees_of_freedom(n, m, rank):
+    """Parameter count of a rank-r matrix: r (n + m - r)."""
+    return rank * (n + m - rank)
+
+
 @dataclass(frozen=True)
 class CompletionProblem:
     """Observed data plus the target rank."""
@@ -130,8 +135,7 @@ class CompletionProblem:
 
     @property
     def dof(self):
-        r = self.rank
-        return r * (self.n + self.m - r)
+        return degrees_of_freedom(self.n, self.m, self.rank)
 
     @property
     def oversampling(self):

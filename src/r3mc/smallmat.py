@@ -51,10 +51,6 @@ class SpdFactorization:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def apply_inverse(self, rhs):
-        coeff = self.eigenvectors.T @ rhs
-        return self.eigenvectors @ (coeff / self.eigenvalues[:, None])
-
 
 def spd_factorization(p):
     """Factor a symmetric positive definite matrix; raises if not SPD.

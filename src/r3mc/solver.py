@@ -7,7 +7,6 @@ the descent test.  Step sizes seed from the exact minimizer of the
 linearized objective and backtrack under the Armijo rule.
 """
 
-import sys
 import time
 import warnings
 from collections import deque
@@ -52,6 +51,13 @@ REASON_MONITOR = "monitor_stop"
 
 CONVERGED_REASONS = (REASON_COST, REASON_GRADIENT, REASON_MONITOR)
 
+# straight rises of the validation error that stop an early-stopped solve
+VALIDATION_WINDOW = 5
+# the homotopy leaves a rank once the cost fell by at most PLATEAU_TOL,
+# relatively, over the last PLATEAU_WINDOW accepted iterations
+PLATEAU_WINDOW = 10
+PLATEAU_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -59,8 +65,7 @@ class SolverConfig:
 
     The gradient stop is relative: the solve halts once the gradient norm
     falls below ``gradient_norm_tolerance`` times the starting gradient
-    norm.  ``verbosity`` at one or above prints a line per accepted
-    iteration to stderr.
+    norm.
     """
 
     max_iterations: int = 500
@@ -69,7 +74,6 @@ class SolverConfig:
     armijo_slope: float = 1e-4
     backtrack_factor: float = 0.5
     max_backtracks: int = 25
-    verbosity: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -82,8 +86,6 @@ class SolverConfig:
             raise ConfigError("backtrack_factor must lie in (0, 1)")
         if self.max_backtracks < 0:
             raise ConfigError("max_backtracks must be nonnegative")
-        if self.verbosity < 0:
-            raise ConfigError("verbosity must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -240,12 +242,6 @@ def cg_solve(problem, x0, config=SolverConfig(), monitor=None):
                 time_s=time.perf_counter() - t0,
             )
         )
-        if config.verbosity >= 1:
-            print(
-                "iter %4d  cost %.6e  grad %.3e  step %.3e"
-                % (trace.iterations, f, np.sqrt(grad_norm_sq), s),
-                file=sys.stderr,
-            )
         if monitor is not None and monitor(trace.iterations, x, f):
             trace.reason = REASON_MONITOR
             break
@@ -369,27 +365,19 @@ def rank_one_update(problem, x, seed=0, exact_scale=False):
 class RankSchedule:
     """Controls the rank-updating homotopy.
 
-    Each rank runs conjugate gradient until convergence, a cost plateau,
-    or (with a validation pattern) ``stall_window`` consecutive
-    validation increases; the homotopy then grows the rank by one and
-    stops at ``max_rank``, on convergence, or when the per-rank
-    validation error starts rising.
+    The homotopy starts at rank one.  Each rank runs conjugate gradient
+    until convergence, a cost plateau, or (with a validation pattern)
+    ``VALIDATION_WINDOW`` consecutive validation increases; the homotopy
+    then grows the rank by one and stops at ``max_rank``, on convergence,
+    or when the per-rank validation error starts rising.
     """
 
     max_rank: int
-    start_rank: int = 1
     validation: ObservedEntries | None = None
-    stall_window: int = 5
-    plateau_window: int = 10
-    plateau_tol: float = 1e-6
 
     def __post_init__(self):
-        if not 1 <= self.start_rank <= self.max_rank:
-            raise ConfigError("need 1 <= start_rank <= max_rank")
-        if self.stall_window < 1 or self.plateau_window < 1:
-            raise ConfigError("windows must be positive")
-        if self.plateau_tol < 0:
-            raise ConfigError("plateau_tol must be nonnegative")
+        if self.max_rank < 1:
+            raise ConfigError("max_rank must be at least one")
 
 
 def _check_disjoint(train, validation):
@@ -400,11 +388,11 @@ def _check_disjoint(train, validation):
 
 
 class ValidationMonitor:
-    """``cg_solve`` monitor that stops after ``window`` straight rises of
-    the validation error and keeps the iterate where it was lowest."""
+    """``cg_solve`` monitor that stops after ``VALIDATION_WINDOW`` straight
+    rises of the validation error and keeps the iterate where it was lowest."""
 
-    def __init__(self, validation, window=5):
-        self.validation, self.window = validation, window
+    def __init__(self, validation):
+        self.validation = validation
         self.best, self.best_x, self.prev, self.rises = np.inf, None, np.inf, 0
         self.last_x = None
 
@@ -414,7 +402,7 @@ class ValidationMonitor:
             self.best, self.best_x = v, x
         self.rises = self.rises + 1 if v > self.prev else 0
         self.prev, self.last_x = v, x
-        return self.rises >= self.window
+        return self.rises >= VALIDATION_WINDOW
 
     def best_point(self, x):
         """(point, validation MSE): the best monitored iterate, or x if no
@@ -423,9 +411,9 @@ class ValidationMonitor:
         return (self.best_x, self.best) if self.best < v else (x, v)
 
 
-def _rank_monitor(schedule, validation):
+def _rank_monitor(validation):
     """Stop on the validation monitor or on a cost plateau."""
-    recent = deque(maxlen=schedule.plateau_window + 1)
+    recent = deque(maxlen=PLATEAU_WINDOW + 1)
 
     def monitor(iteration, x, f):
         if validation is not None and validation(iteration, x, f):
@@ -433,7 +421,7 @@ def _rank_monitor(schedule, validation):
         recent.append(f)
         if len(recent) == recent.maxlen:
             old = recent[0]
-            if old - f <= schedule.plateau_tol * max(old, 1e-300):
+            if old - f <= PLATEAU_TOL * max(old, 1e-300):
                 return True
         return False
 
@@ -453,11 +441,12 @@ def rank_incremental_solve(problem, schedule, config=SolverConfig(), seed=0):
     """Homotopy over ranks: solve, grow by one, repeat.
 
     Starts from the rank-one initializer, runs ``cg_solve`` at each rank
-    of the schedule, and grows through ``rank_one_update``.  With a
-    validation pattern each rank is early-stopped: the iterate accepted
-    for the rank is the one with the lowest validation error seen during
-    its solve, and the returned point is the best such iterate across
-    ranks.  Without validation the last iterate is returned.
+    from one up to ``schedule.max_rank``, and grows through
+    ``rank_one_update``.  With a validation pattern each rank is
+    early-stopped: the iterate accepted for the rank is the one with the
+    lowest validation error seen during its solve, and the returned point
+    is the best such iterate across ranks.  Without validation the last
+    iterate is returned.
 
     Returns (point, steps) with one RankStep per visited rank.
     """
@@ -471,22 +460,17 @@ def rank_incremental_solve(problem, schedule, config=SolverConfig(), seed=0):
         _check_disjoint(problem.entries, schedule.validation)
 
     x = initial_rank_one_point(problem, seed)
-    for r in range(2, schedule.start_rank + 1):
-        x = rank_one_update(
-            CompletionProblem(problem.entries, r - 1), x, seed + r
-        )
-
     steps = []
     start = x
     best_x, best_val = x, np.inf
     prev_val = np.inf
-    for r in range(schedule.start_rank, schedule.max_rank + 1):
+    for r in range(1, schedule.max_rank + 1):
         prob_r = CompletionProblem(problem.entries, r)
         validation = None if schedule.validation is None else ValidationMonitor(
-            schedule.validation, schedule.stall_window)
+            schedule.validation)
         try:
             solved, trace = cg_solve(
-                prob_r, start, config, monitor=_rank_monitor(schedule, validation)
+                prob_r, start, config, monitor=_rank_monitor(validation)
             )
         except SingularMatrixError:
             # the grown direction sits below the numerical noise of the

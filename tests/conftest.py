@@ -1,8 +1,9 @@
 """Shared test configuration.
 
-Runtime invariant checks are off by default in the library; the tests
-turn them on globally so every constructed point and tangent vector is
-revalidated while the suite runs.
+Runtime invariant checks are off by default in the library; each test
+here turns them on for its own run, so every constructed point and
+tangent vector is revalidated, and turns them off again so the flag does
+not reach tests collected from outside this directory.
 """
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from r3mc import enable_invariant_checks
 
 
-@pytest.fixture(autouse=True, scope="session")
+@pytest.fixture(autouse=True)
 def _invariant_checks():
     enable_invariant_checks(True)
     yield

@@ -3,6 +3,7 @@
 import csv
 import json
 import statistics
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -136,6 +137,7 @@ def test_complete_solves_and_reports(tmp_path, capsys):
     assert doc["command"] == "complete"
     assert doc["config"]["rank"] == 2 and doc["config"]["seed"] == 3
     assert doc["config"]["solver"]["max_iterations"] == 500
+    assert doc["config"]["solver"].keys() == asdict(SolverConfig()).keys()
     assert doc["problem"]["n"] == 40 and doc["problem"]["observed"] == problem.entries.count
     assert doc["result"]["exit_code"] == 0
     assert doc["result"]["final_cost"] <= 1e-12
@@ -415,6 +417,38 @@ def test_bench_movielens_needs_seeds(tmp_path, capsys, seeds):
         args += ["--seeds", seeds]
     assert run_cli(*args) == 2
     assert capsys.readouterr().err == "error: --movielens needs --seeds\n"
+
+
+@pytest.mark.parametrize("option, values", [
+    ("--ranks", "2,2"), ("--os", "3,3.0"), ("--cn", "10,10"), ("--seeds", "0,0"),
+])
+def test_bench_rejects_a_repeated_sweep_value(tmp_path, capsys, option, values):
+    sweep = {"--ranks": "2", "--os": "3", "--seeds": "0", option: values}
+    args = ["bench", "--n", "20", "--m", "20", "--out-dir", str(tmp_path / "x")]
+    assert run_cli(*args, *[a for kv in sweep.items() for a in kv]) == 2
+    assert capsys.readouterr().err == "error: %s lists a value twice\n" % option
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("option, values", [("--ranks", "1,1"), ("--seeds", "7,7")])
+def test_bench_movielens_rejects_a_repeated_sweep_value(tmp_path, capsys, option,
+                                                        values):
+    sweep = {"--ranks": "1", "--seeds": "7", option: values}
+    args = ["bench", "--movielens", str(write_ratings(tmp_path)),
+            "--out-dir", str(tmp_path / "ml")]
+    assert run_cli(*args, *[a for kv in sweep.items() for a in kv]) == 2
+    assert capsys.readouterr().err == "error: %s lists a value twice\n" % option
+
+
+@pytest.mark.parametrize("splits", ["0", "-3"])
+def test_bench_movielens_needs_a_split(tmp_path, capsys, splits):
+    ratings = write_ratings(tmp_path)
+    code = run_cli("bench", "--movielens", str(ratings), "--ranks", "1",
+                   "--seeds", "7", "--splits", splits,
+                   "--out-dir", str(tmp_path / "ml"))
+    assert code == 2
+    assert capsys.readouterr().err == "error: --splits must be at least 1\n"
+    assert not (tmp_path / "ml").exists()
 
 
 def test_movielens_prep_writes_splits_and_meta(tmp_path):

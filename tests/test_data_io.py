@@ -14,7 +14,6 @@ from r3mc import (
     ParseError,
     SyntheticSpec,
     degrees_of_freedom,
-    os_ratio,
     parse_movielens,
     read_dense_matrix_market,
     read_matrix_market,
@@ -33,7 +32,6 @@ from r3mc import (
 def test_counting_helpers():
     assert degrees_of_freedom(10000, 10000, 10) == 199900
     assert required_count(10000, 10000, 10, 2.1) == 419790
-    assert os_ratio(10000, 10000, 10, 419790) == pytest.approx(2.1, rel=1e-12)
     assert degrees_of_freedom(5, 7, 2) == 2 * (5 + 7 - 2)
 
 

@@ -38,7 +38,10 @@ def test_spd_factorization_applies_inverse():
         p = random_spd(rng, r)
         fact = spd_factorization(p)
         b = rng.standard_normal((r, 3))
-        assert np.allclose(fact.apply_inverse(b), np.linalg.solve(p, b), atol=1e-10)
+        vecs, vals = fact.eigenvectors, fact.eigenvalues
+        assert np.all(np.diff(vals) <= 0.0)
+        inverse_b = vecs @ ((vecs.T @ b) / vals[:, None])
+        assert np.allclose(inverse_b, np.linalg.solve(p, b), atol=1e-10)
 
 
 def test_spd_factorization_rejects_indefinite():

@@ -80,8 +80,6 @@ def test_solver_config_rejects_bad_values():
         SolverConfig(backtrack_factor=1.0)
     with pytest.raises(ConfigError):
         SolverConfig(max_backtracks=-1)
-    with pytest.raises(ConfigError):
-        SolverConfig(verbosity=-1)
 
 
 def test_pr_plus_beta_identities():
@@ -176,12 +174,13 @@ def test_cg_solve_stalls_when_armijo_cannot_be_met():
     assert not trace.converged
 
 
-def test_cg_solve_verbosity_writes_stderr(capsys):
+def test_solves_write_nothing_to_stdout_or_stderr(capsys):
     problem, _ = make_problem(20, 20, 2, 4.0, 15)
-    config = SolverConfig(max_iterations=2, cost_tolerance=0.0, verbosity=1)
-    cg_solve(problem, random_point(20, 20, 2, 16), config)
-    err = capsys.readouterr().err
-    assert "iter" in err and "cost" in err
+    config = SolverConfig(max_iterations=20, cost_tolerance=0.0)
+    _, trace = cg_solve(problem, random_point(20, 20, 2, 16), config)
+    _, steps = rank_incremental_solve(problem, RankSchedule(max_rank=3), config)
+    assert trace.iterations > 0 and sum(s.trace.iterations for s in steps) > 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_cg_solve_is_deterministic():
@@ -299,15 +298,7 @@ def problem_at_rank(problem, r):
 
 def test_rank_schedule_guards():
     with pytest.raises(ConfigError):
-        RankSchedule(max_rank=3, start_rank=0)
-    with pytest.raises(ConfigError):
-        RankSchedule(max_rank=3, start_rank=4)
-    with pytest.raises(ConfigError):
-        RankSchedule(max_rank=3, stall_window=0)
-    with pytest.raises(ConfigError):
-        RankSchedule(max_rank=3, plateau_window=0)
-    with pytest.raises(ConfigError):
-        RankSchedule(max_rank=3, plateau_tol=-1.0)
+        RankSchedule(max_rank=0)
 
 
 def test_rank_incremental_solve_guards():
