@@ -4,10 +4,8 @@ Subcommands: synth (generate a problem), complete (solve one), bench
 (sweep configurations with aggregate statistics), movielens-prep
 (convert a ratings file into Matrix Market splits).
 
-Every long option can also come from an environment variable named
-R3MC_<OPTION> (dashes become underscores, upper case); explicit flags
-win over the environment.  Exit codes: 0 solved, 2 bad configuration or
-unreadable input, 3 iteration budget exhausted, 4 line-search stall.
+Exit codes: 0 solved, 2 bad configuration or unreadable input, 3
+iteration budget exhausted, 4 line-search stall.
 Wall-clock fields in outputs are zeroed under --deterministic so that
 identical seeded runs are byte-identical (pin BLAS threads to one for
 full reproducibility).
@@ -57,6 +55,7 @@ from .solver import (
     SolverConfig,
     ValidationMonitor,
     cg_solve,
+    check_validation,
     rank_incremental_solve,
     truncated_warm_start,
 )
@@ -69,33 +68,6 @@ EXIT_STALL = 4
 _REASON_EXIT = {REASON_MAX_ITERATIONS: EXIT_MAX_ITERATIONS, REASON_STALL: EXIT_STALL}
 
 TRACE_HEADER = "iter,cost,grad_norm,step,backtracks,reset,time_s"
-
-
-def _env_name(option):
-    return "R3MC_" + option.lstrip("-").replace("-", "_").upper()
-
-
-def _add(parser, option, type=str, default=None, required=False, help="", **kwargs):
-    """add_argument with an R3MC_* environment fallback."""
-    env_key = _env_name(option)
-    raw = os.environ.get(env_key)
-    if raw is not None:
-        if kwargs.get("action") == "store_true":
-            kwargs["default"] = raw.strip().lower() in ("1", "true", "yes", "on")
-        else:
-            try:
-                default = type(raw)
-            except ValueError:
-                parser.error("%s=%r is not a valid %s" % (env_key, raw, option))
-        required = False
-    help = (help + " " if help else "") + "[env %s]" % env_key
-    if kwargs.get("action") == "store_true":
-        kwargs.setdefault("default", default if default is not None else False)
-        parser.add_argument(option, required=False, help=help, **kwargs)
-    else:
-        parser.add_argument(
-            option, type=type, default=default, required=required, help=help, **kwargs
-        )
 
 
 def _int_list(text):
@@ -157,12 +129,13 @@ def _solver_config(args):
 
 
 def _add_solver_options(sub):
-    _add(sub, "--max-iters", type=int, default=500, help="iteration budget")
-    _add(sub, "--cost-tol", type=float, default=1e-20, help="stop when cost falls below")
-    _add(sub, "--grad-tol", type=float, default=1e-14,
-         help="stop on relative gradient norm")
-    _add(sub, "--deterministic", action="store_true",
-         help="zero wall-clock fields in outputs")
+    sub.add_argument("--max-iters", type=int, default=500, help="iteration budget")
+    sub.add_argument("--cost-tol", type=float, default=1e-20,
+                     help="stop when cost falls below")
+    sub.add_argument("--grad-tol", type=float, default=1e-14,
+                     help="stop on relative gradient norm")
+    sub.add_argument("--deterministic", action="store_true",
+                     help="zero wall-clock fields in outputs")
 
 
 def cmd_synth(args):
@@ -201,11 +174,11 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-def _check_grid(data, other, name):
-    if (other.n, other.m) != (data.n, data.m):
+def _check_grid(data, test):
+    if (test.n, test.m) != (data.n, data.m):
         raise ConfigError(
-            "%s grid %d x %d does not match the data grid %d x %d"
-            % (name, other.n, other.m, data.n, data.m)
+            "test grid %d x %d does not match the data grid %d x %d"
+            % (test.n, test.m, data.n, data.m)
         )
 
 
@@ -225,14 +198,15 @@ def _early_stopped_solve(problem, x0, config, validation):
 def _solve(args, problem, validation, config):
     """Run the configured solve; returns (point, traces, rank_steps, reason,
     validation MSE of the point or None)."""
-    if args.rank_updates is not None and args.warm_start_cols is not None:
-        raise ConfigError("--rank-updates and --warm-start-cols are exclusive")
     if args.rank_updates is not None:
         schedule = RankSchedule(max_rank=args.rank_updates, validation=validation)
         x, steps = rank_incremental_solve(problem, schedule, config, args.seed)
         # with validation the homotopy returns its best-validation step's point
         val_mse = None if validation is None else min(s.validation_mse for s in steps)
         return x, [s.trace for s in steps], steps, steps[-1].trace.reason, val_mse
+    if validation is not None:
+        # before the warm start's solve, so a bad file fails before any work
+        check_validation(problem.entries, validation)
     if args.warm_start_cols is not None:
         x0 = truncated_warm_start(problem, args.warm_start_cols, config, args.seed)
     else:
@@ -242,19 +216,21 @@ def _solve(args, problem, validation, config):
 
 
 def cmd_complete(args):
-    if args.rank is None and args.rank_updates is None:
+    if args.rank_updates is not None:
+        for flag, value in (("--rank", args.rank),
+                            ("--warm-start-cols", args.warm_start_cols)):
+            if value is not None:
+                raise ConfigError("--rank-updates and %s are exclusive" % flag)
+    elif args.rank is None:
         raise ConfigError("need --rank (or --rank-updates for the homotopy)")
     entries = read_matrix_market(args.data)
     rank = args.rank_updates if args.rank_updates is not None else args.rank
     problem = CompletionProblem(entries, rank)
-    validation = None
-    if args.val:
-        validation = read_matrix_market(args.val)
-        _check_grid(entries, validation, "validation")
+    validation = read_matrix_market(args.val) if args.val else None
     test = None
     if args.test:
         test = read_matrix_market(args.test)
-        _check_grid(entries, test, "test")
+        _check_grid(entries, test)
 
     config = _solver_config(args)
     reset_op_count()
@@ -443,6 +419,9 @@ def cmd_bench(args):
         seeds = _distinct("--seeds", _int_list(args.seeds or ""))
         if not seeds:
             raise ConfigError("--movielens needs --seeds")
+        if len(seeds) > 1:
+            raise ConfigError("--movielens takes one --seeds value; the splits "
+                              "count up from it")
         if args.splits < 1:
             raise ConfigError("--splits must be at least 1")
         seeds = range(seeds[0], seeds[0] + args.splits)
@@ -527,71 +506,71 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="r3mc",
         description="Fixed-rank matrix completion by Riemannian conjugate gradient.",
-        epilog="Options also read environment variables named R3MC_<OPTION>.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic problem")
-    _add(p, "--n", type=int, required=True, help="rows")
-    _add(p, "--m", type=int, required=True, help="columns")
-    _add(p, "--rank", type=int, required=True, help="ground-truth rank")
-    _add(p, "--os", type=float, required=True,
-         help="observed entries per degree of freedom")
-    _add(p, "--cn", type=float, default=None,
-         help="condition number (default: gaussian factors)")
-    _add(p, "--seed", type=int, required=True, help="generator seed")
-    _add(p, "--out", required=True,
-         help="output directory for entries.mtx, left.mtx, right.mtx")
-    _add(p, "--force", action="store_true",
-         help="allow oversampling at or below one")
+    p.add_argument("--n", type=int, required=True, help="rows")
+    p.add_argument("--m", type=int, required=True, help="columns")
+    p.add_argument("--rank", type=int, required=True, help="ground-truth rank")
+    p.add_argument("--os", type=float, required=True,
+                   help="observed entries per degree of freedom")
+    p.add_argument("--cn", type=float,
+                   help="condition number (default: gaussian factors)")
+    p.add_argument("--seed", type=int, required=True, help="generator seed")
+    p.add_argument("--out", required=True,
+                   help="output directory for entries.mtx, left.mtx, right.mtx")
+    p.add_argument("--force", action="store_true",
+                   help="allow oversampling at or below one")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("complete", help="solve a completion problem")
-    _add(p, "--data", required=True, help="Matrix Market coordinate file")
-    _add(p, "--rank", type=int, default=None, help="target rank")
-    _add(p, "--rank-updates", type=int, default=None,
-         help="grow the rank from one up to this maximum")
-    _add(p, "--warm-start-cols", type=int, default=None,
-         help="warm start from this many completed columns")
-    _add(p, "--val", default=None,
-         help="validation entries (Matrix Market) for early stopping")
-    _add(p, "--test", default=None,
-         help="held-out entries (Matrix Market) to score at the end")
-    _add(p, "--seed", type=int, required=True, help="initialization seed")
+    p.add_argument("--data", required=True, help="Matrix Market coordinate file")
+    p.add_argument("--rank", type=int, help="target rank")
+    p.add_argument("--rank-updates", type=int,
+                   help="grow the rank from one up to this maximum")
+    p.add_argument("--warm-start-cols", type=int,
+                   help="warm start from this many completed columns")
+    p.add_argument("--val",
+                   help="validation entries (Matrix Market) for early stopping")
+    p.add_argument("--test",
+                   help="held-out entries (Matrix Market) to score at the end")
+    p.add_argument("--seed", type=int, required=True, help="initialization seed")
     _add_solver_options(p)
-    _add(p, "--trace", default=None, help="write per-iteration CSV here")
-    _add(p, "--report", default=None, help="write a JSON run report here")
-    _add(p, "--solution-prefix", default=None,
-         help="write solution factors to PREFIX_U/R/V.mtx")
+    p.add_argument("--trace", help="write per-iteration CSV here")
+    p.add_argument("--report", help="write a JSON run report here")
+    p.add_argument("--solution-prefix",
+                   help="write solution factors to PREFIX_U/R/V.mtx")
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("bench", help="sweep configurations with statistics")
-    _add(p, "--n", type=int, default=None, help="rows (synthetic sweep)")
-    _add(p, "--m", type=int, default=None, help="columns (synthetic sweep)")
-    _add(p, "--ranks", default=None, help="comma-separated rank list")
-    _add(p, "--os", default=None, help="comma-separated oversampling list")
-    _add(p, "--cn", default=None,
-         help="comma-separated condition number list (default: gaussian)")
-    _add(p, "--seeds", default=None, help="comma-separated seed list")
-    _add(p, "--movielens", default=None,
-         help="ratings file; switches to the split-protocol sweep")
-    _add(p, "--splits", type=int, default=10,
-         help="partition count per rank for --movielens")
-    _add(p, "--fractions", default="0.8,0.1,0.1",
-         help="train,val,test fractions for --movielens")
-    _add(p, "--jobs", type=int, default=1, help="parallel worker count")
+    p.add_argument("--n", type=int, help="rows (synthetic sweep)")
+    p.add_argument("--m", type=int, help="columns (synthetic sweep)")
+    p.add_argument("--ranks", help="comma-separated rank list")
+    p.add_argument("--os", help="comma-separated oversampling list")
+    p.add_argument("--cn",
+                   help="comma-separated condition number list (default: gaussian)")
+    p.add_argument("--seeds", help="comma-separated seed list")
+    p.add_argument("--movielens",
+                   help="ratings file; switches to the split-protocol sweep")
+    p.add_argument("--splits", type=int, default=10,
+                   help="partition count per rank for --movielens")
+    p.add_argument("--fractions", default="0.8,0.1,0.1",
+                   help="train,val,test fractions for --movielens")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
     _add_solver_options(p)
-    _add(p, "--out-dir", required=True,
-         help="directory for runs.csv and summary.csv")
+    p.add_argument("--out-dir", required=True,
+                   help="directory for runs.csv and summary.csv")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("movielens-prep",
                        help="convert ratings to Matrix Market splits")
-    _add(p, "--ratings", required=True,
-         help="ratings file (UserID::MovieID::Rating::Timestamp)")
-    _add(p, "--out-dir", required=True, help="directory for train/val/test.mtx")
-    _add(p, "--seed", type=int, required=True, help="split seed")
-    _add(p, "--fractions", default="0.8,0.1,0.1", help="train,val,test fractions")
+    p.add_argument("--ratings", required=True,
+                   help="ratings file (UserID::MovieID::Rating::Timestamp)")
+    p.add_argument("--out-dir", required=True, help="directory for train/val/test.mtx")
+    p.add_argument("--seed", type=int, required=True, help="split seed")
+    p.add_argument("--fractions", default="0.8,0.1,0.1",
+                   help="train,val,test fractions")
     p.set_defaults(func=cmd_movielens_prep)
 
     return parser

@@ -380,7 +380,16 @@ class RankSchedule:
             raise ConfigError("max_rank must be at least one")
 
 
-def _check_disjoint(train, validation):
+def check_validation(train, validation):
+    """Raise ConfigError unless ``validation`` can early-stop a solve on
+    ``train``: it must be non-empty, on the same grid and disjoint from it."""
+    if validation.count == 0:
+        raise ConfigError("validation pattern is empty")
+    if (validation.n, validation.m) != (train.n, train.m):
+        raise ConfigError(
+            "validation grid %d x %d does not match the data grid %d x %d"
+            % (validation.n, validation.m, train.n, train.m)
+        )
     lin_train = train.rows * train.m + train.cols
     lin_val = validation.rows * validation.m + validation.cols
     if np.intersect1d(lin_train, lin_val).size:
@@ -453,11 +462,7 @@ def rank_incremental_solve(problem, schedule, config=SolverConfig(), seed=0):
     if schedule.max_rank > min(problem.n, problem.m):
         raise ConfigError("max_rank exceeds min(n, m)")
     if schedule.validation is not None:
-        if schedule.validation.count == 0:
-            raise ConfigError("validation pattern is empty")
-        if (schedule.validation.n, schedule.validation.m) != (problem.n, problem.m):
-            raise ConfigError("validation grid does not match the problem")
-        _check_disjoint(problem.entries, schedule.validation)
+        check_validation(problem.entries, schedule.validation)
 
     x = initial_rank_one_point(problem, seed)
     steps = []

@@ -451,6 +451,17 @@ def test_bench_movielens_needs_a_split(tmp_path, capsys, splits):
     assert not (tmp_path / "ml").exists()
 
 
+def test_bench_movielens_takes_one_seed(tmp_path, capsys):
+    # the splits' seeds count up from the one value; a second would be dropped
+    ratings = write_ratings(tmp_path)
+    code = run_cli("bench", "--movielens", str(ratings), "--ranks", "1",
+                   "--seeds", "5,9", "--splits", "2", "--out-dir", str(tmp_path / "ml"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --movielens takes one --seeds value; the splits count up from it\n")
+    assert not (tmp_path / "ml").exists()
+
+
 def test_movielens_prep_writes_splits_and_meta(tmp_path):
     ratings = write_ratings(tmp_path)
     out = tmp_path / "prep"
@@ -484,32 +495,77 @@ def test_movielens_prep_skips_empty_split_files(tmp_path):
     assert meta["splits"] == {"train": 120, "val": 0, "test": 0}
 
 
-def test_environment_variables_fill_in_missing_flags(tmp_path, monkeypatch):
+def test_environment_does_not_configure_the_cli(tmp_path, monkeypatch, capsys):
     data, _ = write_problem(tmp_path)
-    report = tmp_path / "env.json"
-    monkeypatch.setenv("R3MC_SEED", "3")
-    code = run_cli("complete", "--data", str(data), "--rank", "2",
-                   "--report", str(report))
-    assert code == 0
-    assert json.loads(report.read_text())["config"]["seed"] == 3
-
-
-def test_explicit_flags_beat_environment_variables(tmp_path, monkeypatch):
-    data, _ = write_problem(tmp_path)
-    report = tmp_path / "flag.json"
-    monkeypatch.setenv("R3MC_SEED", "3")
-    code = run_cli("complete", "--data", str(data), "--rank", "2",
-                   "--seed", "5", "--report", str(report))
-    assert code == 0
-    assert json.loads(report.read_text())["config"]["seed"] == 5
-
-
-def test_invalid_environment_value_is_a_usage_error(tmp_path, monkeypatch):
-    data, _ = write_problem(tmp_path)
+    held_out, _ = write_problem(tmp_path, seed=9, name="held_out.mtx")
+    # a variable named after another subcommand's option is not read
     monkeypatch.setenv("R3MC_MAX_ITERS", "plenty")
+    assert run_cli("synth", "--n", "20", "--m", "20", "--rank", "2", "--os", "3",
+                   "--seed", "1", "--out", str(tmp_path / "gen")) == 0
+    # nor does a variable stand in for a required flag
+    monkeypatch.setenv("R3MC_SEED", "3")
     with pytest.raises(SystemExit) as info:
-        run_cli("complete", "--data", str(data), "--rank", "2", "--seed", "0")
+        run_cli("complete", "--data", str(data), "--rank", "2")
     assert info.value.code == 2
+    # nor add an output the arguments did not ask for
+    monkeypatch.setenv("R3MC_TEST", str(held_out))
+    report = tmp_path / "report.json"
+    assert run_cli("complete", "--data", str(data), "--rank", "2", "--seed", "0",
+                   "--report", str(report)) == 0
+    assert json.loads(report.read_text())["result"]["test_mse"] is None
+    capsys.readouterr()
+    for command in ([], ["synth"], ["complete"], ["bench"], ["movielens-prep"]):
+        with pytest.raises(SystemExit) as info:
+            run_cli(*command, "--help")
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        assert "usage: r3mc" in text
+        assert "[env" not in text and "R3MC_" not in text
+
+
+def write_empty(tmp_path):
+    path = tmp_path / "empty.mtx"
+    none = np.zeros(0, dtype=np.int64)
+    write_matrix_market(path, ObservedEntries(40, 40, none, none, np.zeros(0)))
+    return path
+
+
+@pytest.mark.parametrize("mode", [["--rank", "2"], ["--rank-updates", "2"],
+                                  ["--rank", "2", "--warm-start-cols", "20"]],
+                         ids=["cold", "homotopy", "warm-start"])
+@pytest.mark.parametrize("case, message", [
+    ("overlap", "validation pattern overlaps the training pattern"),
+    ("empty", "validation pattern is empty"),
+    ("grid", "validation grid 20 x 20 does not match the data grid 40 x 40"),
+])
+def test_complete_validation_contract_is_the_same_in_every_mode(
+        tmp_path, capsys, monkeypatch, mode, case, message):
+    # the check comes before any solve, the warm start's included
+    warm_starts = []
+    monkeypatch.setattr(cli, "truncated_warm_start", lambda *a: warm_starts.append(a))
+    data, _ = write_problem(tmp_path)
+    val = {"overlap": lambda: data,
+           "empty": lambda: write_empty(tmp_path),
+           "grid": lambda: write_problem(tmp_path, n=20, m=20, seed=9,
+                                         name="other.mtx")[0]}[case]()
+    report = tmp_path / "report.json"
+    code = run_cli("complete", "--data", str(data), "--val", str(val), "--seed", "0",
+                   "--report", str(report), *mode)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+    assert not report.exists() and not warm_starts
+
+
+def test_complete_rejects_rank_with_rank_updates(tmp_path, capsys):
+    data, _ = write_problem(tmp_path)
+    report = tmp_path / "report.json"
+    code = run_cli("complete", "--data", str(data), "--rank", "7", "--rank-updates", "2",
+                   "--seed", "0", "--report", str(report))
+    assert code == 2
+    assert capsys.readouterr().err == "error: --rank-updates and --rank are exclusive\n"
+    assert not report.exists()
 
 
 def test_unreadable_data_is_a_usage_error(tmp_path, capsys):
