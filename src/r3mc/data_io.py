@@ -6,13 +6,14 @@ the dense array format for factor matrices; values are written with
 shortest exact float representations so read(write(x)) is lossless.
 """
 
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ContractViolationError, ParseError
 from .problem import CompletionProblem, ObservedEntries, degrees_of_freedom
 from .rng import CounterRng
 from .smallmat import polar_orthonormal_factor
@@ -281,8 +282,15 @@ def write_matrix_market(target, entries, comments=()):
         for c in comments:
             stream.write("% " + str(c) + "\n")
         stream.write("%d %d %d\n" % (entries.n, entries.m, entries.count))
-        for i, j, v in zip(entries.rows, entries.cols, entries.vals):
-            stream.write("%d %d %s\n" % (i + 1, j + 1, repr(float(v))))
+        stream.writelines(
+            "%d %d %r\n" % entry
+            for entry in zip((entries.rows + 1).tolist(), (entries.cols + 1).tolist(),
+                             entries.vals.tolist())
+        )
+
+
+# one coordinate entry line as the array parse reads it
+_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
 
 
 def read_matrix_market(source):
@@ -290,39 +298,93 @@ def read_matrix_market(source):
 
     Raises ParseError with line numbers for malformed lines, indices out
     of range, duplicate entries (both occurrences reported), and entry
-    count mismatches.
+    count mismatches.  The entry lines are parsed and checked as whole
+    arrays; when that parse rejects a line or a check fails, they are
+    read again one line at a time, which raises the error of the first
+    offending line (or returns the entries of a file that only the
+    array parse rejects).
     """
+    fields = ("rows", "cols", "nnz")
     with _opened(source, "r") as stream:
-        (n, m, nnz), body = _read_header(stream, "coordinate", ("rows", "cols", "nnz"))
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        seen = {}
-        k = 0
-        for lineno, text in body:
-            if k >= nnz:
-                raise ParseError("more than %d entries" % nnz, lineno)
-            parts = text.split()
-            if len(parts) != 3:
-                raise ParseError("expected 'row col value'", lineno)
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ParseError("malformed entry", lineno) from None
-            if not 1 <= i <= n:
-                raise ParseError("row index %d outside [1, %d]" % (i, n), lineno)
-            if not 1 <= j <= m:
-                raise ParseError("column index %d outside [1, %d]" % (j, m), lineno)
-            if not np.isfinite(v):
-                raise ParseError("non-finite value", lineno)
-            prev = seen.setdefault((i, j), lineno)
-            if prev != lineno:
-                raise ParseError(
-                    "duplicate entry (%d, %d), first seen at line %d" % (i, j, prev),
-                    lineno,
-                )
-            rows[k], cols[k], vals[k] = i - 1, j - 1, v
-            k += 1
+        stream, rewind = _replayable(stream)
+        (n, m, nnz), body = _read_header(stream, "coordinate", fields)
+        entries = _bulk_entries(n, m, nnz, (text for _, text in body))
+        if entries is None:
+            rewind()
+            _, body = _read_header(stream, "coordinate", fields)
+            entries = _scan_entries(n, m, nnz, body)
+    return entries
+
+
+def _replayable(stream):
+    """(lines, rewind): ``lines`` can be read again after ``rewind()``.
+
+    A seekable stream is returned as it is, rewound by a seek back to
+    where it is now; anything else is read into a list, which can be
+    iterated again as it is.
+    """
+    try:
+        start = stream.tell()
+    except (AttributeError, OSError):
+        return list(stream), lambda: None
+    return stream, lambda: stream.seek(start)
+
+
+def _bulk_entries(n, m, nnz, texts):
+    """ObservedEntries from one array parse of the entry lines, or None.
+
+    None when the parse rejects a line or a line fails a check.  The
+    parse accepts a subset of what ``_scan_entries`` accepts, with the
+    same values.
+    """
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x parses "1.0" as an int with a DeprecationWarning
+            warnings.simplefilter("error")
+            table = np.loadtxt(texts, dtype=_ENTRY, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    rows, cols = table["row"], table["col"]
+    # rows - 1 would wrap at the smallest int64
+    if table.size != nnz or (nnz and min(rows.min(), cols.min()) < 1):
+        return None
+    try:
+        return ObservedEntries(n, m, rows - 1, cols - 1, table["val"])
+    except ContractViolationError:  # an index too large, a non-finite value or a repeat
+        return None
+
+
+def _scan_entries(n, m, nnz, body):
+    """ObservedEntries from the entry lines, checked one line at a time."""
+    rows = np.empty(nnz, dtype=np.int64)
+    cols = np.empty(nnz, dtype=np.int64)
+    vals = np.empty(nnz)
+    seen = {}
+    k = 0
+    for lineno, text in body:
+        if k >= nnz:
+            raise ParseError("more than %d entries" % nnz, lineno)
+        parts = text.split()
+        if len(parts) != 3:
+            raise ParseError("expected 'row col value'", lineno)
+        try:
+            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise ParseError("malformed entry", lineno) from None
+        if not 1 <= i <= n:
+            raise ParseError("row index %d outside [1, %d]" % (i, n), lineno)
+        if not 1 <= j <= m:
+            raise ParseError("column index %d outside [1, %d]" % (j, m), lineno)
+        if not np.isfinite(v):
+            raise ParseError("non-finite value", lineno)
+        prev = seen.setdefault((i, j), lineno)
+        if prev != lineno:
+            raise ParseError(
+                "duplicate entry (%d, %d), first seen at line %d" % (i, j, prev),
+                lineno,
+            )
+        rows[k], cols[k], vals[k] = i - 1, j - 1, v
+        k += 1
     if k != nnz:
         raise ParseError("expected %d entries, found %d" % (nnz, k))
     return ObservedEntries(n, m, rows, cols, vals)
@@ -338,8 +400,7 @@ def write_dense_matrix_market(target, matrix, comments=()):
         for c in comments:
             stream.write("% " + str(c) + "\n")
         stream.write("%d %d\n" % matrix.shape)
-        for v in matrix.T.ravel():
-            stream.write(repr(float(v)) + "\n")
+        stream.writelines("%r\n" % v for v in matrix.T.ravel().tolist())
 
 
 def read_dense_matrix_market(source):

@@ -59,27 +59,38 @@ class CounterRng:
         out[1::2] = radius * np.sin(angle)
         return out[:total].reshape(shape)
 
-    def below(self, bound):
-        """One integer uniform on [0, bound), rejection-sampled (no modulo bias)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        bound = int(bound)
-        limit = (2**64 // bound) * bound
-        while True:
-            word = int(self.raw(1)[0])
-            if word < limit:
-                return word % bound
-
     def permutation(self, count):
         """Permutation of range(count) by stable argsort of one uniform draw per slot."""
         return np.argsort(self.uniform(count), kind="stable")
 
     def sample_without_replacement(self, population, count):
-        """Floyd's algorithm: ``count`` distinct ints from [0, population), sorted."""
+        """Floyd's algorithm: ``count`` distinct ints from [0, population), sorted.
+
+        Step j of Floyd's loop needs an integer uniform on [0, j + 1).  It
+        is the remainder of one raw word, and a word at or above the
+        largest multiple of j + 1 below 2**64 is rejected (no modulo bias)
+        and the step draws the next word.  The words of all steps are drawn
+        in one batch; at the first rejected word the batch is cut and the
+        next batch starts just after it, so every step consumes the same
+        words as it would drawing one word at a time.
+        """
         if count < 0 or count > population:
             raise ValueError("need 0 <= count <= population")
+        first = np.uint64(population - count)
+        bounds = first + np.arange(1, count + 1, dtype=np.uint64)  # j + 1 per step
+        rem = (np.uint64(0) - bounds) % bounds  # 2**64 mod bound
+        draws = np.empty(count, dtype=np.uint64)
+        done = 0
+        while done < count:
+            words = self.raw(count - done)
+            tail = rem[done:]
+            rejected = np.flatnonzero((tail != 0) & (words >= np.uint64(0) - tail))
+            keep = int(rejected[0]) if rejected.size else words.size
+            draws[done:done + keep] = words[:keep] % bounds[done:done + keep]
+            done += keep
+            if rejected.size:  # resume just past the rejected word
+                self._counter -= words.size - keep - 1
         chosen = set()
-        for j in range(population - count, population):
-            t = self.below(j + 1)
+        for j, t in zip(range(population - count, population), draws.tolist()):
             chosen.add(t if t not in chosen else j)
         return np.array(sorted(chosen), dtype=np.int64)

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from r3mc import (
     CompletionProblem,
@@ -27,6 +29,7 @@ from r3mc import (
     write_dense_matrix_market,
     write_matrix_market,
 )
+from r3mc.data_io import _opened, _read_header
 
 
 def test_counting_helpers():
@@ -348,3 +351,315 @@ def test_dense_matrix_market_errors():
         read_dense_matrix_market(
             io.StringIO("%%MatrixMarket matrix array real general\n2 3\n1\n2\n3\n4\n5\n")
         )
+
+
+# --- the bulk reader and writers against the line-at-a-time code they replace
+
+
+def oracle_read_matrix_market(source):
+    """The line-at-a-time coordinate reader, kept as the reference."""
+    with _opened(source, "r") as stream:
+        (n, m, nnz), body = _read_header(stream, "coordinate", ("rows", "cols", "nnz"))
+        rows = np.empty(nnz, dtype=np.int64)
+        cols = np.empty(nnz, dtype=np.int64)
+        vals = np.empty(nnz)
+        seen = {}
+        k = 0
+        for lineno, text in body:
+            if k >= nnz:
+                raise ParseError("more than %d entries" % nnz, lineno)
+            parts = text.split()
+            if len(parts) != 3:
+                raise ParseError("expected 'row col value'", lineno)
+            try:
+                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise ParseError("malformed entry", lineno) from None
+            if not 1 <= i <= n:
+                raise ParseError("row index %d outside [1, %d]" % (i, n), lineno)
+            if not 1 <= j <= m:
+                raise ParseError("column index %d outside [1, %d]" % (j, m), lineno)
+            if not np.isfinite(v):
+                raise ParseError("non-finite value", lineno)
+            prev = seen.setdefault((i, j), lineno)
+            if prev != lineno:
+                raise ParseError(
+                    "duplicate entry (%d, %d), first seen at line %d" % (i, j, prev),
+                    lineno,
+                )
+            rows[k], cols[k], vals[k] = i - 1, j - 1, v
+            k += 1
+    if k != nnz:
+        raise ParseError("expected %d entries, found %d" % (nnz, k))
+    return ObservedEntries(n, m, rows, cols, vals)
+
+
+def oracle_write_matrix_market(stream, entries, comments=()):
+    """The line-at-a-time coordinate writer, kept as the reference."""
+    stream.write("%%MatrixMarket matrix coordinate real general\n")
+    for c in comments:
+        stream.write("% " + str(c) + "\n")
+    stream.write("%d %d %d\n" % (entries.n, entries.m, entries.count))
+    for i, j, v in zip(entries.rows, entries.cols, entries.vals):
+        stream.write("%d %d %s\n" % (i + 1, j + 1, repr(float(v))))
+
+
+def oracle_write_dense_matrix_market(stream, matrix, comments=()):
+    """The line-at-a-time array writer, kept as the reference."""
+    stream.write("%%MatrixMarket matrix array real general\n")
+    for c in comments:
+        stream.write("% " + str(c) + "\n")
+    stream.write("%d %d\n" % matrix.shape)
+    for v in matrix.T.ravel():
+        stream.write(repr(float(v)) + "\n")
+
+
+def read_outcome(reader, text):
+    """("ok", n, m, rows, cols, value bits) or ("error", message, line)."""
+    try:
+        e = reader(io.StringIO(text))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("ok", e.n, e.m, e.rows.tolist(), e.cols.tolist(),
+            e.vals.view(np.int64).tolist())
+
+
+def assert_reads_like_the_oracle(text):
+    want = read_outcome(oracle_read_matrix_market, text)
+    assert read_outcome(read_matrix_market, text) == want
+    return want
+
+
+SEPARATORS = [" ", "  ", "\t", " \t", "\x0b", "\x0c", "\xa0"]
+INT_FORMS = ["%d", "+%d", "%03d"]
+FLOAT_FORMS = ["%r", "%.17e", "%.17E", "%+.17g", "%.3f", "%+.6e"]
+HEAD = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@st.composite
+def coordinate_files(draw, min_entries=0):
+    """Valid coordinate files as text, in the many spellings the format allows."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, m)), unique=True,
+                          min_size=min(min_entries, n * m), max_size=n * m))
+    banner = draw(st.sampled_from([
+        HEAD, "%%matrixmarket MATRIX Coordinate Real General\n",
+        "%%MatrixMarket  matrix\tcoordinate real general  \n",
+    ]))
+    lines = [banner]
+
+    def filler():
+        return draw(st.lists(st.sampled_from(
+            ["\n", "   \n", "\t\n", "% a comment\n", "%\n", "  % indented 1 2 3\n"]),
+            max_size=2))
+
+    lines += filler()
+    lines.append("%d %d %d\n" % (n, m, len(cells)))
+    for i, j in cells:
+        lines += filler()
+        v = draw(st.floats(allow_nan=False, allow_infinity=False))
+        fields = (draw(st.sampled_from(INT_FORMS)) % i,
+                  draw(st.sampled_from(SEPARATORS)),
+                  draw(st.sampled_from(INT_FORMS)) % j,
+                  draw(st.sampled_from(SEPARATORS)),
+                  draw(st.sampled_from(FLOAT_FORMS)) % v)
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        trail = draw(st.sampled_from(["", " ", "\t "]))
+        lines.append(lead + "".join(fields) + trail + "\n")
+    lines += filler()
+    if draw(st.booleans()) and lines[-1].endswith("\n"):
+        lines[-1] = lines[-1][:-1]  # no final newline
+    return "".join(lines)
+
+
+@given(coordinate_files())
+def test_bulk_reader_matches_the_oracle_on_valid_files(text):
+    assert assert_reads_like_the_oracle(text)[0] == "ok"
+
+
+CORRUPTIONS = [
+    "bad_token", "short", "long", "row_zero", "row_high", "col_high", "negative",
+    "nan", "inf", "overflow", "duplicate", "extra", "missing",
+]
+
+
+def corrupt(lines, kind, where, first):
+    """Corrupt the entry line at index ``where`` of ``lines`` in place.
+
+    ``first`` is the text of the file's first entry line, which a
+    duplicate repeats.
+    """
+    i, j, v = lines[where].split()
+    if kind == "bad_token":
+        lines[where] = "%s %s 1.5x" % (i, j)
+    elif kind == "short":
+        lines[where] = "%s %s" % (i, j)
+    elif kind == "long":
+        lines[where] = "%s %s %s 7" % (i, j, v)
+    elif kind == "row_zero":
+        lines[where] = "0 %s %s" % (j, v)
+    elif kind == "row_high":
+        lines[where] = "%d %s %s" % (10**6, j, v)
+    elif kind == "col_high":
+        lines[where] = "%s %d %s" % (i, 10**6, v)
+    elif kind == "negative":
+        lines[where] = "-%s %s %s" % (i, j, v)
+    elif kind == "nan":
+        lines[where] = "%s %s nan" % (i, j)
+    elif kind == "inf":
+        lines[where] = "%s %s -inf" % (i, j)
+    elif kind == "overflow":
+        lines[where] = "%s %s 1e999" % (i, j)
+    elif kind == "duplicate":
+        lines[where] = " ".join(first.split()[:2] + [v])
+    elif kind == "extra":
+        lines.insert(where + 1, "%s %s %s" % (i, j, v))
+    elif kind == "missing":
+        del lines[where]
+
+
+def entry_line_indices(lines):
+    """Indices of the entry lines: content lines after the banner and size line."""
+    content = [k for k, line in enumerate(lines)
+               if k and line.strip() and not line.strip().startswith("%")]
+    return content[1:]
+
+
+@given(data=st.data(), text=coordinate_files(min_entries=1))
+def test_bulk_reader_matches_the_oracle_on_corrupted_files(data, text):
+    lines = text.splitlines()
+    entry_lines = entry_line_indices(lines)
+    first = lines[entry_lines[0]]
+    for _ in range(data.draw(st.integers(1, 3), label="corruptions")):
+        where = data.draw(st.sampled_from(entry_lines), label="line")
+        # an earlier insertion or deletion may have moved the entry lines
+        if where < len(lines) and len(lines[where].split()) == 3:
+            corrupt(lines, data.draw(st.sampled_from(CORRUPTIONS), label="kind"),
+                    where, first)
+    assert_reads_like_the_oracle("\n".join(lines) + "\n")
+
+
+def test_bulk_reader_matches_the_oracle_on_every_pair_of_corruptions():
+    base = (HEAD + "% made by hand\n4 5 5\n1 2 0.5\n\n2 2 -1e-3\n3 1 2.0\n"
+            "% mid-body comment\n4 5 +7.25\n4 1 3e2\n").splitlines()
+    entry_lines = entry_line_indices(base)
+    first = base[entry_lines[0]]
+    outcomes = set()
+    for a, kind_a in enumerate(CORRUPTIONS):
+        for pos_a in entry_lines:
+            singles = [[]] + [[(kind_b, pos_b)] for kind_b in CORRUPTIONS[a:]
+                              for pos_b in entry_lines if pos_b > pos_a]
+            for rest in singles:
+                lines = list(base)
+                # corrupt the later line first so the earlier index stays valid
+                for kind, pos in rest + [(kind_a, pos_a)]:
+                    corrupt(lines, kind, pos, first)
+                outcome = assert_reads_like_the_oracle("\n".join(lines) + "\n")
+                outcomes.add("ok" if outcome[0] == "ok" else
+                             "count" if outcome[2] is None else outcome[1].split()[2])
+    assert outcomes == {"ok", "malformed", "expected", "row", "column", "non-finite",
+                        "duplicate", "more", "count"}
+
+
+@pytest.mark.parametrize("body, message, line", [
+    ("4 4 2\n1 1 1.0\n2 x 1.0\n", "malformed entry", 4),
+    ("4 4 2\n1 1 1.0\n2 2 1.0 3\n", "expected 'row col value'", 4),
+    ("4 4 2\n1 1 1.0\n2 2\n", "expected 'row col value'", 4),
+    ("4 4 2\n1 1 1.0\n0 2 1.0\n", "row index 0 outside [1, 4]", 4),
+    ("4 4 2\n1 1 1.0\n2 5 1.0\n", "column index 5 outside [1, 4]", 4),
+    ("4 4 2\n1 1 1.0\n99999999999999999999 1 1.0\n",
+     "row index 99999999999999999999 outside [1, 4]", 4),
+    ("%d 4 1\n%d 1 1.0\n" % (2**63, -2**63),
+     "row index %d outside [1, %d]" % (-2**63, 2**63), 3),
+    ("4 4 1\n1 1 1.0#2\n", "malformed entry", 3),
+    ("4 4 2\n1 1 1.0\n2 2 nan\n", "non-finite value", 4),
+    ("4 4 2\n1 1 1.0\n2 2 -inf\n", "non-finite value", 4),
+    ("4 4 2\n1 1 1.0\n2 2 1e400\n", "non-finite value", 4),
+    ("4 4 3\n2 3 1.0\n% c\n\n2 3 2.0\n1 1 1.0\n",
+     "duplicate entry (2, 3), first seen at line 3", 6),
+    ("4 4 1\n2 3 1.0\n2 4 1.0\n", "more than 1 entries", 4),
+    ("4 4 3\n2 3 1.0\n1 1 1.0\n", "expected 3 entries, found 2", None),
+    ("4 4 1\n", "expected 1 entries, found 0", None),
+    # the first offending line decides: a duplicate before an index out of
+    # range, an index out of range before a malformed line
+    ("4 4 3\n1 1 1.0\n1 1 2.0\n9 1 1.0\n",
+     "duplicate entry (1, 1), first seen at line 3", 4),
+    ("4 4 3\n1 1 1.0\n9 1 1.0\n1 1 2.0\n", "row index 9 outside [1, 4]", 4),
+    ("4 4 3\n1 9 1.0\n1 x 1.0\n2 2 nan\n", "column index 9 outside [1, 4]", 3),
+    ("4 4 2\n1 1 nan\n1 1 1.0\n1 2 1.0\n", "non-finite value", 3),
+])
+def test_bulk_reader_errors_match_the_oracle(body, message, line):
+    text = HEAD + body
+    want = ("error", message if line is None else "line %d: %s" % (line, message), line)
+    assert read_outcome(oracle_read_matrix_market, text) == want
+    assert read_outcome(read_matrix_market, text) == want
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("1_0 2 3.0", 3.0),        # digit separators
+    ("10 2 2_5.5", 25.5),
+    ("١٠ 2 3.0", 3.0),  # Arabic-Indic digits
+    ("10 2\r3.0", 3.0),        # a carriage return inside the line
+])
+def test_reader_accepts_what_only_the_line_scan_accepts(entry, value):
+    text = HEAD + "10 10 2\n1 1 1.0\n" + entry + "\n"
+    assert assert_reads_like_the_oracle(text)[0] == "ok"
+    assert read_matrix_market(io.StringIO(text)).vals.tolist() == [1.0, value]
+
+
+def test_reader_rescans_sources_it_cannot_seek(tmp_path):
+    good = HEAD + "% c\n3 3 2\n1 2 0.5\n3 3 -2e3\n"
+    bad = HEAD + "3 3 2\n1 2 0.5\n1 2 0.25\n"
+    path = tmp_path / "bad.mtx"
+    path.write_text(bad, encoding="utf-8")
+    sources = [lambda t: t.splitlines(True), lambda t: iter(t.splitlines(True))]
+    for make in sources:
+        e = read_matrix_market(make(good))
+        assert e.rows.tolist() == [0, 2] and e.vals.tolist() == [0.5, -2000.0]
+        with pytest.raises(ParseError) as info:
+            read_matrix_market(make(bad))
+        assert (str(info.value), info.value.line) == (
+            "line 4: duplicate entry (1, 2), first seen at line 3", 4)
+    with pytest.raises(ParseError) as info:
+        read_matrix_market(path)
+    assert info.value.line == 4
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@given(data=st.data(), n=st.integers(1, 9), m=st.integers(1, 9))
+def test_writers_match_the_line_at_a_time_bytes(data, n, m):
+    cells = data.draw(st.lists(st.integers(0, n * m - 1), unique=True, max_size=n * m),
+                      label="cells")
+    vals = data.draw(st.lists(finite_floats, min_size=len(cells), max_size=len(cells)),
+                     label="vals")
+    rows, cols = np.divmod(np.array(cells, dtype=np.int64), m)
+    entries = ObservedEntries(n, m, rows, cols, vals)
+    got, want = io.StringIO(), io.StringIO()
+    write_matrix_market(got, entries, comments=["a", 3])
+    oracle_write_matrix_market(want, entries, comments=["a", 3])
+    assert got.getvalue() == want.getvalue()
+    matrix = np.array(data.draw(st.lists(finite_floats, min_size=n * m, max_size=n * m),
+                                label="matrix")).reshape(n, m)
+    got, want = io.StringIO(), io.StringIO()
+    write_dense_matrix_market(got, matrix, comments=["b"])
+    oracle_write_dense_matrix_market(want, matrix, comments=["b"])
+    assert got.getvalue() == want.getvalue()
+
+
+def test_writer_bytes_are_pinned():
+    entries = ObservedEntries(3, 4, [0, 2, 1], [3, 0, 1], [0.1, -2.5e-300, 4.0])
+    buf = io.StringIO()
+    write_matrix_market(buf, entries)
+    assert buf.getvalue() == (
+        "%%MatrixMarket matrix coordinate real general\n"
+        "3 4 3\n1 4 0.1\n2 2 4.0\n3 1 -2.5e-300\n"
+    )
+    buf = io.StringIO()
+    write_dense_matrix_market(buf, [[1.0, 1 / 3], [-0.0, 1e22]])
+    assert buf.getvalue() == (
+        "%%MatrixMarket matrix array real general\n"
+        "2 2\n1.0\n-0.0\n0.3333333333333333\n1e+22\n"
+    )

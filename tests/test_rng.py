@@ -1,22 +1,55 @@
 """Counter RNG against a reference implementation and distribution checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from r3mc import CounterRng
 
 MASK = (1 << 64) - 1
 
 
+def reference_word(seed, i):
+    """Direct scalar transcription of the mixing function: word ``i`` (from 1)."""
+    z = (seed + i * 0x9E3779B97F4A7C15) & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
 def reference_stream(seed, count):
-    """Direct scalar transcription of the mixing function."""
-    out = []
-    for i in range(1, count + 1):
-        z = (seed + i * 0x9E3779B97F4A7C15) & MASK
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-        out.append(z ^ (z >> 31))
-    return out
+    return [reference_word(seed, i) for i in range(1, count + 1)]
+
+
+def reference_sample(seed, population, count):
+    """Floyd's algorithm drawing one word at a time: (sorted sample, words used).
+
+    Each step rejects words at or above the largest multiple of its
+    bound below 2**64 and draws the next word instead.
+    """
+    used = 0
+    chosen = set()
+    for j in range(population - count, population):
+        bound = j + 1
+        limit = (2**64 // bound) * bound
+        while True:
+            used += 1
+            word = reference_word(seed, used)
+            if word < limit:
+                break
+        t = word % bound
+        chosen.add(t if t not in chosen else j)
+    return sorted(chosen), used
+
+
+def sample_and_counter(seed, population, count):
+    rng = CounterRng(seed)
+    sample = rng.sample_without_replacement(population, count)
+    assert sample.dtype == np.int64
+    return sample.tolist(), rng._counter
 
 
 def test_raw_matches_reference_stream():
@@ -64,12 +97,21 @@ def test_standard_normal_deterministic():
 
 
 def test_below_bounds_and_rejects_bias():
+    # a sample of one is a single draw on [0, population)
     rng = CounterRng(2)
-    draws = np.array([rng.below(10) for _ in range(5000)])
+    draws = np.array([rng.sample_without_replacement(10, 1)[0] for _ in range(5000)])
     assert draws.min() >= 0 and draws.max() < 10
     counts = np.bincount(draws, minlength=10)
     # uniform to ~5 sigma of a binomial(5000, 0.1)
     assert np.all(np.abs(counts - 500) < 5 * np.sqrt(5000 * 0.1 * 0.9))
+    # 2**64 = 2 * bound + 2**62 for bound 3 * 2**61: the plain remainder of a
+    # word lands below 2**62 with probability 3/4, a rejection-sampled draw
+    # with probability 2/3
+    bound = 3 * 2**61
+    draws = [rng.sample_without_replacement(bound, 1)[0] for _ in range(3000)]
+    assert max(draws) < bound
+    low = np.mean([d < 2**62 for d in draws])
+    assert abs(low - 2 / 3) < 5 * np.sqrt(2 / 9 / 3000)
 
 
 def test_permutation_is_a_permutation():
@@ -110,3 +152,73 @@ def test_sample_covers_population_uniformly():
         hits[CounterRng(seed).sample_without_replacement(40, 10)] += 1
     # each index expected 75 times; allow a generous band
     assert hits.min() > 40 and hits.max() < 115
+
+
+@pytest.mark.parametrize("seed, population, count", [
+    (3, 50, 0),                  # no draws
+    (8, 2**40, 0),
+    (4, 30, 30),                 # the whole population
+    (6, 1, 1),
+    (7, 3 * 2**61, 64),          # a quarter of the words reject
+    (1, 1000, 50),
+])
+def test_sample_matches_the_scalar_reference(seed, population, count):
+    assert sample_and_counter(seed, population, count) == reference_sample(
+        seed, population, count
+    )
+
+
+def test_sample_draws_one_batch_per_rejected_word(monkeypatch):
+    raw = CounterRng.raw
+    calls = []
+
+    def counted(rng, count):
+        calls.append(count)
+        return raw(rng, count)
+
+    monkeypatch.setattr(CounterRng, "raw", counted)
+    rng = CounterRng(7)
+    rng.sample_without_replacement(3 * 2**61, 64)
+    rejected = rng._counter - 64
+    assert rejected > 0
+    assert len(calls) == 1 + rejected and calls[0] == 64
+
+
+@pytest.mark.parametrize("population, words, want, used", [
+    # 2**64 = 2 * bound + 2**62: words from 2**64 - 2**62 on are rejected
+    (3 * 2**61, [2**64 - 2**62, 2**64 - 2**62 - 1], (2**64 - 2**62 - 1) % (3 * 2**61), 2),
+    (3 * 2**61, [2**64 - 1, 2**64 - 2**62, 5], 5, 3),
+    # a power of two divides 2**64: no word is rejected
+    (2**62, [2**64 - 1], 2**62 - 1, 1),
+])
+def test_sample_rejects_exactly_the_words_at_or_above_the_limit(
+        monkeypatch, population, words, want, used):
+    def scripted(rng, count):
+        start = rng._counter
+        rng._counter += count
+        return np.array((words + [0] * count)[start:start + count], dtype=np.uint64)
+
+    monkeypatch.setattr(CounterRng, "raw", scripted)
+    rng = CounterRng(0)
+    assert rng.sample_without_replacement(population, 1).tolist() == [want]
+    assert rng._counter == used
+
+
+def test_sample_golden_large():
+    # the recover-2k mask: 2000 x 2000 cells, 159,600 of them
+    got, counter = sample_and_counter(1, 4_000_000, 159_600)
+    assert (got, counter) == reference_sample(1, 4_000_000, 159_600)
+    assert counter == 159_600 and len(got) == 159_600
+    digest = hashlib.sha256(np.array(got, dtype="<i8").tobytes()).hexdigest()
+    assert sum(got) == 319230418891
+    assert digest[:16] == "becb4c980d3a7c52"
+
+
+@given(data=st.data(),
+       population=st.integers(0, 300) | st.integers(0, 2**63 - 1),
+       seed=st.integers(0, MASK))
+def test_sample_matches_the_scalar_reference_property(data, population, seed):
+    count = data.draw(st.integers(0, min(population, 200)), label="count")
+    assert sample_and_counter(seed, population, count) == reference_sample(
+        seed, population, count
+    )
