@@ -61,6 +61,7 @@ from .solver import (
     TraceRow,
     ValidationMonitor,
     cg_solve,
+    early_stopped_solve,
     initial_rank_one_point,
     pr_plus_beta,
     rank_incremental_solve,

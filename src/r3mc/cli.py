@@ -36,6 +36,7 @@ from .data_io import (
 from .errors import (
     ConfigError,
     ContractViolationError,
+    DegenerateDirectionError,
     DimensionError,
     ParseError,
     SingularMatrixError,
@@ -53,9 +54,9 @@ from .solver import (
     REASON_STALL,
     RankSchedule,
     SolverConfig,
-    ValidationMonitor,
     cg_solve,
     check_validation,
+    early_stopped_solve,
     rank_incremental_solve,
     truncated_warm_start,
 )
@@ -100,24 +101,6 @@ def _atomic_write(path, write_body):
     with open(tmp, "w", encoding="utf-8") as fh:
         write_body(fh)
     os.replace(tmp, path)
-
-
-def _write_trace_csv(fh, rows, deterministic):
-    fh.write(TRACE_HEADER + "\n")
-    for k, row in enumerate(rows, start=1):
-        t = 0.0 if deterministic else row.time_s
-        fh.write(
-            "%d,%s,%s,%s,%d,%d,%s\n"
-            % (
-                k,
-                repr(float(row.cost)),
-                repr(float(row.grad_norm)),
-                repr(float(row.step)),
-                row.backtracks,
-                int(row.reset),
-                repr(float(t)),
-            )
-        )
 
 
 def _solver_config(args):
@@ -182,28 +165,15 @@ def _check_grid(data, test):
         )
 
 
-def _early_stopped_solve(problem, x0, config, validation):
-    """cg_solve; returns (point, trace, validation MSE of the point).  With
-    validation the point is the best-validation iterate, else the last
-    iterate and the MSE is None."""
-    if validation is None:
-        x, trace = cg_solve(problem, x0, config)
-        return x, trace, None
-    monitor = ValidationMonitor(validation)
-    x, trace = cg_solve(problem, x0, config, monitor=monitor)
-    x, val_mse = monitor.best_point(x)
-    return x, trace, val_mse
-
-
 def _solve(args, problem, validation, config):
     """Run the configured solve; returns (point, traces, rank_steps, reason,
     validation MSE of the point or None)."""
     if args.rank_updates is not None:
         schedule = RankSchedule(max_rank=args.rank_updates, validation=validation)
         x, steps = rank_incremental_solve(problem, schedule, config, args.seed)
-        # with validation the homotopy returns its best-validation step's point
-        val_mse = None if validation is None else min(s.validation_mse for s in steps)
-        return x, [s.trace for s in steps], steps, steps[-1].trace.reason, val_mse
+        # ranks count up from one, so the point's rank names its step
+        return (x, [s.trace for s in steps], steps, steps[-1].trace.reason,
+                steps[x.r - 1].validation_mse)
     if validation is not None:
         # before the warm start's solve, so a bad file fails before any work
         check_validation(problem.entries, validation)
@@ -211,7 +181,7 @@ def _solve(args, problem, validation, config):
         x0 = truncated_warm_start(problem, args.warm_start_cols, config, args.seed)
     else:
         x0 = random_point(problem.n, problem.m, problem.rank, args.seed)
-    x, trace, val_mse = _early_stopped_solve(problem, x0, config, validation)
+    x, trace, val_mse = early_stopped_solve(problem, x0, config, validation)
     return x, [trace], None, trace.reason, val_mse
 
 
@@ -245,8 +215,15 @@ def cmd_complete(args):
     test_mse = mean_squared_error(x, test) if test is not None else None
 
     if args.trace:
-        _atomic_write(args.trace,
-                      lambda fh: _write_trace_csv(fh, rows, args.deterministic))
+        # str of a Python float is its repr, the shortest round-tripping form
+        trace_rows = [
+            {"iter": k, "cost": float(row.cost), "grad_norm": float(row.grad_norm),
+             "step": float(row.step), "backtracks": row.backtracks,
+             "reset": int(row.reset),
+             "time_s": 0.0 if args.deterministic else float(row.time_s)}
+            for k, row in enumerate(rows, start=1)]
+        _atomic_write(args.trace, lambda fh: _write_rows_csv(
+            fh, TRACE_HEADER.split(","), trace_rows))
     if args.report:
         result = {
             "reason": reason,
@@ -320,7 +297,9 @@ def _bench_synth_cell(params):
     problem, (left, right) = synthesize(spec, params["seed"])
     config = SolverConfig(**params["config"])
     t0 = time.perf_counter()
-    x0 = random_point(spec.n, spec.m, spec.rank, params["seed"])
+    # synthesize draws from the streams seed and seed + 1; a start on the
+    # seed stream would span the generating left factor's column space
+    x0 = random_point(spec.n, spec.m, spec.rank, params["seed"] + 2**32)
     x, trace = cg_solve(problem, x0, config)
     diff = x.matrix() - left @ right
     return trace, {"mse": float((diff * diff).mean()),
@@ -336,8 +315,8 @@ def _bench_movielens_cell(params):
     t0 = time.perf_counter()
     problem = CompletionProblem(train, params["rank"])
     x0 = random_point(problem.n, problem.m, problem.rank, params["seed"])
-    x, trace, val_mse = _early_stopped_solve(problem, x0, config,
-                                             val if val.count else None)
+    x, trace, val_mse = early_stopped_solve(problem, x0, config,
+                                            val if val.count else None)
     scores = {} if val_mse is None else {"val_mse": val_mse}
     if test.count:
         scores["test_mse"] = mean_squared_error(x, test)
@@ -581,11 +560,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractViolationError, DimensionError, ParseError,
-            SingularMatrixError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ConfigError, ContractViolationError, DegenerateDirectionError,
+            DimensionError, ParseError, SingularMatrixError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -72,10 +72,13 @@ class CounterRng:
         and the step draws the next word.  The words of all steps are drawn
         in one batch; at the first rejected word the batch is cut and the
         next batch starts just after it, so every step consumes the same
-        words as it would drawing one word at a time.
+        words as it would drawing one word at a time.  The population is at
+        most 2**63, so that every index fits the int64 output.
         """
         if count < 0 or count > population:
             raise ValueError("need 0 <= count <= population")
+        if population > 2**63:
+            raise ValueError("population %d exceeds 2**63" % population)
         first = np.uint64(population - count)
         bounds = first + np.arange(1, count + 1, dtype=np.uint64)  # j + 1 per step
         rem = (np.uint64(0) - bounds) % bounds  # 2**64 mod bound

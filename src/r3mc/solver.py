@@ -288,10 +288,15 @@ def _dominant_residual_pair(res, seed, tol=1e-8, max_iterations=200):
 
 def initial_rank_one_point(problem, seed=0):
     """Rank-one start: minus the dominant singular triple of the residual
-    at the zero matrix (the scaled negated data on the pattern)."""
+    at the zero matrix (the scaled negated data on the pattern).  Raises
+    DegenerateDirectionError when every observed value is zero."""
     scale = -2.0 / problem.entries.count
     res = SparseResidual(problem.entries, scale * problem.entries.vals)
-    sigma, u, v = _dominant_residual_pair(res, seed)
+    try:
+        sigma, u, v = _dominant_residual_pair(res, seed)
+    except DegenerateDirectionError:
+        raise DegenerateDirectionError("every observed value of the data is zero; "
+                                       "it has no rank-one start") from None
     return FixedRankPoint(u[:, None], np.array([[-sigma]]), v[:, None])
 
 
@@ -420,19 +425,41 @@ class ValidationMonitor:
         return (self.best_x, self.best) if self.best < v else (x, v)
 
 
-def _rank_monitor(validation):
-    """Stop on the validation monitor or on a cost plateau."""
+def early_stopped_solve(problem, x0, config=SolverConfig(), validation=None,
+                        monitor=None):
+    """``cg_solve``, early-stopped on a validation pattern when one is given.
+
+    With ``validation`` a ``ValidationMonitor`` stops the solve after
+    ``VALIDATION_WINDOW`` straight rises of the validation error, and the
+    returned point is the iterate where that error was lowest.
+    ``monitor`` is a further stop rule with ``cg_solve``'s protocol.
+
+    Returns (point, trace, validation MSE of the point, or None without
+    validation).
+    """
+    if validation is None:
+        x, trace = cg_solve(problem, x0, config, monitor=monitor)
+        return x, trace, None
+    tracker = ValidationMonitor(validation)
+
+    def stop(iteration, x, f):
+        return tracker(iteration, x, f) or (
+            monitor is not None and monitor(iteration, x, f))
+
+    x, trace = cg_solve(problem, x0, config, monitor=stop)
+    x, val = tracker.best_point(x)
+    return x, trace, val
+
+
+def _cost_plateau():
+    """``cg_solve`` monitor that stops once the cost fell by at most
+    ``PLATEAU_TOL``, relatively, over the last ``PLATEAU_WINDOW`` iterations."""
     recent = deque(maxlen=PLATEAU_WINDOW + 1)
 
     def monitor(iteration, x, f):
-        if validation is not None and validation(iteration, x, f):
-            return True
         recent.append(f)
-        if len(recent) == recent.maxlen:
-            old = recent[0]
-            if old - f <= PLATEAU_TOL * max(old, 1e-300):
-                return True
-        return False
+        return len(recent) == recent.maxlen and (
+            recent[0] - f <= PLATEAU_TOL * max(recent[0], 1e-300))
 
     return monitor
 
@@ -449,13 +476,12 @@ class RankStep:
 def rank_incremental_solve(problem, schedule, config=SolverConfig(), seed=0):
     """Homotopy over ranks: solve, grow by one, repeat.
 
-    Starts from the rank-one initializer, runs ``cg_solve`` at each rank
-    from one up to ``schedule.max_rank``, and grows through
-    ``rank_one_update``.  With a validation pattern each rank is
-    early-stopped: the iterate accepted for the rank is the one with the
-    lowest validation error seen during its solve, and the returned point
-    is the best such iterate across ranks.  Without validation the last
-    iterate is returned.
+    Starts from the rank-one initializer, runs ``early_stopped_solve`` on
+    ``schedule.validation`` with a cost-plateau stop at each rank from one
+    up to ``schedule.max_rank``, and grows through ``rank_one_update``.
+    With a validation pattern the homotopy stops once a rank's validation
+    error exceeds the previous rank's, and returns the point of the first
+    rank with the lowest error; without one it returns the last point.
 
     Returns (point, steps) with one RankStep per visited rank.
     """
@@ -465,35 +491,22 @@ def rank_incremental_solve(problem, schedule, config=SolverConfig(), seed=0):
         check_validation(problem.entries, schedule.validation)
 
     x = initial_rank_one_point(problem, seed)
-    steps = []
-    start = x
-    best_x, best_val = x, np.inf
-    prev_val = np.inf
+    steps, points = [], []
     for r in range(1, schedule.max_rank + 1):
         prob_r = CompletionProblem(problem.entries, r)
-        validation = None if schedule.validation is None else ValidationMonitor(
-            schedule.validation)
         try:
-            solved, trace = cg_solve(
-                prob_r, start, config, monitor=_rank_monitor(validation)
-            )
+            x, trace, val = early_stopped_solve(
+                prob_r, x, config, schedule.validation, _cost_plateau())
         except SingularMatrixError:
             # the grown direction sits below the numerical noise of the
             # previous fit, so the schedule is exhausted, not broken
             if not steps:
                 raise
             break
-        val = None
-        if validation is not None:
-            solved, val = validation.best_point(solved)
         steps.append(RankStep(rank=r, trace=trace, validation_mse=val))
-        x = solved
-        if val is not None:
-            if val < best_val:
-                best_x, best_val = solved, val
-            if val > prev_val:
-                break
-            prev_val = val
+        points.append(x)
+        if val is not None and len(steps) > 1 and val > steps[-2].validation_mse:
+            break
         if trace.final_cost <= config.cost_tolerance:
             break
         if r < schedule.max_rank:
@@ -501,13 +514,15 @@ def rank_incremental_solve(problem, schedule, config=SolverConfig(), seed=0):
                 # grow with the exact one-dimensional step: the raw sigma of
                 # the mean-scaled residual shrinks with 1/|Omega|, which
                 # would leave the grown factor numerically rank deficient
-                start = rank_one_update(prob_r, solved, seed + r + 1, exact_scale=True)
+                x = rank_one_update(prob_r, x, seed + r + 1, exact_scale=True)
             except (DegenerateDirectionError, SingularMatrixError):
                 break
 
-    if schedule.validation is not None:
-        return best_x, steps
-    return x, steps
+    if schedule.validation is None:
+        return points[-1], steps
+    # min keeps the first of equal errors
+    best = min(range(len(steps)), key=lambda k: steps[k].validation_mse)
+    return points[best], steps
 
 
 def _transpose_entries(entries):

@@ -558,6 +558,80 @@ def test_complete_validation_contract_is_the_same_in_every_mode(
     assert not report.exists() and not warm_starts
 
 
+def test_complete_homotopy_on_all_zero_data_is_a_usage_error(tmp_path, capsys):
+    rows, cols = sample_mask(20, 20, 120, 0)
+    data = tmp_path / "zero.mtx"
+    write_matrix_market(data, ObservedEntries(20, 20, rows, cols, np.zeros(120)))
+    report = tmp_path / "report.json"
+    code = run_cli("complete", "--data", str(data), "--rank-updates", "2", "--seed", "0",
+                   "--report", str(report))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: every observed value of the data is zero; it has "
+                            "no rank-one start\n")
+    assert captured.out == "" and not report.exists()
+    # a fixed-rank solve starts from a random point and fits the zeros
+    assert run_cli("complete", "--data", str(data), "--rank", "2", "--seed", "0") == 0
+
+
+def per_row_trace_csv(rows, deterministic):
+    """Oracle: the trace file as the per-row formatter wrote it."""
+    lines = [TRACE_HEADER + "\n"]
+    for k, row in enumerate(rows, start=1):
+        t = 0.0 if deterministic else row.time_s
+        lines.append("%d,%s,%s,%s,%d,%d,%s\n" % (
+            k, repr(float(row.cost)), repr(float(row.grad_norm)), repr(float(row.step)),
+            row.backtracks, int(row.reset), repr(float(t))))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("mode", [("--rank", "2"),
+                                  ("--rank-updates", "3", "--deterministic")])
+def test_trace_file_matches_the_per_row_formatter(tmp_path, monkeypatch, mode):
+    data, _ = write_problem(tmp_path)
+    traces = []
+    real = solver.cg_solve
+
+    def recording(*args, **kwargs):
+        x, trace = real(*args, **kwargs)
+        traces.append(trace)
+        return x, trace
+
+    monkeypatch.setattr(solver, "cg_solve", recording)
+    path = tmp_path / "trace.csv"
+    code = run_cli("complete", "--data", str(data), *mode, "--seed", "3",
+                   "--trace", str(path))
+    assert code in (0, 3)
+    rows = [row for trace in traces for row in trace.rows]
+    assert len(rows) > 0
+    assert path.read_text() == per_row_trace_csv(rows, "--deterministic" in mode)
+
+
+@pytest.mark.parametrize("cn", [None, 100.0])
+def test_bench_synthetic_starts_away_from_the_true_column_space(tmp_path, monkeypatch, cn):
+    # the generator and the start drew from one stream, so the start's U
+    # spanned the generating left factor's column space to rounding
+    starts = []
+    real = cli.cg_solve
+
+    def recording(problem, x0, config):
+        starts.append(x0)
+        return real(problem, x0, config)
+
+    monkeypatch.setattr(cli, "cg_solve", recording)
+    argv = ["bench", "--n", "30", "--m", "30", "--ranks", "2", "--os", "4",
+            "--seeds", "0,1", "--out-dir", str(tmp_path), "--deterministic"]
+    if cn is not None:
+        argv += ["--cn", str(cn)]
+    assert run_cli(*argv) == 0
+    assert len(starts) == 2
+    for seed, x0 in zip((0, 1), starts):
+        _, (left, _) = synthesize(SyntheticSpec(30, 30, 2, 4.0, cn), seed)
+        q, _ = np.linalg.qr(left)
+        # sine of the largest principal angle between the two column spaces
+        assert np.linalg.norm(x0.U - q @ (q.T @ x0.U), 2) > 0.1
+
+
 def test_complete_rejects_rank_with_rank_updates(tmp_path, capsys):
     data, _ = write_problem(tmp_path)
     report = tmp_path / "report.json"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from r3mc import CounterRng
+from r3mc import CounterRng, sample_mask
 
 MASK = (1 << 64) - 1
 
@@ -144,6 +144,19 @@ def test_sample_without_replacement_full_population():
 def test_sample_without_replacement_rejects_oversized():
     with pytest.raises(ValueError):
         CounterRng(0).sample_without_replacement(10, 11)
+
+
+def test_sample_without_replacement_population_is_at_most_2_63():
+    # every index must fit the int64 output; counts stay small, since a
+    # synthesize at these sizes would allocate n x r factors
+    with pytest.raises(ValueError, match="exceeds"):
+        CounterRng(9).sample_without_replacement(2**64 - 1, 30)
+    with pytest.raises(ValueError, match="exceeds"):
+        sample_mask(2**32, 2**32, 30, 0)
+    s = CounterRng(9).sample_without_replacement(2**63, 30)
+    assert s.dtype == np.int64 and len(np.unique(s)) == 30
+    assert 0 <= s.min() and s.max() < 2**63
+    assert sample_and_counter(9, 2**63, 30) == reference_sample(9, 2**63, 30)
 
 
 def test_sample_covers_population_uniformly():

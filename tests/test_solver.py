@@ -1,6 +1,7 @@
 """Conjugate gradient, rank homotopy, and warm start behavior."""
 
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from r3mc import (
     ValidationMonitor,
     cg_solve,
     cost,
+    early_stopped_solve,
     initial_rank_one_point,
     masked_values,
     mean_squared_error,
@@ -367,6 +369,172 @@ def test_validation_monitor_reuses_the_score_of_its_last_iterate(monkeypatch):
     other = random_point(30, 30, 2, 4)
     monitor.best_point(other)
     assert len(calls) == 1
+
+
+def train_and_validation(n, m, r, train_count, val_count, seed, noise):
+    """Disjoint training and validation entries of one noisy rank-r matrix."""
+    x_true = random_point(n, m, r, seed)
+    total = train_count + val_count
+    rows, cols = sample_mask(n, m, total, seed + 1)
+    probe = ObservedEntries(n, m, rows, cols, np.zeros(total))
+    vals = masked_values(x_true, probe) + noise * CounterRng(seed + 2).standard_normal(total)
+    return (ObservedEntries(n, m, rows[:train_count], cols[:train_count], vals[:train_count]),
+            ObservedEntries(n, m, rows[train_count:], cols[train_count:], vals[train_count:]))
+
+
+def hand_attached_validation(problem, x0, config, validation):
+    """Oracle: a validated solve as callers wrote it before ``early_stopped_solve``."""
+    if validation is None:
+        x, trace = cg_solve(problem, x0, config)
+        return x, trace, None
+    monitor = ValidationMonitor(validation)
+    x, trace = cg_solve(problem, x0, config, monitor=monitor)
+    x, val_mse = monitor.best_point(x)
+    return x, trace, val_mse
+
+
+def hand_written_homotopy(problem, schedule, config=SolverConfig(), seed=0):
+    """Oracle: the homotopy with its own per-rank monitor and best-point
+    bookkeeping, as it was written before ``early_stopped_solve``."""
+
+    def rank_monitor(validation):
+        recent = deque(maxlen=solver_module.PLATEAU_WINDOW + 1)
+
+        def monitor(iteration, x, f):
+            if validation is not None and validation(iteration, x, f):
+                return True
+            recent.append(f)
+            if len(recent) == recent.maxlen:
+                old = recent[0]
+                if old - f <= solver_module.PLATEAU_TOL * max(old, 1e-300):
+                    return True
+            return False
+
+        return monitor
+
+    x = start = initial_rank_one_point(problem, seed)
+    steps = []
+    best_x, best_val, prev_val = x, np.inf, np.inf
+    for r in range(1, schedule.max_rank + 1):
+        prob_r = CompletionProblem(problem.entries, r)
+        validation = None if schedule.validation is None else ValidationMonitor(
+            schedule.validation)
+        solved, trace = cg_solve(prob_r, start, config, monitor=rank_monitor(validation))
+        val = None
+        if validation is not None:
+            solved, val = validation.best_point(solved)
+        steps.append((r, trace, val))
+        x = solved
+        if val is not None:
+            if val < best_val:
+                best_x, best_val = solved, val
+            if val > prev_val:
+                break
+            prev_val = val
+        if trace.final_cost <= config.cost_tolerance:
+            break
+        if r < schedule.max_rank:
+            start = rank_one_update(prob_r, solved, seed + r + 1, exact_scale=True)
+    return (best_x if schedule.validation is not None else x), steps
+
+
+def trace_rows(trace):
+    return [(r.iteration, r.cost, r.grad_norm, r.step, r.backtracks, r.reset)
+            for r in trace.rows]
+
+
+def assert_same_point(a, b):
+    for fa, fb in zip((a.U, a.R, a.V), (b.U, b.R, b.V)):
+        np.testing.assert_array_equal(fa, fb)
+
+
+def test_early_stopped_solve_without_validation_is_cg_solve():
+    problem, _ = make_problem(30, 30, 2, 4.0, 61, noise=1e-3)
+    x0 = random_point(30, 30, 2, 62)
+    config = SolverConfig(max_iterations=40)
+    for monitor in (None, lambda iteration, x, f: iteration >= 7):
+        x, trace, val = early_stopped_solve(problem, x0, config, monitor=monitor)
+        x_ref, trace_ref = cg_solve(problem, x0, config, monitor=monitor)
+        assert val is None
+        assert_same_point(x, x_ref)
+        assert trace_rows(trace) == trace_rows(trace_ref)
+        assert trace.reason == trace_ref.reason
+
+
+@pytest.mark.parametrize("max_iterations", [500, 12, 1])
+def test_early_stopped_solve_matches_a_hand_attached_validation_monitor(max_iterations):
+    # rank 5 on noisy rank-2 data overfits: the validation error turns up
+    # and, with the full budget, the solve stops five rises past its best
+    train, val = train_and_validation(30, 30, 2, 360, 90, 63, 0.05)
+    problem = CompletionProblem(train, 5)
+    x0 = random_point(30, 30, 5, 64)
+    config = SolverConfig(max_iterations=max_iterations)
+    x, trace, v = early_stopped_solve(problem, x0, config, val)
+    x_ref, trace_ref, v_ref = hand_attached_validation(problem, x0, config, val)
+    assert_same_point(x, x_ref)
+    assert trace_rows(trace) == trace_rows(trace_ref)
+    assert trace.reason == trace_ref.reason
+    history = []
+    cg_solve(problem, x0, SolverConfig(max_iterations=trace.iterations),
+             monitor=lambda iteration, y, f: history.append(mean_squared_error(y, val)))
+    assert v == min(history) == mean_squared_error(x, val)
+    if max_iterations == 500:
+        assert trace.reason == "monitor_stop"
+        assert v < history[-1]
+
+
+def test_early_stopped_solve_extra_monitor_stops_a_validated_solve():
+    train, val = train_and_validation(30, 30, 2, 360, 90, 63, 0.05)
+    problem = CompletionProblem(train, 5)
+    x0 = random_point(30, 30, 5, 64)
+    seen = []
+
+    def stop_at_four(iteration, x, f):
+        seen.append(iteration)
+        return iteration >= 4
+
+    x, trace, v = early_stopped_solve(problem, x0, SolverConfig(), val, stop_at_four)
+    assert trace.iterations == 4 and trace.reason == "monitor_stop"
+    assert seen == [1, 2, 3, 4]
+    history = []
+    cg_solve(problem, x0, SolverConfig(max_iterations=4),
+             monitor=lambda iteration, y, f: history.append(mean_squared_error(y, val)))
+    assert v == min(history) == mean_squared_error(x, val)
+
+
+@pytest.mark.parametrize("validated", [False, True])
+def test_rank_incremental_solve_matches_the_hand_written_homotopy(validated):
+    train, val = train_and_validation(40, 40, 3, 500, 150, 65, 0.01)
+    problem = CompletionProblem(train, 3)
+    schedule = RankSchedule(max_rank=5, validation=val if validated else None)
+    config = SolverConfig(max_iterations=200)
+    x, steps = rank_incremental_solve(problem, schedule, config, seed=3)
+    x_ref, steps_ref = hand_written_homotopy(problem, schedule, config, seed=3)
+    assert_same_point(x, x_ref)
+    assert [(s.rank, trace_rows(s.trace), s.trace.reason, s.validation_mse)
+            for s in steps] == [(r, trace_rows(t), t.reason, v) for r, t, v in steps_ref]
+    assert len(steps) > 1
+
+
+def test_rank_incremental_solve_returns_the_first_rank_with_the_lowest_validation_error(
+        monkeypatch):
+    # scripted per-rank errors: ranks 2 and 3 tie for the lowest, and rank
+    # 4's rise over rank 3 ends the homotopy before rank 5
+    train, val = train_and_validation(30, 30, 4, 500, 100, 66, 0.01)
+    scripted = iter([0.5, 0.3, 0.3, 0.4, 0.1])
+    points = []
+    real = solver_module.early_stopped_solve
+
+    def scripted_solve(*args, **kwargs):
+        x, trace, _ = real(*args, **kwargs)
+        points.append(x)
+        return x, trace, next(scripted)
+
+    monkeypatch.setattr(solver_module, "early_stopped_solve", scripted_solve)
+    schedule = RankSchedule(max_rank=5, validation=val)
+    x, steps = rank_incremental_solve(CompletionProblem(train, 4), schedule)
+    assert [s.validation_mse for s in steps] == [0.5, 0.3, 0.3, 0.4]
+    assert x is points[1] and x.r == 2
 
 
 def test_truncated_oversampling_formula():
