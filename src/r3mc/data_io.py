@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError, ParseError
-from .problem import CompletionProblem, ObservedEntries, degrees_of_freedom
+from .problem import MAX_GRID_CELLS, CompletionProblem, ObservedEntries, degrees_of_freedom
 from .rng import CounterRng
 from .smallmat import polar_orthonormal_factor
 
@@ -137,47 +137,90 @@ def parse_movielens(source):
 
     Ids are 1-based and possibly sparse in the file; users and items are
     re-indexed densely from zero.  Accepts a path or an iterable of
-    lines.
+    lines.  The lines are parsed and checked as whole arrays; when that
+    parse rejects a line or a check fails, they are read again one line
+    at a time, which raises the error of the first offending line (or
+    returns the ratings of a file that only the array parse rejects).
     """
-    users, items, ratings, stamps = [], [], [], []
     with _opened(source, "r") as stream:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("::")
-            if len(parts) != 4:
-                raise ParseError("expected 4 fields separated by '::'", lineno)
-            try:
-                uid, mid = int(parts[0]), int(parts[1])
-                rating = float(parts[2])
-                stamp = int(parts[3])
-            except ValueError as exc:
-                raise ParseError("non-numeric field: %s" % exc, lineno) from None
-            if uid < 1 or mid < 1:
-                raise ParseError("ids must be positive", lineno)
-            if not 0.0 < rating <= 5.0:
-                raise ParseError("rating %r outside (0, 5]" % parts[2], lineno)
-            users.append(uid)
-            items.append(mid)
-            ratings.append(rating)
-            stamps.append(stamp)
-    if not users:
-        raise ParseError("no ratings found")
-    raw_users = np.asarray(users, dtype=np.int64)
-    raw_items = np.asarray(items, dtype=np.int64)
-    uniq_users, rows = np.unique(raw_users, return_inverse=True)
-    uniq_items, cols = np.unique(raw_items, return_inverse=True)
+        stream, rewind = _replayable(stream)
+        columns = _bulk_ratings(stream)
+        if columns is None:
+            rewind()
+            columns = _scan_ratings(stream)
+    users, items, ratings, stamps = columns
+    uniq_users, rows = np.unique(users, return_inverse=True)
+    uniq_items, cols = np.unique(items, return_inverse=True)
     return RatingsDataset(
         n_users=int(uniq_users.size),
         n_items=int(uniq_items.size),
         rows=rows.astype(np.int64),
         cols=cols.astype(np.int64),
-        ratings=np.asarray(ratings),
-        timestamps=np.asarray(stamps, dtype=np.int64),
+        ratings=ratings,
+        timestamps=stamps,
         user_id_range=int(uniq_users[-1]),
         item_id_range=int(uniq_items[-1]),
     )
+
+
+# one ratings line as the array parse reads it: split at every ':', so
+# each '::' leaves an empty field between two values
+_RATING = np.dtype([("user", np.int64), ("sep1", "U1"), ("item", np.int64),
+                    ("sep2", "U1"), ("rating", np.float64), ("sep3", "U1"),
+                    ("stamp", np.int64)])
+
+
+def _bulk_ratings(lines):
+    """(users, items, ratings, timestamps) from one array parse, or None.
+
+    None when the parse rejects a line or a line fails a check.  The
+    parse accepts a subset of what ``_scan_ratings`` accepts, with the
+    same values.
+    """
+    table = _load_table(lines, _RATING, delimiter=":")
+    if table is None:
+        return None
+    users, items, ratings = table["user"], table["item"], table["rating"]
+    if (any(np.any(table[sep] != "") for sep in ("sep1", "sep2", "sep3"))
+            or min(users.min(), items.min()) < 1
+            or not np.all((ratings > 0.0) & (ratings <= 5.0))):
+        return None
+    return tuple(np.ascontiguousarray(table[f]) for f in ("user", "item", "rating", "stamp"))
+
+
+_INT64 = range(-2**63, 2**63)  # the integers an int64 holds
+
+
+def _scan_ratings(lines):
+    """(users, items, ratings, timestamps), checked one line at a time."""
+    users, items, ratings, stamps = [], [], [], []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("::")
+        if len(parts) != 4:
+            raise ParseError("expected 4 fields separated by '::'", lineno)
+        try:
+            uid, mid = int(parts[0]), int(parts[1])
+            rating = float(parts[2])
+            stamp = int(parts[3])
+        except ValueError as exc:
+            raise ParseError("non-numeric field: %s" % exc, lineno) from None
+        if any(v not in _INT64 for v in (uid, mid, stamp)):
+            raise ParseError("integer field outside the 64-bit range", lineno)
+        if uid < 1 or mid < 1:
+            raise ParseError("ids must be positive", lineno)
+        if not 0.0 < rating <= 5.0:
+            raise ParseError("rating %r outside (0, 5]" % parts[2], lineno)
+        users.append(uid)
+        items.append(mid)
+        ratings.append(rating)
+        stamps.append(stamp)
+    if not users:
+        raise ParseError("no ratings found")
+    return (np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64),
+            np.asarray(ratings), np.asarray(stamps, dtype=np.int64))
 
 
 def to_entries(dataset):
@@ -246,10 +289,12 @@ def _read_header(stream, banner, fields):
     cols) must be at least one and the rest at least zero.  Returns
     (sizes, body): the sizes as a tuple of ints and an iterator of
     (line number, stripped text) over the remaining lines that are
-    neither blank nor comments.  Raises ParseError for an empty file, a
-    wrong banner (line 1), a size line with the wrong field count,
-    non-integer or invalid sizes (all at the size line's number), and a
-    missing size line.
+    neither blank nor comments, read from ``stream`` as it goes, so an
+    iterator passed as ``stream`` is left just past the size line.
+    Raises ParseError for an empty file, a wrong banner (line 1), a size
+    line with the wrong field count, non-integer or invalid sizes or a
+    coordinate grid of more than 2**63 cells (all at the size line's
+    number), and a missing size line.
     """
     lines = enumerate(stream, start=1)
     first = next(lines, None)
@@ -272,6 +317,8 @@ def _read_header(stream, banner, fields):
         raise ParseError("non-integer size field", lineno) from None
     if min(sizes[:2]) < 1 or min(sizes) < 0:
         raise ParseError("invalid sizes %r" % (sizes,), lineno)
+    if banner == "coordinate" and sizes[0] * sizes[1] > MAX_GRID_CELLS:
+        raise ParseError("grid of %d x %d cells exceeds 2**63" % sizes[:2], lineno)
     return sizes, body
 
 
@@ -304,16 +351,24 @@ def read_matrix_market(source):
     offending line (or returns the entries of a file that only the
     array parse rejects).
     """
-    fields = ("rows", "cols", "nnz")
+    return _read_body(source, "coordinate", ("rows", "cols", "nnz"),
+                      _bulk_entries, _scan_entries)
+
+
+def _read_body(source, banner, fields, bulk, scan):
+    """``bulk(*sizes, lines)`` on the lines after the size line, or, when
+    that returns None, ``scan(*sizes, body)`` on the file read again
+    (``body`` as ``_read_header`` gives it)."""
     with _opened(source, "r") as stream:
         stream, rewind = _replayable(stream)
-        (n, m, nnz), body = _read_header(stream, "coordinate", fields)
-        entries = _bulk_entries(n, m, nnz, (text for _, text in body))
-        if entries is None:
+        lines = iter(stream)
+        sizes, _ = _read_header(lines, banner, fields)
+        out = bulk(*sizes, lines)
+        if out is None:
             rewind()
-            _, body = _read_header(stream, "coordinate", fields)
-            entries = _scan_entries(n, m, nnz, body)
-    return entries
+            _, body = _read_header(stream, banner, fields)
+            out = scan(*sizes, body)
+    return out
 
 
 def _replayable(stream):
@@ -330,23 +385,38 @@ def _replayable(stream):
     return stream, lambda: stream.seek(start)
 
 
-def _bulk_entries(n, m, nnz, texts):
-    """ObservedEntries from one array parse of the entry lines, or None.
+def _load_table(lines, dtype, delimiter=None, ndmin=1):
+    """One ``np.loadtxt`` parse of ``lines``, or None when it rejects one.
 
-    None when the parse rejects a line or a line fails a check.  The
-    parse accepts a subset of what ``_scan_entries`` accepts, with the
-    same values.
+    The parse reads each item of ``lines`` as one line (and rejects an
+    item with a line break inside it), skips empty lines, and treats no
+    character as a comment.  An input without rows is rejected too.
     """
     try:
         with warnings.catch_warnings():
-            # numpy 1.x parses "1.0" as an int with a DeprecationWarning
+            # numpy 1.x parses "1.0" as an int with a DeprecationWarning;
+            # an input without rows warns
             warnings.simplefilter("error")
-            table = np.loadtxt(texts, dtype=_ENTRY, comments=None, ndmin=1)
+            return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
+                              ndmin=ndmin)
     except (ValueError, Warning):
+        return None
+
+
+def _bulk_entries(n, m, nnz, lines):
+    """ObservedEntries from one array parse of the lines after the size
+    line, or None.
+
+    None when the parse rejects a line (a comment line too) or a line
+    fails a check.  The parse accepts a subset of what ``_scan_entries``
+    accepts, with the same values.
+    """
+    table = _load_table(lines, _ENTRY)
+    if table is None:
         return None
     rows, cols = table["row"], table["col"]
     # rows - 1 would wrap at the smallest int64
-    if table.size != nnz or (nnz and min(rows.min(), cols.min()) < 1):
+    if table.size != nnz or min(rows.min(), cols.min()) < 1:
         return None
     try:
         return ObservedEntries(n, m, rows - 1, cols - 1, table["val"])
@@ -404,19 +474,39 @@ def write_dense_matrix_market(target, matrix, comments=()):
 
 
 def read_dense_matrix_market(source):
-    """Read an array real general file into an ndarray."""
-    with _opened(source, "r") as stream:
-        (rows, cols), body = _read_header(stream, "array", ("rows", "cols"))
-        data = np.empty(rows * cols)
-        k = 0
-        for lineno, text in body:
-            if k >= data.size:
-                raise ParseError("more than %d values" % data.size, lineno)
-            try:
-                data[k] = float(text)
-            except ValueError:
-                raise ParseError("malformed value", lineno) from None
-            k += 1
-    if k != data.size:
-        raise ParseError("expected %d values, found %d" % (data.size, k))
+    """Read an array real general file into an ndarray.
+
+    The values are parsed as one array; when that parse rejects a line
+    or finds the wrong count, they are read again one line at a time,
+    which raises the error of the first offending line (or returns the
+    values of a file that only the array parse rejects).
+    """
+    return _read_body(source, "array", ("rows", "cols"), _bulk_values, _scan_values)
+
+
+def _bulk_values(rows, cols, lines):
+    """The rows x cols matrix from one array parse of its column-major
+    values, one per line, or None."""
+    # ndmin=2: a file of one line of two values is a 1 x 2 table
+    data = _load_table(lines, np.float64, ndmin=2)
+    if data is None or data.shape != (rows * cols, 1):
+        return None
+    return data.reshape((cols, rows)).T
+
+
+def _scan_values(rows, cols, body):
+    """The rows x cols matrix, its values read one line at a time."""
+    count = rows * cols
+    data = np.empty(count)
+    k = 0
+    for lineno, text in body:
+        if k >= count:
+            raise ParseError("more than %d values" % count, lineno)
+        try:
+            data[k] = float(text)
+        except ValueError:
+            raise ParseError("malformed value", lineno) from None
+        k += 1
+    if k != count:
+        raise ParseError("expected %d values, found %d" % (count, k))
     return data.reshape((cols, rows)).T

@@ -52,10 +52,14 @@ def op_count():
     return op_counter.flops
 
 
+MAX_GRID_CELLS = 2**63  # so that every cell number fits an int64
+
+
 class ObservedEntries:
     """Sorted sparse pattern with values on an n x m grid.
 
-    Triplets are stored row-major sorted with no duplicates.  An empty
+    Triplets are stored row-major sorted with no duplicates: one stable
+    sort by cell number i m + j, which needs n m <= 2**63.  An empty
     pattern is allowed here and rejected where a nonempty one is required
     (problem construction).
     """
@@ -64,6 +68,8 @@ class ObservedEntries:
         n, m = int(n), int(m)
         if n < 1 or m < 1:
             raise DimensionError("grid dimensions must be positive")
+        if n * m > MAX_GRID_CELLS:
+            raise DimensionError("grid of %d x %d cells exceeds 2**63" % (n, m))
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         vals = np.asarray(vals, dtype=np.float64).ravel()
@@ -76,15 +82,17 @@ class ObservedEntries:
                 raise ContractViolationError("column index out of range")
         if not np.all(np.isfinite(vals)):
             raise ContractViolationError("values must be finite")
-        order = np.lexsort((cols, rows))
+        # the row-major cell number, below n m <= 2**63
+        key = rows.astype(np.uint64) * np.uint64(m) + cols.astype(np.uint64)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
         rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size > 1:
-            same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-            if np.any(same):
-                k = int(np.flatnonzero(same)[0])
-                raise ContractViolationError(
-                    "duplicate entry at (%d, %d)" % (rows[k], cols[k])
-                )
+        same = key[1:] == key[:-1]
+        if np.any(same):
+            k = int(np.flatnonzero(same)[0])
+            raise ContractViolationError(
+                "duplicate entry at (%d, %d)" % (rows[k], cols[k])
+            )
         self.n, self.m = n, m
         self.rows, self.cols, self.vals = rows, cols, vals
 

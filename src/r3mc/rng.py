@@ -74,6 +74,14 @@ class CounterRng:
         next batch starts just after it, so every step consumes the same
         words as it would drawing one word at a time.  The population is at
         most 2**63, so that every index fits the int64 output.
+
+        Floyd's step j keeps its draw t unless t is already chosen, and
+        then takes j.  That happens when t repeats an earlier draw (kept
+        then, or chosen before it), or when t is a first draw naming an
+        earlier step j' = t that took its own index.  A first draw naming
+        an earlier step therefore shares that step's fate; following
+        those links to a step that names no earlier one decides every
+        step without walking the chosen set.
         """
         if count < 0 or count > population:
             raise ValueError("need 0 <= count <= population")
@@ -93,7 +101,22 @@ class CounterRng:
             done += keep
             if rejected.size:  # resume just past the rejected word
                 self._counter -= words.size - keep - 1
-        chosen = set()
-        for j, t in zip(range(population - count, population), draws.tolist()):
-            chosen.add(t if t not in chosen else j)
-        return np.array(sorted(chosen), dtype=np.int64)
+        steps = (bounds - np.uint64(1)).astype(np.int64)  # j per step
+        draws = draws.astype(np.int64)  # t <= j < 2**63
+        # a repeat of an earlier draw value collides
+        order = np.argsort(draws, kind="stable")
+        ranked = draws[order]
+        collides = np.zeros(count, dtype=bool)
+        collides[order[1:]] = ranked[1:] == ranked[:-1]
+        # a first draw t = j - gap names the step gap places back, if there is
+        # one; jump the links until each ends at a step that names none
+        link = np.arange(count)
+        gap = steps - draws
+        named = np.flatnonzero(~collides & (gap > 0) & (gap <= link))
+        link[named] -= gap[named]
+        while named.size:
+            link[named] = link[link[named]]
+            named = named[link[link[named]] != link[named]]
+        chosen = np.where(collides[link], steps, draws)
+        chosen.sort()
+        return chosen

@@ -481,6 +481,19 @@ def test_movielens_prep_writes_splits_and_meta(tmp_path):
     assert (train.count, val.count, test.count) == (96, 12, 12)
 
 
+def test_movielens_prep_reports_an_integer_beyond_64_bits(tmp_path, capsys):
+    ratings = tmp_path / "ratings.dat"
+    ratings.write_text("1::2::3::978300760\n1::3::4::99999999999999999999\n",
+                       encoding="utf-8")
+    out = tmp_path / "prep"
+    code = run_cli("movielens-prep", "--ratings", str(ratings), "--out-dir", str(out),
+                   "--seed", "0")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: integer field outside the 64-bit range\n")
+    assert not out.exists()
+
+
 def test_movielens_prep_skips_empty_split_files(tmp_path):
     ratings = write_ratings(tmp_path)
     out = tmp_path / "prep_all_train"

@@ -14,6 +14,7 @@ from r3mc import (
     CounterRng,
     ObservedEntries,
     ParseError,
+    RatingsDataset,
     SyntheticSpec,
     degrees_of_freedom,
     parse_movielens,
@@ -166,6 +167,26 @@ def test_parse_movielens_rejects_malformed_input():
         parse_movielens(["0::2::3::4"])
     with pytest.raises(ParseError, match="no ratings"):
         parse_movielens([])
+
+
+@pytest.mark.parametrize("line", [
+    "1::2::3::99999999999999999999",
+    "1::2::3::-9223372036854775809",
+    "9223372036854775808::2::3::4",
+    "1::18446744073709551616::3::4",
+])
+def test_parse_movielens_rejects_integers_beyond_64_bits(line):
+    with pytest.raises(ParseError) as info:
+        parse_movielens(["1::2::3::4", line])
+    assert (str(info.value), info.value.line) == (
+        "line 2: integer field outside the 64-bit range", 2)
+
+
+def test_parse_movielens_reads_the_64_bit_extremes():
+    ds = parse_movielens(["%d::%d::3::%d" % (2**63 - 1, 2**63 - 1, -2**63),
+                          "1::1::4::%d" % (2**63 - 1)])
+    assert ds.user_id_range == ds.item_id_range == 2**63 - 1
+    assert ds.timestamps.tolist() == [-2**63, 2**63 - 1]
 
 
 def test_parse_movielens_reads_files(tmp_path):
@@ -448,16 +469,19 @@ def coordinate_files(draw, min_entries=0):
         "%%MatrixMarket  matrix\tcoordinate real general  \n",
     ]))
     lines = [banner]
+    # a comment after the size line sends the file down the line scan
+    body_comments = draw(st.booleans())
 
-    def filler():
-        return draw(st.lists(st.sampled_from(
-            ["\n", "   \n", "\t\n", "% a comment\n", "%\n", "  % indented 1 2 3\n"]),
-            max_size=2))
+    def filler(comments=True):
+        kinds = ["\n", "   \n", "\t\n"]
+        if comments:
+            kinds += ["% a comment\n", "%\n", "  % indented 1 2 3\n"]
+        return draw(st.lists(st.sampled_from(kinds), max_size=2))
 
     lines += filler()
     lines.append("%d %d %d\n" % (n, m, len(cells)))
     for i, j in cells:
-        lines += filler()
+        lines += filler(body_comments)
         v = draw(st.floats(allow_nan=False, allow_infinity=False))
         fields = (draw(st.sampled_from(INT_FORMS)) % i,
                   draw(st.sampled_from(SEPARATORS)),
@@ -467,7 +491,7 @@ def coordinate_files(draw, min_entries=0):
         lead = draw(st.sampled_from(["", " ", "\t"]))
         trail = draw(st.sampled_from(["", " ", "\t "]))
         lines.append(lead + "".join(fields) + trail + "\n")
-    lines += filler()
+    lines += filler(body_comments)
     if draw(st.booleans()) and lines[-1].endswith("\n"):
         lines[-1] = lines[-1][:-1]  # no final newline
     return "".join(lines)
@@ -570,8 +594,11 @@ def test_bulk_reader_matches_the_oracle_on_every_pair_of_corruptions():
     ("4 4 2\n1 1 1.0\n2 5 1.0\n", "column index 5 outside [1, 4]", 4),
     ("4 4 2\n1 1 1.0\n99999999999999999999 1 1.0\n",
      "row index 99999999999999999999 outside [1, 4]", 4),
-    ("%d 4 1\n%d 1 1.0\n" % (2**63, -2**63),
+    ("%d 1 1\n%d 1 1.0\n" % (2**63, -2**63),
      "row index %d outside [1, %d]" % (-2**63, 2**63), 3),
+    # a grid has at most 2**63 cells, so each has an int64 cell number
+    ("%d 4 1\n1 1 1.0\n" % 2**63, "grid of %d x 4 cells exceeds 2**63" % 2**63, 2),
+    ("3 %d 1\n1 1 1.0\n" % 2**62, "grid of 3 x %d cells exceeds 2**63" % 2**62, 2),
     ("4 4 1\n1 1 1.0#2\n", "malformed entry", 3),
     ("4 4 2\n1 1 1.0\n2 2 nan\n", "non-finite value", 4),
     ("4 4 2\n1 1 1.0\n2 2 -inf\n", "non-finite value", 4),
@@ -663,3 +690,393 @@ def test_writer_bytes_are_pinned():
         "%%MatrixMarket matrix array real general\n"
         "2 2\n1.0\n-0.0\n0.3333333333333333\n1e+22\n"
     )
+
+
+# --- the bulk ratings and dense readers against the line scans they replace
+
+
+def oracle_parse_movielens(source):
+    """The line-at-a-time ratings parser, kept as the reference (it lets
+    an integer beyond 64 bits escape as an OverflowError)."""
+    users, items, ratings, stamps = [], [], [], []
+    with _opened(source, "r") as stream:
+        for lineno, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split("::")
+            if len(parts) != 4:
+                raise ParseError("expected 4 fields separated by '::'", lineno)
+            try:
+                uid, mid = int(parts[0]), int(parts[1])
+                rating = float(parts[2])
+                stamp = int(parts[3])
+            except ValueError as exc:
+                raise ParseError("non-numeric field: %s" % exc, lineno) from None
+            if uid < 1 or mid < 1:
+                raise ParseError("ids must be positive", lineno)
+            if not 0.0 < rating <= 5.0:
+                raise ParseError("rating %r outside (0, 5]" % parts[2], lineno)
+            users.append(uid)
+            items.append(mid)
+            ratings.append(rating)
+            stamps.append(stamp)
+    if not users:
+        raise ParseError("no ratings found")
+    raw_users = np.asarray(users, dtype=np.int64)
+    raw_items = np.asarray(items, dtype=np.int64)
+    uniq_users, rows = np.unique(raw_users, return_inverse=True)
+    uniq_items, cols = np.unique(raw_items, return_inverse=True)
+    return RatingsDataset(
+        n_users=int(uniq_users.size),
+        n_items=int(uniq_items.size),
+        rows=rows.astype(np.int64),
+        cols=cols.astype(np.int64),
+        ratings=np.asarray(ratings),
+        timestamps=np.asarray(stamps, dtype=np.int64),
+        user_id_range=int(uniq_users[-1]),
+        item_id_range=int(uniq_items[-1]),
+    )
+
+
+def ratings_outcome(parser, source):
+    """("ok", every field, rating bits) or ("error", message, line)."""
+    try:
+        ds = parser(source)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    arrays = (ds.rows, ds.cols, ds.ratings, ds.timestamps)
+    assert [a.dtype for a in arrays] == [np.int64, np.int64, np.float64, np.int64]
+    return ("ok", ds.n_users, ds.n_items, ds.user_id_range, ds.item_id_range,
+            ds.rows.tolist(), ds.cols.tolist(), ds.ratings.view(np.int64).tolist(),
+            ds.timestamps.tolist())
+
+
+def assert_parses_like_the_oracle(text):
+    """The same outcome from a text stream and from a list of its lines."""
+    want = ratings_outcome(oracle_parse_movielens, io.StringIO(text))
+    assert ratings_outcome(parse_movielens, io.StringIO(text)) == want
+    lines = io.StringIO(text).readlines()  # the lines that iterating the stream gives
+    assert ratings_outcome(parse_movielens, lines) == want
+    return want
+
+
+ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+SPACES = ["", "", " ", "\t", "\x0b", "\xa0", "  "]
+
+
+def spelled_int(draw, value, rare):
+    """``value`` in one of the spellings Python's int() reads; with ``rare``,
+    also digit separators and non-ASCII digits, which only the line scan reads."""
+    text = draw(st.sampled_from(["%d", "%d", "+%d", "%03d"])) % value
+    if value < 0:
+        text = "%d" % value
+    if rare and draw(st.booleans()) and len(text.lstrip("+-")) > 1:
+        digits = text.lstrip("+-")
+        text = text[:len(text) - len(digits)] + digits[0] + "_" + digits[1:]
+    if rare and draw(st.integers(0, 3)) == 0:
+        text = text.translate(ARABIC)
+    return draw(st.sampled_from(SPACES)) + text + draw(st.sampled_from(SPACES))
+
+
+def spelled_rating(draw, rare):
+    value = draw(st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0, 0.5, 4.5])
+                 | st.floats(0.01, 5.0))  # above 0 in every spelling below
+    forms = ["%r", "%.17e", "%+.17g", "%.3f"]
+    if value == int(value):
+        forms += ["%d", "%d.", "%de0"]
+    text = draw(st.sampled_from(forms)) % value
+    if rare and draw(st.integers(0, 3)) == 0:
+        text = text.translate(ARABIC)
+    return draw(st.sampled_from(SPACES)) + text + draw(st.sampled_from(SPACES))
+
+
+@st.composite
+def ratings_files(draw, min_lines=0):
+    """Ratings files as text, in the spellings the line scan reads, with
+    blank lines between them; in about half of them every line is one the
+    array parse reads too."""
+    rare = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(min_lines, 12))):
+        # the array parse skips empty lines but rejects whitespace-only ones
+        blank = ["\n", "  \n", "\t\n", "\x0b\n"] if rare else ["\n"]
+        lines += draw(st.lists(st.sampled_from(blank), max_size=1))
+        user, item = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        stamp = draw(st.integers(-2**63, 2**63 - 1) | st.integers(0, 10**9))
+        fields = [spelled_int(draw, user, rare), spelled_int(draw, item, rare),
+                  spelled_rating(draw, rare), spelled_int(draw, stamp, rare)]
+        ending = draw(st.sampled_from(["\n", "\r\n", " \n"]))
+        lines.append(draw(st.sampled_from(SPACES)) + "::".join(fields) + ending)
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\n")  # no final newline
+    return "".join(lines)
+
+
+RATING_CORRUPTIONS = [
+    "single_colon", "triple_colon", "spaced_colon", "extra_field", "missing_field",
+    "empty_field", "bad_token", "float_id", "float_stamp", "zero_id", "negative_id",
+    "nan", "zero_rating", "high_rating", "inner_cr", "hash",
+]
+
+
+def corrupt_rating(line, kind):
+    """One ratings line, corrupted in the way ``kind`` names."""
+    fields = line.split("::")
+    if kind == "single_colon":
+        return line.replace("::", ":", 1)
+    if kind == "triple_colon":
+        return line.replace("::", ":::", 1)
+    if kind == "spaced_colon":
+        return line.replace("::", ": :", 1)
+    if kind == "extra_field":
+        return line + "::7"
+    if kind == "missing_field":
+        return "::".join(fields[:3])
+    if kind == "empty_field":
+        return "::".join([""] + fields[1:])
+    if kind == "bad_token":
+        return "::".join([fields[0], "x"] + fields[2:])
+    if kind == "float_id":
+        return "::".join(["1.0"] + fields[1:])
+    if kind == "float_stamp":
+        return "::".join(fields[:3] + ["4.0"])
+    if kind == "zero_id":
+        return "::".join(["0"] + fields[1:])
+    if kind == "negative_id":
+        return "::".join(fields[:1] + ["-3"] + fields[2:])
+    if kind == "nan":
+        return "::".join(fields[:2] + ["nan"] + fields[3:])
+    if kind == "zero_rating":
+        return "::".join(fields[:2] + ["0"] + fields[3:])
+    if kind == "high_rating":
+        return "::".join(fields[:2] + ["5.5"] + fields[3:])
+    if kind == "inner_cr":
+        return line.replace("::", "\r::", 1)
+    if kind == "hash":
+        return line + "#x"
+
+
+@given(ratings_files())
+def test_bulk_ratings_match_the_oracle_on_valid_files(text):
+    outcome = assert_parses_like_the_oracle(text)
+    assert outcome[0] == "ok" or outcome[1] == "no ratings found"
+
+
+@given(data=st.data(), text=ratings_files(min_lines=1))
+def test_bulk_ratings_match_the_oracle_on_corrupted_files(data, text):
+    lines = text.split("\n")
+    rated = [k for k, line in enumerate(lines) if "::" in line]
+    for _ in range(data.draw(st.integers(1, 3), label="corruptions")):
+        k = data.draw(st.sampled_from(rated), label="line")
+        lines[k] = corrupt_rating(lines[k], data.draw(st.sampled_from(RATING_CORRUPTIONS),
+                                                      label="kind"))
+    assert_parses_like_the_oracle("\n".join(lines))
+
+
+@pytest.mark.parametrize("body, message, line", [
+    ("1::2::3::4\n1:2::3::4\n", "expected 4 fields separated by '::'", 2),
+    ("1::2::3::4\n\n1::2::3::4::5\n", "expected 4 fields separated by '::'", 3),
+    ("1::2::3::4\n1::2::3\n", "expected 4 fields separated by '::'", 2),
+    ("1::2::3::4\n1: :2::3::4\n", "expected 4 fields separated by '::'", 2),
+    ("1:x:2::3::4\n", "expected 4 fields separated by '::'", 1),
+    ("1::2::3:\t:4\n", "expected 4 fields separated by '::'", 1),
+    ("1:::2::3::4\n", "non-numeric field: invalid literal for int() with base 10: ':2'", 1),
+    ("1::2::3::4\n  \n1::x::3::4\n",
+     "non-numeric field: invalid literal for int() with base 10: 'x'", 3),
+    ("1::2::3.0::4.0\n", "non-numeric field: invalid literal for int() with base 10: '4.0'",
+     1),
+    ("1::2::three::4\n", "non-numeric field: could not convert string to float: 'three'", 1),
+    ("1::2::nan::4\n", "rating 'nan' outside (0, 5]", 1),
+    ("1::2::+5.5::4\n", "rating '+5.5' outside (0, 5]", 1),
+    ("1::2::5_000::4\n", "rating '5_000' outside (0, 5]", 1),
+    ("1::2::٦::4\n", "rating '٦' outside (0, 5]", 1),
+    ("1::2::0::4\n", "rating '0' outside (0, 5]", 1),
+    ("1::2::3::4\n-0::2::3::4\n", "ids must be positive", 2),
+    ("1::2::3::99999999999999999999\n", "integer field outside the 64-bit range", 1),
+    ("\n  \n\t\n", "no ratings found", None),
+    ("", "no ratings found", None),
+    # the first offending line decides
+    ("1::2::3::4\n1::2::9::4\n1::x::3::4\n", "rating '9' outside (0, 5]", 2),
+    ("1::2::3::4\n0::2::3::4\n1::2\n", "ids must be positive", 2),
+])
+def test_bulk_ratings_errors_match_the_scan(body, message, line):
+    want = ("error", message if line is None else "line %d: %s" % (line, message), line)
+    assert ratings_outcome(parse_movielens, io.StringIO(body)) == want
+    if "99999" not in body:
+        assert ratings_outcome(oracle_parse_movielens, io.StringIO(body)) == want
+
+
+@pytest.mark.parametrize("line, user, rating, stamp", [
+    ("+5::2::+4::+6", 5, 4.0, 6),
+    ("5_000::2::3::4", 5000, 3.0, 4),
+    ("١٢::2::٣::٤", 12, 3.0, 4),   # Arabic-Indic digits
+    (" 7 :: 2 ::\t2.5\t:: 4 ", 7, 2.5, 4),
+    ("7::2\r::3::4", 7, 3.0, 4),         # a carriage return inside the line
+])
+def test_ratings_reader_accepts_what_only_the_line_scan_accepts(line, user, rating, stamp):
+    text = "1::1::1::1\n" + line + "\n"
+    assert assert_parses_like_the_oracle(text)[0] == "ok"
+    ds = parse_movielens(io.StringIO(text))
+    assert ds.user_id_range == max(1, user)
+    assert ds.ratings.tolist() == [1.0, rating] and ds.timestamps.tolist() == [1, stamp]
+
+
+def test_ratings_reader_rescans_sources_it_cannot_seek(tmp_path):
+    good = "3::10::4::1\n\n1::10::5::2\n"
+    bad = "3::10::4::1\n1::10::5::2\n1::10::6::2\n"
+    path = tmp_path / "bad.dat"
+    path.write_text(bad, encoding="utf-8")
+    for make in (lambda t: t.splitlines(True), lambda t: iter(t.splitlines(True))):
+        ds = parse_movielens(make(good))
+        assert ds.rows.tolist() == [1, 0] and ds.ratings.tolist() == [4.0, 5.0]
+        with pytest.raises(ParseError) as info:
+            parse_movielens(make(bad))
+        assert (str(info.value), info.value.line) == ("line 3: rating '6' outside (0, 5]", 3)
+    with pytest.raises(ParseError) as info:
+        parse_movielens(path)
+    assert info.value.line == 3
+
+
+def oracle_read_dense_matrix_market(source):
+    """The line-at-a-time array reader, kept as the reference."""
+    with _opened(source, "r") as stream:
+        (rows, cols), body = _read_header(stream, "array", ("rows", "cols"))
+        data = np.empty(rows * cols)
+        k = 0
+        for lineno, text in body:
+            if k >= data.size:
+                raise ParseError("more than %d values" % data.size, lineno)
+            try:
+                data[k] = float(text)
+            except ValueError:
+                raise ParseError("malformed value", lineno) from None
+            k += 1
+    if k != data.size:
+        raise ParseError("expected %d values, found %d" % (data.size, k))
+    return data.reshape((cols, rows)).T
+
+
+def dense_outcome(reader, source):
+    """("ok", shape, value bits) or ("error", message, line)."""
+    try:
+        a = reader(source)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("ok", a.shape, a.flags.f_contiguous, a.view(np.int64).tolist())
+
+
+def assert_dense_reads_like_the_oracle(text):
+    want = dense_outcome(oracle_read_dense_matrix_market, io.StringIO(text))
+    assert dense_outcome(read_dense_matrix_market, io.StringIO(text)) == want
+    lines = io.StringIO(text).readlines()
+    assert dense_outcome(read_dense_matrix_market, lines) == want
+    return want
+
+
+DENSE_HEAD = "%%MatrixMarket matrix array real general\n"
+
+
+@st.composite
+def dense_files(draw):
+    """Valid array files as text, in the spellings the line scan reads; in
+    about half of them every line is one the array parse reads too."""
+    rare = draw(st.booleans())
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    lines = [draw(st.sampled_from([DENSE_HEAD, "%%matrixmarket MATRIX Array Real General\n"]))]
+    lines += draw(st.lists(st.sampled_from(["% c\n", "\n"]), max_size=2))
+    lines.append("%d %d\n" % (rows, cols))
+    for _ in range(rows * cols):
+        lines += draw(st.lists(st.sampled_from(["\n", "  \n"]), max_size=1))
+        value = draw(st.floats() | st.sampled_from([0.0, -0.0, 1.0, 1e300]))
+        text = draw(st.sampled_from(["%r", "%.17e", "%+.6e", "%.17G"])) % value
+        if rare and draw(st.integers(0, 3)) == 0:
+            text = text.translate(ARABIC)
+        lines.append(draw(st.sampled_from(SPACES)) + text + draw(st.sampled_from(SPACES))
+                     + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(lines)
+
+
+DENSE_CORRUPTIONS = ["two_values", "bad_token", "missing", "extra", "comment", "inner_cr",
+                     "underscore"]
+
+
+def corrupt_value(lines, kind, where):
+    value = lines[where].strip()
+    if kind == "two_values":
+        lines[where] = "%s %s" % (value, value)
+    elif kind == "bad_token":
+        lines[where] = value + "x"
+    elif kind == "missing":
+        del lines[where]
+    elif kind == "extra":
+        lines.insert(where + 1, value)
+    elif kind == "comment":
+        lines.insert(where + 1, "% a comment in the body")
+    elif kind == "inner_cr":
+        lines[where] = "\r" + value
+    elif kind == "underscore":
+        lines[where] = "1_0.5"
+
+
+@given(dense_files())
+def test_bulk_dense_reader_matches_the_oracle_on_valid_files(text):
+    assert assert_dense_reads_like_the_oracle(text)[0] == "ok"
+
+
+@given(data=st.data(), text=dense_files())
+def test_bulk_dense_reader_matches_the_oracle_on_corrupted_files(data, text):
+    lines = text.split("\n")
+    size_line = next(k for k, line in enumerate(lines)
+                     if k and line.strip() and not line.strip().startswith("%"))
+    values = [k for k, line in enumerate(lines) if k > size_line and line.strip()]
+    for _ in range(data.draw(st.integers(1, 2), label="corruptions")):
+        where = data.draw(st.sampled_from(values), label="line")
+        if where < len(lines) and lines[where].strip():
+            corrupt_value(lines, data.draw(st.sampled_from(DENSE_CORRUPTIONS), label="kind"),
+                          where)
+    assert_dense_reads_like_the_oracle("\n".join(lines))
+
+
+@pytest.mark.parametrize("body, message, line", [
+    ("2 1\n1.0\n2.0 3.0\n", "malformed value", 4),
+    ("1 2\n1.0 2.0\n", "malformed value", 3),
+    ("2 1\n1.0\n2.0x\n", "malformed value", 4),
+    ("2 1\n1.0\n2.0\n3.0\n", "more than 2 values", 5),
+    ("2 1\n1.0\n", "expected 2 values, found 1", None),
+    ("2 1\n", "expected 2 values, found 0", None),
+])
+def test_bulk_dense_reader_errors_match_the_scan(body, message, line):
+    text = DENSE_HEAD + body
+    want = ("error", message if line is None else "line %d: %s" % (line, message), line)
+    assert dense_outcome(oracle_read_dense_matrix_market, io.StringIO(text)) == want
+    assert dense_outcome(read_dense_matrix_market, io.StringIO(text)) == want
+
+
+def test_dense_reader_accepts_what_only_the_line_scan_accepts():
+    text = DENSE_HEAD + "2 2\n% c\n1_0.5\n٣\n\n nan \n-inf\n"
+    assert assert_dense_reads_like_the_oracle(text)[0] == "ok"
+    got = read_dense_matrix_market(io.StringIO(text))
+    assert got[0, 0] == 10.5 and np.isnan(got[0, 1])
+    assert got[1].tolist() == [3.0, -np.inf]
+
+
+def test_files_this_package_writes_take_the_array_parse(tmp_path, monkeypatch):
+    from r3mc import data_io
+
+    def no_scan(*args):
+        raise AssertionError("line scan used")
+
+    for name in ("_scan_entries", "_scan_values", "_scan_ratings"):
+        monkeypatch.setattr(data_io, name, no_scan)
+    entries = random_entries(9, 11, 30, 11)
+    write_matrix_market(tmp_path / "e.mtx", entries, comments=["c"])
+    back = read_matrix_market(tmp_path / "e.mtx")
+    assert back.vals.tolist() == entries.vals.tolist()
+    matrix = CounterRng(2).standard_normal((5, 3))
+    write_dense_matrix_market(tmp_path / "d.mtx", matrix, comments=["c"])
+    assert np.array_equal(read_dense_matrix_market(tmp_path / "d.mtx"), matrix)
+    path = tmp_path / "ratings.dat"
+    path.write_text("3::10::4::978300760\n1::10::4.5::978300761\n", encoding="utf-8")
+    assert parse_movielens(path).ratings.tolist() == [4.0, 4.5]
+    assert parse_movielens(["1::2::3::4", "5::6::1::7\n"]).timestamps.tolist() == [4, 7]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from r3mc import (
     CompletionProblem,
@@ -75,6 +77,61 @@ def test_observed_entries_rejects_out_of_range_and_nonfinite():
 def test_observed_entries_empty_pattern_allowed():
     e = ObservedEntries(3, 3, [], [], [])
     assert e.count == 0
+
+
+def oracle_sorted_entries(rows, cols, vals):
+    """The two-key lexsort and duplicate scan the cell-number sort replaced:
+    (rows, cols, vals) row-major, or the duplicate message."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if rows.size > 1:
+        same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        if np.any(same):
+            k = int(np.flatnonzero(same)[0])
+            return "duplicate entry at (%d, %d)" % (rows[k], cols[k])
+    return rows.tolist(), cols.tolist(), vals.view(np.int64).tolist()
+
+
+def sorted_entries(n, m, rows, cols, vals):
+    try:
+        e = ObservedEntries(n, m, rows, cols, vals)
+    except ContractViolationError as exc:
+        return str(exc)
+    assert e.rows.dtype == e.cols.dtype == np.int64 and e.vals.dtype == np.float64
+    return e.rows.tolist(), e.cols.tolist(), e.vals.view(np.int64).tolist()
+
+
+@given(data=st.data(), n=st.integers(1, 7), m=st.integers(1, 7),
+       repeats=st.booleans())
+def test_observed_entries_sort_like_the_lexsort(data, n, m, repeats):
+    cells = data.draw(st.lists(st.integers(0, n * m - 1), unique=not repeats,
+                               max_size=2 * n * m), label="cells")
+    vals = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=len(cells), max_size=len(cells)), label="vals")
+    rows, cols = np.divmod(np.array(cells, dtype=np.int64), m)
+    assert sorted_entries(n, m, rows, cols, vals) == oracle_sorted_entries(rows, cols, vals)
+
+
+@pytest.mark.parametrize("n, m", [
+    (1, 2**63), (2**63, 1), (2**32, 2**31), (2**31, 2**32), (3, 2**61),
+])
+def test_observed_entries_sort_the_largest_grids(n, m):
+    # cell numbers reach 2**63 - 1
+    cells = [n * m - 1, (n * m) // 3, 1, (n * m) // 2, 0]
+    rows, cols = zip(*(divmod(c, m) for c in cells))
+    vals = [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert sorted_entries(n, m, rows, cols, vals) == oracle_sorted_entries(rows, cols, vals)
+    rows, cols = rows + rows[1:2], cols + cols[1:2]
+    assert sorted_entries(n, m, rows, cols, vals + [6.0]) == (
+        "duplicate entry at (%d, %d)" % (rows[1], cols[1]))
+
+
+@pytest.mark.parametrize("n, m", [(2**63 + 1, 1), (1, 2**64), (2**32, 2**31 + 1), (3, 2**62)])
+def test_observed_entries_reject_grids_beyond_2_63_cells(n, m):
+    with pytest.raises(DimensionError, match="exceeds 2\\*\\*63"):
+        ObservedEntries(n, m, [0], [0], [1.0])
 
 
 def test_completion_problem_validations_and_ratios():

@@ -235,3 +235,81 @@ def test_sample_matches_the_scalar_reference_property(data, population, seed):
     assert sample_and_counter(seed, population, count) == reference_sample(
         seed, population, count
     )
+
+
+# --- the array sampler against the Floyd set loop it replaces
+
+
+def oracle_sample_without_replacement(rng, population, count):
+    """The batched draw followed by Floyd's loop over a set, kept as the reference."""
+    if count < 0 or count > population:
+        raise ValueError("need 0 <= count <= population")
+    if population > 2**63:
+        raise ValueError("population %d exceeds 2**63" % population)
+    first = np.uint64(population - count)
+    bounds = first + np.arange(1, count + 1, dtype=np.uint64)
+    rem = (np.uint64(0) - bounds) % bounds
+    draws = np.empty(count, dtype=np.uint64)
+    done = 0
+    while done < count:
+        words = rng.raw(count - done)
+        tail = rem[done:]
+        rejected = np.flatnonzero((tail != 0) & (words >= np.uint64(0) - tail))
+        keep = int(rejected[0]) if rejected.size else words.size
+        draws[done:done + keep] = words[:keep] % bounds[done:done + keep]
+        done += keep
+        if rejected.size:
+            rng._counter -= words.size - keep - 1
+    chosen = set()
+    for j, t in zip(range(population - count, population), draws.tolist()):
+        chosen.add(t if t not in chosen else j)
+    return np.array(sorted(chosen), dtype=np.int64)
+
+
+def assert_samples_like_the_set_loop(seed, population, count, skip=0):
+    """Same indices, dtype and final counter as the set loop, from counter ``skip``."""
+    got_rng, want_rng = CounterRng(seed), CounterRng(seed)
+    got_rng.raw(skip)
+    want_rng.raw(skip)
+    got = got_rng.sample_without_replacement(population, count)
+    want = oracle_sample_without_replacement(want_rng, population, count)
+    assert got.dtype == want.dtype == np.int64
+    assert got.tolist() == want.tolist()
+    assert got_rng._counter == want_rng._counter
+
+
+@pytest.mark.parametrize("seed, population, count", [
+    (0, 0, 0), (1, 1, 0), (2, 1, 1), (3, 2**63, 0), (4, 2**63, 1),
+    (5, 5000, 5000),             # every first draw names an earlier step
+    (6, 5000, 4990), (7, 5000, 2500), (8, 10**6, 3000),
+    (9, 2**63, 2000), (10, 2**63 - 1, 2000), (11, 3 * 2**61, 2000),
+    (12, 2**63, 5000),
+])
+def test_sample_matches_the_set_loop(seed, population, count):
+    assert_samples_like_the_set_loop(seed, population, count)
+
+
+@given(data=st.data(),
+       population=st.integers(0, 400) | st.integers(0, 2**63)
+       | st.integers(2**63 - 600, 2**63),
+       seed=st.integers(0, MASK), skip=st.integers(0, 3))
+def test_sample_matches_the_set_loop_property(data, population, seed, skip):
+    # counts near the population make long chains of steps naming steps
+    top = min(population, 600)
+    count = data.draw(st.integers(0, top) | st.integers(max(top - 40, 0), top),
+                      label="count")
+    assert_samples_like_the_set_loop(seed, population, count, skip)
+
+
+def test_sample_with_every_draw_a_repeat_or_a_link(monkeypatch):
+    # scripted words: step j draws word % (j + 1); with population = count
+    # every draw is a repeat or names a step, and step 5 takes its own index
+    # through the links 5 -> 2 -> 1
+    def scripted(rng, count):
+        rng._counter += count
+        return np.array([0, 0, 1, 1, 3, 2, 6, 0][:count], dtype=np.uint64)
+
+    monkeypatch.setattr(CounterRng, "raw", scripted)
+    got = CounterRng(0).sample_without_replacement(8, 8)
+    want = oracle_sample_without_replacement(CounterRng(0), 8, 8)
+    assert got.tolist() == want.tolist() == list(range(8))
