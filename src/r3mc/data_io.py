@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, ParseError
-from .problem import MAX_GRID_CELLS, CompletionProblem, ObservedEntries, degrees_of_freedom
+from .errors import ConfigError, ContractViolationError, DimensionError, ParseError
+from .problem import CompletionProblem, ObservedEntries, check_grid, degrees_of_freedom
 from .rng import CounterRng
 from .smallmat import polar_orthonormal_factor
 
@@ -317,8 +317,11 @@ def _read_header(stream, banner, fields):
         raise ParseError("non-integer size field", lineno) from None
     if min(sizes[:2]) < 1 or min(sizes) < 0:
         raise ParseError("invalid sizes %r" % (sizes,), lineno)
-    if banner == "coordinate" and sizes[0] * sizes[1] > MAX_GRID_CELLS:
-        raise ParseError("grid of %d x %d cells exceeds 2**63" % sizes[:2], lineno)
+    if banner == "coordinate":
+        try:
+            check_grid(*sizes[:2])
+        except DimensionError as exc:
+            raise ParseError(str(exc), lineno) from None
     return sizes, body
 
 
@@ -351,24 +354,17 @@ def read_matrix_market(source):
     offending line (or returns the entries of a file that only the
     array parse rejects).
     """
-    return _read_body(source, "coordinate", ("rows", "cols", "nnz"),
-                      _bulk_entries, _scan_entries)
-
-
-def _read_body(source, banner, fields, bulk, scan):
-    """``bulk(*sizes, lines)`` on the lines after the size line, or, when
-    that returns None, ``scan(*sizes, body)`` on the file read again
-    (``body`` as ``_read_header`` gives it)."""
+    fields = ("rows", "cols", "nnz")
     with _opened(source, "r") as stream:
         stream, rewind = _replayable(stream)
         lines = iter(stream)
-        sizes, _ = _read_header(lines, banner, fields)
-        out = bulk(*sizes, lines)
-        if out is None:
+        (n, m, nnz), _ = _read_header(lines, "coordinate", fields)
+        entries = _bulk_entries(n, m, nnz, lines)
+        if entries is None:
             rewind()
-            _, body = _read_header(stream, banner, fields)
-            out = scan(*sizes, body)
-    return out
+            _, body = _read_header(stream, "coordinate", fields)
+            entries = _scan_entries(n, m, nnz, body)
+    return entries
 
 
 def _replayable(stream):
@@ -385,7 +381,7 @@ def _replayable(stream):
     return stream, lambda: stream.seek(start)
 
 
-def _load_table(lines, dtype, delimiter=None, ndmin=1):
+def _load_table(lines, dtype, delimiter=None):
     """One ``np.loadtxt`` parse of ``lines``, or None when it rejects one.
 
     The parse reads each item of ``lines`` as one line (and rejects an
@@ -398,7 +394,7 @@ def _load_table(lines, dtype, delimiter=None, ndmin=1):
             # an input without rows warns
             warnings.simplefilter("error")
             return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
-                              ndmin=ndmin)
+                              ndmin=1)
     except (ValueError, Warning):
         return None
 
@@ -474,39 +470,19 @@ def write_dense_matrix_market(target, matrix, comments=()):
 
 
 def read_dense_matrix_market(source):
-    """Read an array real general file into an ndarray.
-
-    The values are parsed as one array; when that parse rejects a line
-    or finds the wrong count, they are read again one line at a time,
-    which raises the error of the first offending line (or returns the
-    values of a file that only the array parse rejects).
-    """
-    return _read_body(source, "array", ("rows", "cols"), _bulk_values, _scan_values)
-
-
-def _bulk_values(rows, cols, lines):
-    """The rows x cols matrix from one array parse of its column-major
-    values, one per line, or None."""
-    # ndmin=2: a file of one line of two values is a 1 x 2 table
-    data = _load_table(lines, np.float64, ndmin=2)
-    if data is None or data.shape != (rows * cols, 1):
-        return None
-    return data.reshape((cols, rows)).T
-
-
-def _scan_values(rows, cols, body):
-    """The rows x cols matrix, its values read one line at a time."""
-    count = rows * cols
-    data = np.empty(count)
-    k = 0
-    for lineno, text in body:
-        if k >= count:
-            raise ParseError("more than %d values" % count, lineno)
-        try:
-            data[k] = float(text)
-        except ValueError:
-            raise ParseError("malformed value", lineno) from None
-        k += 1
-    if k != count:
-        raise ParseError("expected %d values, found %d" % (count, k))
+    """Read an array real general file into an ndarray."""
+    with _opened(source, "r") as stream:
+        (rows, cols), body = _read_header(stream, "array", ("rows", "cols"))
+        data = np.empty(rows * cols)
+        k = 0
+        for lineno, text in body:
+            if k >= data.size:
+                raise ParseError("more than %d values" % data.size, lineno)
+            try:
+                data[k] = float(text)
+            except ValueError:
+                raise ParseError("malformed value", lineno) from None
+            k += 1
+    if k != data.size:
+        raise ParseError("expected %d values, found %d" % (data.size, k))
     return data.reshape((cols, rows)).T

@@ -52,7 +52,11 @@ def op_count():
     return op_counter.flops
 
 
-MAX_GRID_CELLS = 2**63  # so that every cell number fits an int64
+def check_grid(n, m):
+    """Raise DimensionError unless the n x m grid has at most 2**63 cells,
+    so that every row-major cell number i m + j fits an int64."""
+    if n * m > 2**63:
+        raise DimensionError("grid of %d x %d cells exceeds 2**63" % (n, m))
 
 
 class ObservedEntries:
@@ -68,8 +72,7 @@ class ObservedEntries:
         n, m = int(n), int(m)
         if n < 1 or m < 1:
             raise DimensionError("grid dimensions must be positive")
-        if n * m > MAX_GRID_CELLS:
-            raise DimensionError("grid of %d x %d cells exceeds 2**63" % (n, m))
+        check_grid(n, m)
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         vals = np.asarray(vals, dtype=np.float64).ravel()

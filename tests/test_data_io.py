@@ -692,7 +692,7 @@ def test_writer_bytes_are_pinned():
     )
 
 
-# --- the bulk ratings and dense readers against the line scans they replace
+# --- the bulk ratings reader against the line scan it replaces
 
 
 def oracle_parse_movielens(source):
@@ -938,144 +938,18 @@ def test_ratings_reader_rescans_sources_it_cannot_seek(tmp_path):
     assert info.value.line == 3
 
 
-def oracle_read_dense_matrix_market(source):
-    """The line-at-a-time array reader, kept as the reference."""
-    with _opened(source, "r") as stream:
-        (rows, cols), body = _read_header(stream, "array", ("rows", "cols"))
-        data = np.empty(rows * cols)
-        k = 0
-        for lineno, text in body:
-            if k >= data.size:
-                raise ParseError("more than %d values" % data.size, lineno)
-            try:
-                data[k] = float(text)
-            except ValueError:
-                raise ParseError("malformed value", lineno) from None
-            k += 1
-    if k != data.size:
-        raise ParseError("expected %d values, found %d" % (data.size, k))
-    return data.reshape((cols, rows)).T
-
-
-def dense_outcome(reader, source):
-    """("ok", shape, value bits) or ("error", message, line)."""
-    try:
-        a = reader(source)
-    except ParseError as exc:
-        return ("error", str(exc), exc.line)
-    return ("ok", a.shape, a.flags.f_contiguous, a.view(np.int64).tolist())
-
-
-def assert_dense_reads_like_the_oracle(text):
-    want = dense_outcome(oracle_read_dense_matrix_market, io.StringIO(text))
-    assert dense_outcome(read_dense_matrix_market, io.StringIO(text)) == want
-    lines = io.StringIO(text).readlines()
-    assert dense_outcome(read_dense_matrix_market, lines) == want
-    return want
-
-
-DENSE_HEAD = "%%MatrixMarket matrix array real general\n"
-
-
-@st.composite
-def dense_files(draw):
-    """Valid array files as text, in the spellings the line scan reads; in
-    about half of them every line is one the array parse reads too."""
-    rare = draw(st.booleans())
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    lines = [draw(st.sampled_from([DENSE_HEAD, "%%matrixmarket MATRIX Array Real General\n"]))]
-    lines += draw(st.lists(st.sampled_from(["% c\n", "\n"]), max_size=2))
-    lines.append("%d %d\n" % (rows, cols))
-    for _ in range(rows * cols):
-        lines += draw(st.lists(st.sampled_from(["\n", "  \n"]), max_size=1))
-        value = draw(st.floats() | st.sampled_from([0.0, -0.0, 1.0, 1e300]))
-        text = draw(st.sampled_from(["%r", "%.17e", "%+.6e", "%.17G"])) % value
-        if rare and draw(st.integers(0, 3)) == 0:
-            text = text.translate(ARABIC)
-        lines.append(draw(st.sampled_from(SPACES)) + text + draw(st.sampled_from(SPACES))
-                     + draw(st.sampled_from(["\n", "\r\n"])))
-    return "".join(lines)
-
-
-DENSE_CORRUPTIONS = ["two_values", "bad_token", "missing", "extra", "comment", "inner_cr",
-                     "underscore"]
-
-
-def corrupt_value(lines, kind, where):
-    value = lines[where].strip()
-    if kind == "two_values":
-        lines[where] = "%s %s" % (value, value)
-    elif kind == "bad_token":
-        lines[where] = value + "x"
-    elif kind == "missing":
-        del lines[where]
-    elif kind == "extra":
-        lines.insert(where + 1, value)
-    elif kind == "comment":
-        lines.insert(where + 1, "% a comment in the body")
-    elif kind == "inner_cr":
-        lines[where] = "\r" + value
-    elif kind == "underscore":
-        lines[where] = "1_0.5"
-
-
-@given(dense_files())
-def test_bulk_dense_reader_matches_the_oracle_on_valid_files(text):
-    assert assert_dense_reads_like_the_oracle(text)[0] == "ok"
-
-
-@given(data=st.data(), text=dense_files())
-def test_bulk_dense_reader_matches_the_oracle_on_corrupted_files(data, text):
-    lines = text.split("\n")
-    size_line = next(k for k, line in enumerate(lines)
-                     if k and line.strip() and not line.strip().startswith("%"))
-    values = [k for k, line in enumerate(lines) if k > size_line and line.strip()]
-    for _ in range(data.draw(st.integers(1, 2), label="corruptions")):
-        where = data.draw(st.sampled_from(values), label="line")
-        if where < len(lines) and lines[where].strip():
-            corrupt_value(lines, data.draw(st.sampled_from(DENSE_CORRUPTIONS), label="kind"),
-                          where)
-    assert_dense_reads_like_the_oracle("\n".join(lines))
-
-
-@pytest.mark.parametrize("body, message, line", [
-    ("2 1\n1.0\n2.0 3.0\n", "malformed value", 4),
-    ("1 2\n1.0 2.0\n", "malformed value", 3),
-    ("2 1\n1.0\n2.0x\n", "malformed value", 4),
-    ("2 1\n1.0\n2.0\n3.0\n", "more than 2 values", 5),
-    ("2 1\n1.0\n", "expected 2 values, found 1", None),
-    ("2 1\n", "expected 2 values, found 0", None),
-])
-def test_bulk_dense_reader_errors_match_the_scan(body, message, line):
-    text = DENSE_HEAD + body
-    want = ("error", message if line is None else "line %d: %s" % (line, message), line)
-    assert dense_outcome(oracle_read_dense_matrix_market, io.StringIO(text)) == want
-    assert dense_outcome(read_dense_matrix_market, io.StringIO(text)) == want
-
-
-def test_dense_reader_accepts_what_only_the_line_scan_accepts():
-    text = DENSE_HEAD + "2 2\n% c\n1_0.5\n٣\n\n nan \n-inf\n"
-    assert assert_dense_reads_like_the_oracle(text)[0] == "ok"
-    got = read_dense_matrix_market(io.StringIO(text))
-    assert got[0, 0] == 10.5 and np.isnan(got[0, 1])
-    assert got[1].tolist() == [3.0, -np.inf]
-
-
 def test_files_this_package_writes_take_the_array_parse(tmp_path, monkeypatch):
     from r3mc import data_io
 
     def no_scan(*args):
         raise AssertionError("line scan used")
 
-    for name in ("_scan_entries", "_scan_values", "_scan_ratings"):
+    for name in ("_scan_entries", "_scan_ratings"):
         monkeypatch.setattr(data_io, name, no_scan)
     entries = random_entries(9, 11, 30, 11)
     write_matrix_market(tmp_path / "e.mtx", entries, comments=["c"])
     back = read_matrix_market(tmp_path / "e.mtx")
     assert back.vals.tolist() == entries.vals.tolist()
-    matrix = CounterRng(2).standard_normal((5, 3))
-    write_dense_matrix_market(tmp_path / "d.mtx", matrix, comments=["c"])
-    assert np.array_equal(read_dense_matrix_market(tmp_path / "d.mtx"), matrix)
     path = tmp_path / "ratings.dat"
     path.write_text("3::10::4::978300760\n1::10::4.5::978300761\n", encoding="utf-8")
     assert parse_movielens(path).ratings.tolist() == [4.0, 4.5]
