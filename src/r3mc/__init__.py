@@ -20,20 +20,15 @@ from .manifold import (
     FixedRankPoint,
     HorizontalVector,
     TangentTriple,
-    enable_invariant_checks,
-    group_action,
     horizontality_defect,
     metric,
     norm,
     project_to_horizontal,
     project_to_tangent,
-    random_horizontal,
     random_point,
     retract,
-    rotate_vector,
     tangency_defect,
     transport_to,
-    vertical_lift,
 )
 from .problem import (
     CompletionProblem,

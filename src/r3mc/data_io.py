@@ -292,9 +292,9 @@ def _read_header(stream, banner, fields):
     neither blank nor comments, read from ``stream`` as it goes, so an
     iterator passed as ``stream`` is left just past the size line.
     Raises ParseError for an empty file, a wrong banner (line 1), a size
-    line with the wrong field count, non-integer or invalid sizes or a
-    coordinate grid of more than 2**63 cells (all at the size line's
-    number), and a missing size line.
+    line with the wrong field count, non-integer or invalid sizes, a
+    coordinate grid of more than 2**63 cells or more entries than cells
+    (all at the size line's number), and a missing size line.
     """
     lines = enumerate(stream, start=1)
     first = next(lines, None)
@@ -322,6 +322,9 @@ def _read_header(stream, banner, fields):
             check_grid(*sizes[:2])
         except DimensionError as exc:
             raise ParseError(str(exc), lineno) from None
+        n, m, nnz = sizes
+        if nnz > n * m:
+            raise ParseError("%d entries exceed the %d x %d grid" % (nnz, n, m), lineno)
     return sizes, body
 
 
@@ -421,14 +424,15 @@ def _bulk_entries(n, m, nnz, lines):
 
 
 def _scan_entries(n, m, nnz, body):
-    """ObservedEntries from the entry lines, checked one line at a time."""
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz)
+    """ObservedEntries from the entry lines, checked one line at a time.
+
+    Entries are gathered as they are read, so memory follows the lines
+    present, not the count the size line promises.
+    """
+    rows, cols, vals = [], [], []
     seen = {}
-    k = 0
     for lineno, text in body:
-        if k >= nnz:
+        if len(vals) >= nnz:
             raise ParseError("more than %d entries" % nnz, lineno)
         parts = text.split()
         if len(parts) != 3:
@@ -449,11 +453,13 @@ def _scan_entries(n, m, nnz, body):
                 "duplicate entry (%d, %d), first seen at line %d" % (i, j, prev),
                 lineno,
             )
-        rows[k], cols[k], vals[k] = i - 1, j - 1, v
-        k += 1
-    if k != nnz:
-        raise ParseError("expected %d entries, found %d" % (nnz, k))
-    return ObservedEntries(n, m, rows, cols, vals)
+        rows.append(i - 1)
+        cols.append(j - 1)
+        vals.append(v)
+    if len(vals) != nnz:
+        raise ParseError("expected %d entries, found %d" % (nnz, len(vals)))
+    return ObservedEntries(n, m, np.array(rows, dtype=np.int64),
+                           np.array(cols, dtype=np.int64), np.array(vals))
 
 
 def write_dense_matrix_market(target, matrix, comments=()):
@@ -470,19 +476,22 @@ def write_dense_matrix_market(target, matrix, comments=()):
 
 
 def read_dense_matrix_market(source):
-    """Read an array real general file into an ndarray."""
+    """Read an array real general file into an ndarray.
+
+    Values are gathered as they are read, so memory follows the lines
+    present, not the count the size line promises.
+    """
     with _opened(source, "r") as stream:
         (rows, cols), body = _read_header(stream, "array", ("rows", "cols"))
-        data = np.empty(rows * cols)
-        k = 0
+        size = rows * cols
+        data = []
         for lineno, text in body:
-            if k >= data.size:
-                raise ParseError("more than %d values" % data.size, lineno)
+            if len(data) >= size:
+                raise ParseError("more than %d values" % size, lineno)
             try:
-                data[k] = float(text)
+                data.append(float(text))
             except ValueError:
                 raise ParseError("malformed value", lineno) from None
-            k += 1
-    if k != data.size:
-        raise ParseError("expected %d values, found %d" % (data.size, k))
-    return data.reshape((cols, rows)).T
+    if len(data) != size:
+        raise ParseError("expected %d values, found %d" % (size, len(data)))
+    return np.array(data).reshape((cols, rows)).T

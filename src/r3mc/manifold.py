@@ -10,8 +10,9 @@ respectively,
 
 which adapts step lengths to the current spectrum.  Tangent vectors are
 represented by their horizontal lifts: triples whose projection kills the
-group directions.  Construction-time invariant checks are off by default
-and switched on globally in the test suite.
+group directions.  Constructors check shapes and finiteness only; the
+membership conditions (orthonormal U, V, invertible R, tangency and
+horizontality) are checked by each class's ``validate``.
 """
 
 from dataclasses import dataclass
@@ -35,14 +36,6 @@ from .smallmat import (
 )
 
 CHECK_TOL = 1e-10
-
-_checks_enabled = False
-
-
-def enable_invariant_checks(flag=True):
-    """Globally toggle construction-time membership checks."""
-    global _checks_enabled
-    _checks_enabled = bool(flag)
 
 
 def _as_factor(name, a, rows=None, cols=None):
@@ -74,8 +67,6 @@ class FixedRankPoint:
             raise DimensionError("R must be square")
         if self.r > min(self.n, self.m):
             raise DimensionError("rank exceeds min(n, m)")
-        if _checks_enabled:
-            self.validate()
 
     @property
     def n(self):
@@ -124,8 +115,6 @@ class TangentTriple:
         self.dU = _as_factor("dU", self.dU, rows=x.n, cols=x.r)
         self.dR = _as_factor("dR", self.dR, rows=x.r, cols=x.r)
         self.dV = _as_factor("dV", self.dV, rows=x.m, cols=x.r)
-        if _checks_enabled:
-            self.validate()
 
     def validate(self, tol=CHECK_TOL):
         # Projections divide by R RT, so attainable accuracy degrades with
@@ -264,22 +253,6 @@ def project_to_horizontal(x, xi):
     )
 
 
-def vertical_lift(x, o1, o2):
-    """Tangent triple generated by the orthogonal group pair (O1, O2):
-
-        (U O1, R O2 - O1 R, V O2) for skew O1, O2.
-    """
-    o1 = _as_factor("O1", o1, rows=x.r, cols=x.r)
-    o2 = _as_factor("O2", o2, rows=x.r, cols=x.r)
-    for name, o in (("O1", o1), ("O2", o2)):
-        defect = np.linalg.norm(o + o.T)
-        if defect > CHECK_TOL * (1.0 + np.linalg.norm(o)):
-            raise ContractViolationError(
-                "%s must be skew-symmetric, defect %.3e" % (name, defect)
-            )
-    return TangentTriple(x, x.U @ o1, x.R @ o2 - o1 @ x.R, x.V @ o2)
-
-
 def retract(x, xi, step):
     """Move from x along the horizontal vector xi by step length ``step``.
 
@@ -309,29 +282,6 @@ def transport_to(y, eta):
     return project_to_horizontal(y, project_to_tangent(y, eta.triple()))
 
 
-def group_action(x, o1, o2):
-    """Re-factor x as (U O1, O1T R O2, V O2); the represented matrix is unchanged."""
-    o1 = _as_factor("O1", o1, rows=x.r, cols=x.r)
-    o2 = _as_factor("O2", o2, rows=x.r, cols=x.r)
-    for name, o in (("O1", o1), ("O2", o2)):
-        defect = np.linalg.norm(o.T @ o - np.eye(x.r))
-        if defect > CHECK_TOL:
-            raise ContractViolationError(
-                "%s must be orthogonal, defect %.3e" % (name, defect)
-            )
-    return FixedRankPoint(x.U @ o1, o1.T @ x.R @ o2, x.V @ o2)
-
-
-def rotate_vector(x, xi, o1, o2):
-    """Push a tangent triple through the group action used by group_action."""
-    y = group_action(x, o1, o2)
-    du = xi.dU @ o1
-    dr = o1.T @ xi.dR @ o2
-    dv = xi.dV @ o2
-    cls = type(xi) if isinstance(xi, TangentTriple) else TangentTriple
-    return cls(y, du, dr, dv)
-
-
 def random_point(n, m, r, seed):
     """Random factor triple: polar factors of gaussian U, V and a gaussian R.
 
@@ -348,18 +298,3 @@ def random_point(n, m, r, seed):
         if sv[-1] > 1e-6 * sv[0]:
             break
     return FixedRankPoint(u, r_mid, v)
-
-
-def random_horizontal(x, seed):
-    """Unit-norm horizontal vector from a projected gaussian ambient triple."""
-    rng = CounterRng(seed)
-    ambient = (
-        rng.standard_normal((x.n, x.r)),
-        rng.standard_normal((x.r, x.r)),
-        rng.standard_normal((x.m, x.r)),
-    )
-    eta = project_to_horizontal(x, project_to_tangent(x, ambient))
-    scale = norm(x, eta)
-    if scale == 0.0:
-        raise ContractViolationError("projected gaussian triple vanished")
-    return (1.0 / scale) * eta

@@ -1,24 +1,34 @@
 """Shared test configuration.
 
-Runtime invariant checks are off by default in the library; each test
-here turns them on for its own run, so every constructed point and
-tangent vector is revalidated, and turns them off again so the flag does
-not reach tests collected from outside this directory.  Property tests
-run under one ``hypothesis`` profile: derandomized, so every run tries
-the same examples, and with no per-example deadline.
+Every test runs with the constructors of ``FixedRankPoint`` and
+``TangentTriple`` patched to call ``validate()`` after their own checks,
+so every point, tangent triple and horizontal vector a test builds, in
+the test or in the library, is checked for membership
+(``HorizontalVector`` inherits the patched constructor and reaches its
+own ``validate``).  The patch is undone after each test, so it does not
+reach tests collected from outside this directory.  Property tests run
+under one ``hypothesis`` profile: derandomized, so every run tries the
+same examples, and with no per-example deadline.
 """
 
 import pytest
 from hypothesis import settings
 
-from r3mc import enable_invariant_checks
+from r3mc import FixedRankPoint, TangentTriple
 
 settings.register_profile("r3mc", derandomize=True, deadline=None)
 settings.load_profile("r3mc")
 
 
+def _validating(post_init):
+    def checked_post_init(self):
+        post_init(self)
+        self.validate()
+
+    return checked_post_init
+
+
 @pytest.fixture(autouse=True)
-def _invariant_checks():
-    enable_invariant_checks(True)
-    yield
-    enable_invariant_checks(False)
+def _invariant_checks(monkeypatch):
+    for cls in (FixedRankPoint, TangentTriple):
+        monkeypatch.setattr(cls, "__post_init__", _validating(cls.__post_init__))

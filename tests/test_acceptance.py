@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _geometry import group_action, random_horizontal, rotate_vector, vertical_lift
 from r3mc import (
     CompletionProblem,
     CounterRng,
@@ -28,7 +29,6 @@ from r3mc import (
     SyntheticSpec,
     cg_solve,
     cost,
-    group_action,
     initial_step,
     masked_values,
     mean_squared_error,
@@ -37,7 +37,6 @@ from r3mc import (
     op_count,
     project_to_horizontal,
     project_to_tangent,
-    random_horizontal,
     random_point,
     rank_incremental_solve,
     rank_one_update,
@@ -45,14 +44,12 @@ from r3mc import (
     residual,
     retract,
     riemannian_gradient,
-    rotate_vector,
     sample_mask,
     split_train_val_test,
     synth_conditioned,
     synthesize,
     truncated_oversampling,
     truncated_warm_start,
-    vertical_lift,
 )
 from r3mc.smallmat import (
     polar_orthonormal_factor,

@@ -660,3 +660,13 @@ def test_unreadable_data_is_a_usage_error(tmp_path, capsys):
                    "--rank", "2", "--seed", "0")
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_entry_count_beyond_the_grid_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "big.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "3 3 4000000000000\n1 1 1.0\n")
+    code = run_cli("complete", "--data", str(path), "--rank", "1", "--seed", "0")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: 4000000000000 entries exceed the 3 x 3 grid\n")

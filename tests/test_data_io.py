@@ -374,6 +374,34 @@ def test_dense_matrix_market_errors():
         )
 
 
+@pytest.mark.parametrize("size, count", [
+    ("99999999999 99999999999", 99999999999**2),
+    ("4000000 4000000", 4000000**2),
+])
+def test_dense_reader_allocates_nothing_from_the_size_line(size, count):
+    text = "%%MatrixMarket matrix array real general\n" + size + "\n1.5\n"
+    with pytest.raises(ParseError) as info:
+        read_dense_matrix_market(io.StringIO(text))
+    assert str(info.value) == "expected %d values, found 1" % count
+
+
+def test_coordinate_reader_allocates_nothing_from_the_size_line():
+    # the count fits the grid, so only reading the entries can reject it;
+    # the scan that reports the shortfall must not size arrays from it
+    text = HEAD + "3000000 3000000 4000000000000\n1 1 1.0\n"
+    with pytest.raises(ParseError) as info:
+        read_matrix_market(io.StringIO(text))
+    assert str(info.value) == "expected 4000000000000 entries, found 1"
+
+
+def test_coordinate_reader_fills_a_grid():
+    cells = [(i, j) for j in range(1, 4) for i in range(1, 4)]
+    text = HEAD + "3 3 9\n" + "".join("%d %d %d.5\n" % (i, j, k)
+                                     for k, (i, j) in enumerate(cells))
+    outcome = assert_reads_like_the_oracle(text)
+    assert outcome[0] == "ok" and len(outcome[3]) == 9
+
+
 # --- the bulk reader and writers against the line-at-a-time code they replace
 
 
@@ -599,6 +627,9 @@ def test_bulk_reader_matches_the_oracle_on_every_pair_of_corruptions():
     # a grid has at most 2**63 cells, so each has an int64 cell number
     ("%d 4 1\n1 1 1.0\n" % 2**63, "grid of %d x 4 cells exceeds 2**63" % 2**63, 2),
     ("3 %d 1\n1 1 1.0\n" % 2**62, "grid of 3 x %d cells exceeds 2**63" % 2**62, 2),
+    # a grid holds at most n m entries; the count is checked before any is read
+    ("3 3 10\n1 1 1.0\n", "10 entries exceed the 3 x 3 grid", 2),
+    ("3 3 4000000000000\n1 1 1.0\n", "4000000000000 entries exceed the 3 x 3 grid", 2),
     ("4 4 1\n1 1 1.0#2\n", "malformed entry", 3),
     ("4 4 2\n1 1 1.0\n2 2 nan\n", "non-finite value", 4),
     ("4 4 2\n1 1 1.0\n2 2 -inf\n", "non-finite value", 4),

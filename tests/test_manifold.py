@@ -1,8 +1,13 @@
 """Quotient geometry: projections, metric, retraction, transport, symmetry."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import r3mc
+from _geometry import group_action, random_horizontal, rotate_vector, vertical_lift
 from r3mc import (
     ContractViolationError,
     SingularMatrixError,
@@ -11,19 +16,15 @@ from r3mc import (
     HorizontalVector,
     RetractionError,
     TangentTriple,
-    group_action,
     horizontality_defect,
     metric,
     norm,
     project_to_horizontal,
     project_to_tangent,
-    random_horizontal,
     random_point,
     retract,
-    rotate_vector,
     tangency_defect,
     transport_to,
-    vertical_lift,
 )
 from r3mc.smallmat import polar_orthonormal_factor, skew, sym
 
@@ -107,6 +108,13 @@ def test_tangent_triple_rejects_nontangent():
     x = random_point(8, 6, 2, 5)
     with pytest.raises(ContractViolationError):
         TangentTriple(x, np.ones((8, 2)), np.zeros((2, 2)), np.zeros((6, 2)))
+
+
+def test_horizontal_vector_rejects_a_vertical_tangent():
+    x = random_point(8, 6, 2, 5)
+    lift = vertical_lift(x, skew(np.arange(4.0).reshape(2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ContractViolationError, match="not horizontal"):
+        HorizontalVector(x, *lift.triple())
 
 
 def test_metric_matches_direct_formula_and_is_positive():
@@ -307,3 +315,16 @@ def test_random_horizontal_unit_norm_and_deterministic():
     assert np.array_equal(h.dU, h2.dU)
     assert np.array_equal(h.dR, h2.dR)
     assert np.array_equal(h.dV, h2.dV)
+
+
+def test_package_sets_no_module_state():
+    """No ``global`` statement: a module-level switch would give the
+    package a second configuration that tests and benchmarks must cover."""
+    package = Path(r3mc.__file__).parent
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []

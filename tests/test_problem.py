@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _geometry import random_horizontal
 from r3mc import (
     CompletionProblem,
     ContractViolationError,
@@ -27,7 +28,6 @@ from r3mc import (
     masked_values,
     mean_squared_error,
     op_count,
-    random_horizontal,
     random_point,
     reset_op_count,
     residual,

@@ -6,6 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from _geometry import random_horizontal
 from r3mc import (
     CompletionProblem,
     ConfigError,
@@ -27,7 +28,6 @@ from r3mc import (
     mean_squared_error,
     metric,
     pr_plus_beta,
-    random_horizontal,
     random_point,
     rank_incremental_solve,
     rank_one_update,
