@@ -6,6 +6,8 @@ the dense array format for factor matrices; values are written with
 shortest exact float representations so read(write(x)) is lossless.
 """
 
+import itertools
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -345,6 +347,9 @@ def write_matrix_market(target, entries, comments=()):
 # one coordinate entry line as the array parse reads it
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
 
+# a comment line, as _content_lines drops it; the array parse skips blank lines
+_comment_line = re.compile(r"\s*%").match
+
 
 def read_matrix_market(source):
     """Read a coordinate real general file into ObservedEntries.
@@ -352,10 +357,11 @@ def read_matrix_market(source):
     Raises ParseError with line numbers for malformed lines, indices out
     of range, duplicate entries (both occurrences reported), and entry
     count mismatches.  The entry lines are parsed and checked as whole
-    arrays; when that parse rejects a line or a check fails, they are
-    read again one line at a time, which raises the error of the first
-    offending line (or returns the entries of a file that only the
-    array parse rejects).
+    arrays.  When that parse rejects a line or a check fails, the content
+    lines (blank and comment lines dropped) are parsed as arrays again,
+    and when that fails too they are read one line at a time, which
+    raises the error of the first offending line (or returns the entries
+    of a file that only the array parses reject).
     """
     fields = ("rows", "cols", "nnz")
     with _opened(source, "r") as stream:
@@ -363,6 +369,11 @@ def read_matrix_market(source):
         lines = iter(stream)
         (n, m, nnz), _ = _read_header(lines, "coordinate", fields)
         entries = _bulk_entries(n, m, nnz, lines)
+        if entries is None:
+            rewind()
+            lines = iter(stream)
+            _read_header(lines, "coordinate", fields)
+            entries = _bulk_entries(n, m, nnz, itertools.filterfalse(_comment_line, lines))
         if entries is None:
             rewind()
             _, body = _read_header(stream, "coordinate", fields)

@@ -9,12 +9,18 @@ on Omega are one ``np.bincount`` scatter-add per dense column over the
 row-major sorted triplets, accumulating in triplet order, so results are
 bit-reproducible for a fixed thread count.  Model values on Omega are
 gathered the other way round, one pair of contiguous factor columns at a
-time.  ``evaluate`` computes the error at a point once; the gradient, the
-initial step and the residual accept that ``PointEvaluation`` in place of
-the point and then do not evaluate the model again.
+time.  As the triplets are sorted by row, a row-side gather ``a[rows]``
+is ``np.repeat(a, row_counts)``, which streams instead of gathering; the
+column side is a ``take`` on ``cols``.  Each kernel multiplies into the
+gathered temporary in place, and IEEE products commute, so the results
+are bit for bit those of ``a[rows] * b[cols]``.  ``evaluate`` computes
+the error at a point once; the gradient, the initial step and the
+residual accept that ``PointEvaluation`` in place of the point and then
+do not evaluate the model again.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +71,9 @@ class ObservedEntries:
     Triplets are stored row-major sorted with no duplicates: one stable
     sort by cell number i m + j, which needs n m <= 2**63.  An empty
     pattern is allowed here and rejected where a nonempty one is required
-    (problem construction).
+    (problem construction).  The per-row entry counts, an n-array, are
+    computed on first use, so a pattern on a grid too tall to count its
+    rows can still be built.
     """
 
     def __init__(self, n, m, rows, cols, vals):
@@ -102,6 +110,13 @@ class ObservedEntries:
     @property
     def count(self):
         return int(self.vals.size)
+
+    @cached_property
+    def row_counts(self):
+        """Entries in each row, read-only: ``a[rows]`` is ``np.repeat(a, row_counts)``."""
+        counts = np.bincount(self.rows, minlength=self.n)
+        counts.flags.writeable = False
+        return counts
 
 
 @dataclass(frozen=True)
@@ -153,13 +168,21 @@ class CompletionProblem:
         return self.entries.count / self.dof
 
 
-def _gather_sum(left, right, rows, cols):
+def _gather_sum(left, right, entries):
     """vals[k] = sum_j left[j, rows[k]] * right[j, cols[k]] for (k, n) and
     (k, m) blocks, gathering from one contiguous row of each at a time
     (a contiguous column of the factors), which beats gathering r-wide rows."""
-    vals = np.zeros(rows.size)
+    vals = np.zeros(entries.count)
     for a, b in zip(np.ascontiguousarray(left), np.ascontiguousarray(right)):
-        vals += a[rows] * b[cols]
+        vals += outer_values(a, b, entries)
+    return vals
+
+
+def outer_values(a, b, entries):
+    """Values a[i] b[j] of the rank-one matrix a bT on the pattern, in
+    pattern order: bit for bit ``a[rows] * b[cols]``."""
+    vals = b.take(entries.cols)
+    vals *= np.repeat(a, entries.row_counts)
     return vals
 
 
@@ -167,7 +190,7 @@ def masked_values(x, entries):
     """Model values U R VT evaluated on the pattern, in pattern order."""
     if x.n != entries.n or x.m != entries.m:
         raise DimensionError("point shape does not match the pattern grid")
-    vals = _gather_sum((x.U @ x.R).T, x.V.T, entries.rows, entries.cols)
+    vals = _gather_sum((x.U @ x.R).T, x.V.T, entries)
     op_counter.add(2 * entries.count * x.r)
     return vals
 
@@ -179,16 +202,18 @@ def sparse_apply(s, dense, transpose=False):
     pat = s.pattern
     dense = np.asarray(dense, dtype=np.float64)
     if transpose:
-        out_idx, in_idx, size, in_size = pat.cols, pat.rows, pat.m, pat.n
+        out_idx, size, in_size = pat.cols, pat.m, pat.n
     else:
-        out_idx, in_idx, size, in_size = pat.rows, pat.cols, pat.n, pat.m
+        out_idx, size, in_size = pat.rows, pat.n, pat.m
     if dense.shape[0] != in_size:
         raise DimensionError("dense operand must have %d rows" % in_size)
     # gathers from contiguous columns run faster than strided ones
     columns = np.ascontiguousarray(dense.T)
     out = np.empty((dense.shape[1], size))
     for j, column in enumerate(columns):
-        out[j] = np.bincount(out_idx, weights=s.vals * column[in_idx], minlength=size)
+        weights = np.repeat(column, pat.row_counts) if transpose else column.take(pat.cols)
+        weights *= s.vals
+        out[j] = np.bincount(out_idx, weights=weights, minlength=size)
     op_counter.add(2 * pat.count * dense.shape[1])
     return out.T
 
@@ -284,7 +309,7 @@ def direction_values(x, xi, entries):
     """
     left = np.hstack([xi.dU @ x.R + x.U @ xi.dR, x.U @ x.R])
     right = np.hstack([x.V, xi.dV])
-    vals = _gather_sum(left.T, right.T, entries.rows, entries.cols)
+    vals = _gather_sum(left.T, right.T, entries)
     op_counter.add(4 * entries.count * x.r)
     return vals
 

@@ -37,6 +37,7 @@ from .problem import (
     evaluate,
     initial_step,
     mean_squared_error,
+    outer_values,
     residual,
     riemannian_gradient,
     sparse_apply,
@@ -355,7 +356,7 @@ def rank_one_update(problem, x, seed=0, exact_scale=False):
             v = v_new
     if exact_scale:
         e = ev.error
-        d = u[problem.entries.rows] * v[problem.entries.cols]
+        d = outer_values(u, v, problem.entries)
         dd = float(d @ d)
         if dd > 0.0 and float(e @ d) != 0.0:
             sigma = float(e @ d) / dd
@@ -581,7 +582,8 @@ def truncated_warm_start(problem, p, config=SolverConfig(), seed=0):
 
     # per-column normal equations: gram[j] = U_jT U_j and rhs[j] = U_jT b_j
     # over the observed rows of column j, both scatter-added on the pattern
-    gram = np.stack([sparse_apply(SparseResidual(ent, u[ent.rows, a]), u, transpose=True)
+    gram = np.stack([sparse_apply(SparseResidual(ent, np.repeat(u[:, a], ent.row_counts)),
+                                  u, transpose=True)
                      for a in range(rank)], axis=1)
     rhs = sparse_apply(SparseResidual(ent, ent.vals), u, transpose=True)
     w = np.linalg.solve(gram + 1e-10 * np.eye(rank), rhs[:, :, None])[:, :, 0]

@@ -1,6 +1,7 @@
 """Generators, ratings parsing, splits, and Matrix Market round trips."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -614,7 +615,8 @@ def test_bulk_reader_matches_the_oracle_on_every_pair_of_corruptions():
                         "duplicate", "more", "count"}
 
 
-@pytest.mark.parametrize("body, message, line", [
+# (body after the banner, message, line) of every reader error after the size line
+READER_ERRORS = [
     ("4 4 2\n1 1 1.0\n2 x 1.0\n", "malformed entry", 4),
     ("4 4 2\n1 1 1.0\n2 2 1.0 3\n", "expected 'row col value'", 4),
     ("4 4 2\n1 1 1.0\n2 2\n", "expected 'row col value'", 4),
@@ -646,12 +648,55 @@ def test_bulk_reader_matches_the_oracle_on_every_pair_of_corruptions():
     ("4 4 3\n1 1 1.0\n9 1 1.0\n1 1 2.0\n", "row index 9 outside [1, 4]", 4),
     ("4 4 3\n1 9 1.0\n1 x 1.0\n2 2 nan\n", "column index 9 outside [1, 4]", 3),
     ("4 4 2\n1 1 nan\n1 1 1.0\n1 2 1.0\n", "non-finite value", 3),
-])
+]
+
+
+@pytest.mark.parametrize("body, message, line", READER_ERRORS)
 def test_bulk_reader_errors_match_the_oracle(body, message, line):
     text = HEAD + body
     want = ("error", message if line is None else "line %d: %s" % (line, message), line)
     assert read_outcome(oracle_read_matrix_market, text) == want
     assert read_outcome(read_matrix_market, text) == want
+
+
+@pytest.mark.parametrize("body, message, line", READER_ERRORS)
+def test_reader_errors_keep_their_lines_after_a_body_comment(body, message, line):
+    # a comment and a blank line right after the size line move every later
+    # line down by two and change nothing else
+    size_line, rest = body.split("\n", 1)
+    text = HEAD + size_line + "\n% c\n\n" + rest
+    if line is not None and line > 2:
+        line += 2
+    message = re.sub(r"first seen at line (\d+)",
+                     lambda seen: "first seen at line %d" % (int(seen[1]) + 2), message)
+    want = ("error", message if line is None else "line %d: %s" % (line, message), line)
+    assert read_outcome(oracle_read_matrix_market, text) == want
+    assert read_outcome(read_matrix_market, text) == want
+
+
+def test_comment_bearing_files_read_like_plain_files_without_the_line_scan(monkeypatch):
+    from r3mc import data_io
+
+    def no_scan(*args):
+        raise AssertionError("line scan used")
+
+    entries = random_entries(9, 11, 30, 21)
+    plain = io.StringIO()
+    write_matrix_market(plain, entries)
+    lines = plain.getvalue().splitlines(True)
+    variants = [
+        lines[:2] + ["% after the size line\n"] + lines[2:],
+        lines + ["% after the last entry\n"],
+        lines[:9] + ["  % indented\n", "\n", "\t\n", "%\n"] + lines[9:],
+        [line + "%\n" if k > 1 and k % 7 == 0 else line for k, line in enumerate(lines)],
+    ]
+    want = read_outcome(read_matrix_market, plain.getvalue())
+    monkeypatch.setattr(data_io, "_scan_entries", no_scan)
+    for variant in variants:
+        assert read_outcome(read_matrix_market, "".join(variant)) == want
+        # a source that cannot seek is parsed again from its lines
+        assert read_outcome(lambda stream: read_matrix_market(iter(list(stream))),
+                            "".join(variant)) == want
 
 
 @pytest.mark.parametrize("entry, value", [

@@ -1,8 +1,13 @@
-"""Sparse objective kernels against dense oracles."""
+"""Sparse objective kernels against dense oracles and the fancy-index
+loops they replace."""
+
+import dataclasses
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from _geometry import random_horizontal
@@ -17,6 +22,7 @@ from r3mc import (
     NonDescentDirectionError,
     ObservedEntries,
     PointEvaluation,
+    SingularMatrixError,
     SolverConfig,
     SparseResidual,
     SyntheticSpec,
@@ -421,3 +427,263 @@ def test_cg_solve_evaluates_each_trial_point_once(monkeypatch):
     assert sum(row.backtracks for row in trace.rows) > 0
     assert counts["trial_points"] == trace.iterations + sum(r.backtracks for r in trace.rows)
     assert counts["masked_values"] == counts["trial_points"] + 1
+
+
+# --- the row-side np.repeat kernels against the fancy-index loops they replace
+
+
+def reference_gather_sum(left, right, rows, cols):
+    vals = np.zeros(rows.size)
+    for a, b in zip(np.ascontiguousarray(left), np.ascontiguousarray(right)):
+        vals += a[rows] * b[cols]
+    return vals
+
+
+def reference_masked_values(x, entries):
+    """``masked_values`` as a fancy-index gather on both sides, kept as the reference."""
+    if x.n != entries.n or x.m != entries.m:
+        raise DimensionError("point shape does not match the pattern grid")
+    vals = reference_gather_sum((x.U @ x.R).T, x.V.T, entries.rows, entries.cols)
+    problem_module.op_counter.add(2 * entries.count * x.r)
+    return vals
+
+
+def reference_direction_values(x, xi, entries):
+    """``direction_values`` as a fancy-index gather, kept as the reference."""
+    left = np.hstack([xi.dU @ x.R + x.U @ xi.dR, x.U @ x.R])
+    right = np.hstack([x.V, xi.dV])
+    vals = reference_gather_sum(left.T, right.T, entries.rows, entries.cols)
+    problem_module.op_counter.add(4 * entries.count * x.r)
+    return vals
+
+
+def reference_sparse_apply(s, dense, transpose=False):
+    """``sparse_apply`` with fancy-index gathers, kept as the reference."""
+    pat = s.pattern
+    dense = np.asarray(dense, dtype=np.float64)
+    if transpose:
+        out_idx, in_idx, size, in_size = pat.cols, pat.rows, pat.m, pat.n
+    else:
+        out_idx, in_idx, size, in_size = pat.rows, pat.cols, pat.n, pat.m
+    if dense.shape[0] != in_size:
+        raise DimensionError("dense operand must have %d rows" % in_size)
+    columns = np.ascontiguousarray(dense.T)
+    out = np.empty((dense.shape[1], size))
+    for j, column in enumerate(columns):
+        out[j] = np.bincount(out_idx, weights=s.vals * column[in_idx], minlength=size)
+    problem_module.op_counter.add(2 * pat.count * dense.shape[1])
+    return out.T
+
+
+def reference_outer_values(a, b, entries):
+    """``outer_values`` (the exact-scale direction of ``rank_one_update``)
+    as a fancy-index gather, kept as the reference."""
+    return a[entries.rows] * b[entries.cols]
+
+
+REFERENCE_KERNELS = {
+    "masked_values": reference_masked_values,
+    "direction_values": reference_direction_values,
+    "sparse_apply": reference_sparse_apply,
+    "outer_values": reference_outer_values,
+}
+
+
+def assert_same_bits(got, want):
+    """Equal shape, dtype and bytes: stricter than np.array_equal, which
+    takes -0.0 for 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(got, want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def kernel_patterns(draw, min_side=1):
+    """Patterns on grids up to 13 x 13, 1 x m and n x 1 among them unless
+    ``min_side`` rules them out: random cells (empty rows and columns
+    included, and the empty pattern), all entries in one row, or power-law
+    row degrees over shuffled rows.  Values mix normals with zeros of both
+    signs and subnormals."""
+    sides = st.tuples(st.integers(min_side, 13), st.integers(min_side, 13))
+    if min_side == 1:
+        sides = st.sampled_from([(1, 1), (1, 12), (12, 1)]) | sides
+    n, m = draw(sides)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "one row", "power law"]))
+    if kind == "uniform":
+        cells = rng.choice(n * m, size=draw(st.integers(0, n * m)), replace=False)
+    elif kind == "one row":
+        cells = rng.integers(n) * m + rng.choice(m, size=rng.integers(1, m + 1), replace=False)
+    else:
+        degrees = rng.permutation((m / np.arange(1, n + 1) ** 1.5).astype(np.int64))
+        cells = np.concatenate([i * m + rng.choice(m, size=d, replace=False)
+                                for i, d in enumerate(degrees)])
+    rows, cols = np.divmod(np.asarray(cells, dtype=np.int64), m)
+    return ObservedEntries(n, m, rows, cols, special_values(rng, rows.size))
+
+
+def special_values(rng, shape):
+    """Standard normals with about a quarter replaced by 0.0, -0.0 or a subnormal."""
+    vals = rng.standard_normal(shape)
+    special = rng.random(shape) < 0.25
+    vals[special] = rng.choice([0.0, -0.0, 5e-324, -2.5e-310], size=np.count_nonzero(special))
+    return vals
+
+
+@given(e=kernel_patterns(), rank=st.integers(1, 13), seed=st.integers(0, 2**20))
+def test_gathers_match_the_fancy_index_loops_bit_for_bit(e, rank, seed):
+    r = min(rank, e.n, e.m)
+    x = random_point(e.n, e.m, r, seed)
+    xi = random_horizontal(x, seed + 1)
+    reset_op_count()
+    got = masked_values(x, e), direction_values(x, xi, e)
+    flops = op_count()
+    reset_op_count()
+    want = reference_masked_values(x, e), reference_direction_values(x, xi, e)
+    assert op_count() == flops
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+    rng = np.random.default_rng(seed)
+    a, b = special_values(rng, e.n), special_values(rng, e.m)
+    assert_same_bits(problem_module.outer_values(a, b, e), reference_outer_values(a, b, e))
+
+
+@given(e=kernel_patterns(), rank=st.integers(2, 13), seed=st.integers(0, 2**20))
+def test_sparse_apply_matches_the_fancy_index_loop_bit_for_bit(e, rank, seed):
+    rng = np.random.default_rng(seed)
+    s = SparseResidual(e, special_values(rng, e.count))
+    for k in (1, rank):
+        for transpose, size in ((False, e.m), (True, e.n)):
+            dense = special_values(rng, (size, k))
+            reset_op_count()
+            got = sparse_apply(s, dense, transpose)
+            flops = op_count()
+            reset_op_count()
+            assert_same_bits(got, reference_sparse_apply(s, dense, transpose))
+            assert op_count() == flops
+
+
+def test_row_counts_are_lazy_and_read_only():
+    # a pattern on a grid too tall for an n-array of counts builds and sorts
+    tall = ObservedEntries(2**62, 2, [2**62 - 1, 0], [1, 0], [1.0, 2.0])
+    assert "row_counts" not in vars(tall)
+    e = ObservedEntries(4, 3, [3, 0, 3, 1], [0, 2, 2, 1], [1.0, 2.0, 3.0, 4.0])
+    assert e.row_counts.tolist() == [1, 1, 0, 2]
+    assert e.row_counts is e.row_counts
+    with pytest.raises(ValueError):
+        e.row_counts[0] = 5
+    assert ObservedEntries(3, 3, [], [], []).row_counts.tolist() == [0, 0, 0]
+
+
+@given(e=kernel_patterns(min_side=2), seed=st.integers(0, 2**20))
+def test_rank_one_update_exact_scale_matches_the_fancy_index_direction(e, seed):
+    assume(np.any(e.vals))
+    r = min(e.n, e.m) - 1
+    p = CompletionProblem(e, r)
+    x = random_point(e.n, e.m, r, seed)
+    outcomes = []
+    for kernels in ({}, {"outer_values": reference_outer_values}):
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for name, kernel in kernels.items():
+                mp.setattr(solver_module, name, kernel)
+            try:
+                y = solver_module.rank_one_update(p, x, seed, exact_scale=True)
+            except (DegenerateDirectionError, SingularMatrixError) as exc:
+                outcomes.append(repr(exc))
+            else:
+                outcomes.append(tuple(f.tobytes() for f in (y.U, y.R, y.V)))
+    assert outcomes[0] == outcomes[1]
+
+
+def kernel_calls():
+    """Reference kernels that count their calls, by kernel name."""
+    calls = dict.fromkeys(REFERENCE_KERNELS, 0)
+
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return call
+
+    return calls, {name: counted(name, k) for name, k in REFERENCE_KERNELS.items()}
+
+
+def run_both_ways(fn):
+    """fn() as shipped and with the reference kernels patched into every
+    r3mc namespace that holds a shipped kernel (as perfbench/tracer.py
+    patches its wrappers), each with the flop count and the warnings it
+    gave; the second result also carries the reference kernels' calls."""
+    results = []
+    for patched in (False, True):
+        calls, kernels = kernel_calls()
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            if patched:
+                for name, kernel in kernels.items():
+                    shipped = getattr(problem_module, name)
+                    for key, mod in list(sys.modules.items()):
+                        if ((key == "r3mc" or key.startswith("r3mc."))
+                                and mod.__dict__.get(name) is shipped):
+                            mp.setattr(mod, name, kernel)
+            reset_op_count()
+            out = fn()
+            results.append((out, op_count(), [str(w.message) for w in seen]))
+    return results[0], results[1], calls
+
+
+def trace_rows(trace):
+    """A trace's rows with the wall-clock field cleared, its start cost and reason."""
+    return ([dataclasses.replace(row, time_s=0.0) for row in trace.rows],
+            trace.initial_cost, trace.reason)
+
+
+def factor_bytes(x):
+    return tuple(np.ascontiguousarray(f).tobytes() for f in (x.U, x.R, x.V))
+
+
+@pytest.mark.parametrize("condition_number", [1.0, 100.0])
+def test_cold_solve_is_byte_identical_to_the_reference_kernels(condition_number):
+    p, _ = synthesize(SyntheticSpec(40, 50, 4, 3.0, condition_number=condition_number), 3)
+    x0 = random_point(40, 50, 4, 4)
+
+    def solve():
+        x, trace = cg_solve(p, x0, SolverConfig(max_iterations=40))
+        return factor_bytes(x), trace_rows(trace)
+
+    shipped, reference, calls = run_both_ways(solve)
+    assert shipped == reference
+    assert calls["masked_values"] and calls["direction_values"] and calls["sparse_apply"]
+
+
+def test_homotopy_with_validation_is_byte_identical_to_the_reference_kernels():
+    from r3mc import RankSchedule, rank_incremental_solve, split_train_val_test
+
+    p, _ = synthesize(SyntheticSpec(36, 44, 3, 5.0, condition_number=10.0), 8)
+    train, val, _ = split_train_val_test(p.entries, (0.8, 0.2, 0.0), 9)
+    problem = CompletionProblem(train, 3)
+
+    def homotopy():
+        x, steps = rank_incremental_solve(problem, RankSchedule(max_rank=3, validation=val),
+                                          SolverConfig(max_iterations=30), seed=2)
+        return factor_bytes(x), [(s.rank, s.validation_mse, trace_rows(s.trace))
+                                 for s in steps]
+
+    shipped, reference, calls = run_both_ways(homotopy)
+    assert shipped == reference
+    assert len(shipped[0][1]) == 3
+    assert calls["outer_values"] == 2 and calls["masked_values"] and calls["sparse_apply"]
+
+
+def test_warm_start_is_byte_identical_to_the_reference_kernels():
+    from r3mc import truncated_warm_start
+
+    p, _ = synthesize(SyntheticSpec(30, 48, 3, 4.0), 12)
+
+    def warm():
+        return factor_bytes(truncated_warm_start(p, 16, SolverConfig(max_iterations=30), 5))
+
+    shipped, reference, calls = run_both_ways(warm)
+    assert shipped == reference
+    assert calls["sparse_apply"] and calls["masked_values"]
