@@ -56,6 +56,7 @@ from .solver import (
     TraceRow,
     ValidationMonitor,
     cg_solve,
+    cost_plateau,
     early_stopped_solve,
     initial_rank_one_point,
     pr_plus_beta,

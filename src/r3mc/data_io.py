@@ -41,15 +41,15 @@ class SyntheticSpec:
             raise ConfigError("dimensions must be positive")
         if not 1 <= self.rank <= min(self.n, self.m):
             raise ConfigError("rank must lie in [1, min(n, m)]")
-        if self.oversampling <= 0:
-            raise ConfigError("oversampling must be positive")
+        if not 0.0 < self.oversampling < np.inf:
+            raise ConfigError("oversampling must be positive and finite")
         if self.count > self.n * self.m:
             raise ConfigError(
                 "oversampling %.3g needs %d entries, grid has only %d"
                 % (self.oversampling, self.count, self.n * self.m)
             )
-        if self.condition_number is not None and self.condition_number < 1.0:
-            raise ConfigError("condition number must be at least 1")
+        if self.condition_number is not None and not 1.0 <= self.condition_number < np.inf:
+            raise ConfigError("condition number must be finite and at least 1")
 
     @property
     def count(self):
@@ -70,8 +70,8 @@ def synth_conditioned(n, m, rank, condition_number, seed):
     Singular values are geometrically spaced from 1/CN up to 1, so the
     product has condition number exactly CN (all ones when CN = 1).
     """
-    if condition_number < 1.0:
-        raise ConfigError("condition number must be at least 1")
+    if not 1.0 <= condition_number < np.inf:
+        raise ConfigError("condition number must be finite and at least 1")
     if rank == 1 and condition_number > 1.0:
         raise ConfigError("a rank-one matrix cannot have condition number above 1")
     rng = CounterRng(seed)
@@ -241,12 +241,12 @@ def _subset(entries, idx):
 def split_train_val_test(entries, fractions, seed):
     """Random disjoint split covering all entries.
 
-    ``fractions`` are three nonnegative numbers summing to one; the
+    ``fractions`` are three finite nonnegative numbers summing to one; the
     split sizes match them to within a single entry.
     """
     f = tuple(float(v) for v in fractions)
-    if len(f) != 3 or any(v < 0 for v in f):
-        raise ConfigError("fractions must be three nonnegative numbers")
+    if len(f) != 3 or not all(0.0 <= v < np.inf for v in f):
+        raise ConfigError("fractions must be three finite nonnegative numbers")
     if abs(sum(f) - 1.0) > 1e-9:
         raise ConfigError("fractions must sum to one")
     total = entries.count

@@ -9,7 +9,6 @@ linearized objective and backtrack under the Armijo rule.
 
 import time
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +47,10 @@ REASON_COST = "cost_tolerance"
 REASON_GRADIENT = "gradient_tolerance"
 REASON_MAX_ITERATIONS = "max_iterations"
 REASON_STALL = "line_search_stall"
-REASON_MONITOR = "monitor_stop"
+REASON_PLATEAU = "cost_plateau"
+REASON_VALIDATION = "validation_rise"
 
-CONVERGED_REASONS = (REASON_COST, REASON_GRADIENT, REASON_MONITOR)
+CONVERGED_REASONS = (REASON_COST, REASON_GRADIENT, REASON_PLATEAU, REASON_VALIDATION)
 
 # straight rises of the validation error that stop an early-stopped solve
 VALIDATION_WINDOW = 5
@@ -79,8 +79,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least one")
-        if self.cost_tolerance < 0 or self.gradient_norm_tolerance < 0:
-            raise ConfigError("tolerances must be nonnegative")
+        if not (0.0 <= self.cost_tolerance < np.inf
+                and 0.0 <= self.gradient_norm_tolerance < np.inf):
+            raise ConfigError("tolerances must be finite and nonnegative")
         if not 0.0 < self.armijo_slope < 1.0:
             raise ConfigError("armijo_slope must lie in (0, 1)")
         if not 0.0 < self.backtrack_factor < 1.0:
@@ -152,7 +153,7 @@ def _armijo_search(problem, ev, eta, slope, s0, config):
     return None
 
 
-def cg_solve(problem, x0, config=SolverConfig(), monitor=None):
+def cg_solve(problem, x0, config=SolverConfig(), stops=()):
     """Minimize the completion objective from x0 at the problem's rank.
 
     Parameters
@@ -161,16 +162,18 @@ def cg_solve(problem, x0, config=SolverConfig(), monitor=None):
     x0 : FixedRankPoint
         Start point; its rank must equal ``problem.rank``.
     config : SolverConfig
-    monitor : callable, optional
-        Called as ``monitor(iteration, point, cost)`` after each accepted
-        step; returning True stops the solve with reason "monitor_stop".
+    stops : sequence of callables
+        Stop rules, asked in order as ``rule(trace, point)`` after each
+        accepted step.  A rule returns its reason or None; the first
+        reason ends the solve and the later rules are not asked.
 
     Returns
     -------
     (FixedRankPoint, SolverTrace)
         The best iterate found and the per-iteration trace.  The trace
         reason is one of cost_tolerance, gradient_tolerance,
-        max_iterations, line_search_stall, monitor_stop.
+        max_iterations, line_search_stall, or the reason of the stop
+        rule that fired.
     """
     if x0.n != problem.n or x0.m != problem.m:
         raise DimensionError("start point does not match the problem grid")
@@ -243,8 +246,8 @@ def cg_solve(problem, x0, config=SolverConfig(), monitor=None):
                 time_s=time.perf_counter() - t0,
             )
         )
-        if monitor is not None and monitor(trace.iterations, x, f):
-            trace.reason = REASON_MONITOR
+        trace.reason = next(filter(None, (rule(trace, x) for rule in stops)), "")
+        if trace.reason:
             break
 
     return x, trace
@@ -403,21 +406,22 @@ def check_validation(train, validation):
 
 
 class ValidationMonitor:
-    """``cg_solve`` monitor that stops after ``VALIDATION_WINDOW`` straight
-    rises of the validation error and keeps the iterate where it was lowest."""
+    """``cg_solve`` stop rule: "validation_rise" after ``VALIDATION_WINDOW``
+    straight rises of the validation error.  Keeps the iterate where that
+    error was lowest."""
 
     def __init__(self, validation):
         self.validation = validation
         self.best, self.best_x, self.prev, self.rises = np.inf, None, np.inf, 0
         self.last_x = None
 
-    def __call__(self, iteration, x, f):
+    def __call__(self, trace, x):
         v = mean_squared_error(x, self.validation)
         if v < self.best:
             self.best, self.best_x = v, x
         self.rises = self.rises + 1 if v > self.prev else 0
         self.prev, self.last_x = v, x
-        return self.rises >= VALIDATION_WINDOW
+        return REASON_VALIDATION if self.rises >= VALIDATION_WINDOW else None
 
     def best_point(self, x):
         """(point, validation MSE): the best monitored iterate, or x if no
@@ -427,42 +431,34 @@ class ValidationMonitor:
 
 
 def early_stopped_solve(problem, x0, config=SolverConfig(), validation=None,
-                        monitor=None):
+                        stops=()):
     """``cg_solve``, early-stopped on a validation pattern when one is given.
 
-    With ``validation`` a ``ValidationMonitor`` stops the solve after
-    ``VALIDATION_WINDOW`` straight rises of the validation error, and the
-    returned point is the iterate where that error was lowest.
-    ``monitor`` is a further stop rule with ``cg_solve``'s protocol.
+    With ``validation`` a ``ValidationMonitor`` is asked first, ahead of
+    the further ``stops``; it ends the solve after ``VALIDATION_WINDOW``
+    straight rises of the validation error, and the returned point is the
+    iterate where that error was lowest.
 
     Returns (point, trace, validation MSE of the point, or None without
     validation).
     """
     if validation is None:
-        x, trace = cg_solve(problem, x0, config, monitor=monitor)
+        x, trace = cg_solve(problem, x0, config, stops)
         return x, trace, None
     tracker = ValidationMonitor(validation)
-
-    def stop(iteration, x, f):
-        return tracker(iteration, x, f) or (
-            monitor is not None and monitor(iteration, x, f))
-
-    x, trace = cg_solve(problem, x0, config, monitor=stop)
+    x, trace = cg_solve(problem, x0, config, (tracker, *stops))
     x, val = tracker.best_point(x)
     return x, trace, val
 
 
-def _cost_plateau():
-    """``cg_solve`` monitor that stops once the cost fell by at most
+def cost_plateau(trace, x):
+    """``cg_solve`` stop rule: "cost_plateau" once the cost fell by at most
     ``PLATEAU_TOL``, relatively, over the last ``PLATEAU_WINDOW`` iterations."""
-    recent = deque(maxlen=PLATEAU_WINDOW + 1)
-
-    def monitor(iteration, x, f):
-        recent.append(f)
-        return len(recent) == recent.maxlen and (
-            recent[0] - f <= PLATEAU_TOL * max(recent[0], 1e-300))
-
-    return monitor
+    if trace.iterations > PLATEAU_WINDOW:
+        old = trace.rows[-PLATEAU_WINDOW - 1].cost
+        if old - trace.final_cost <= PLATEAU_TOL * max(old, 1e-300):
+            return REASON_PLATEAU
+    return None
 
 
 @dataclass(frozen=True)
@@ -478,8 +474,8 @@ def rank_incremental_solve(problem, schedule, config=SolverConfig(), seed=0):
     """Homotopy over ranks: solve, grow by one, repeat.
 
     Starts from the rank-one initializer, runs ``early_stopped_solve`` on
-    ``schedule.validation`` with a cost-plateau stop at each rank from one
-    up to ``schedule.max_rank``, and grows through ``rank_one_update``.
+    ``schedule.validation`` with the ``cost_plateau`` rule at each rank from
+    one up to ``schedule.max_rank``, and grows through ``rank_one_update``.
     With a validation pattern the homotopy stops once a rank's validation
     error exceeds the previous rank's, and returns the point of the first
     rank with the lowest error; without one it returns the last point.
@@ -497,7 +493,7 @@ def rank_incremental_solve(problem, schedule, config=SolverConfig(), seed=0):
         prob_r = CompletionProblem(problem.entries, r)
         try:
             x, trace, val = early_stopped_solve(
-                prob_r, x, config, schedule.validation, _cost_plateau())
+                prob_r, x, config, schedule.validation, (cost_plateau,))
         except SingularMatrixError:
             # the grown direction sits below the numerical noise of the
             # previous fit, so the schedule is exhausted, not broken

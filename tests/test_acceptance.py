@@ -474,7 +474,7 @@ def test_11_ratings_protocol_reaches_the_reference_error():
     x0 = random_point(problem.n, problem.m, 5, 1)
     config = SolverConfig(max_iterations=1000)
     monitor = ValidationMonitor(val)
-    x, trace = cg_solve(problem, x0, config, monitor=monitor)
+    x, trace = cg_solve(problem, x0, config, (monitor,))
     x, _ = monitor.best_point(x)
     assert mean_squared_error(x, test) <= 0.80
     assert time.perf_counter() - t0 < 600.0, "ratings protocol overran its budget"

@@ -215,6 +215,19 @@ def test_complete_homotopy_reports_per_rank_results(tmp_path, capsys):
     assert doc["result"]["test_mse"] is not None
 
 
+def test_complete_homotopy_names_the_cost_plateau(tmp_path, capsys):
+    # no rank-one point fits rank-two data, so the homotopy's one rank
+    # ends on the cost plateau, a stop that counts as solved
+    data, _ = write_problem(tmp_path, n=30, m=30, rank=2, ratio=5.0, seed=1)
+    report = tmp_path / "plateau.json"
+    code = run_cli("complete", "--data", str(data), "--rank-updates", "1",
+                   "--seed", "6", "--report", str(report))
+    assert code == 0
+    result = json.loads(report.read_text())["result"]
+    assert (result["reason"], result["exit_code"]) == ("cost_plateau", 0)
+    assert capsys.readouterr().out.startswith("reason=cost_plateau ")
+
+
 def test_complete_warm_start_option(tmp_path):
     data, _ = write_problem(tmp_path, n=30, m=60, rank=2, ratio=5.0, seed=7)
     report = tmp_path / "warm.json"
@@ -262,16 +275,16 @@ def test_complete_val_returns_the_best_validation_iterate(tmp_path):
                    "--report", str(report))
     assert code == 0
     result = json.loads(report.read_text())["result"]
-    assert result["reason"] == "monitor_stop"
+    assert result["reason"] == "validation_rise"
 
     # replay the same iterates and score each one on the validation set
     history = []
 
-    def record(iteration, x, f):
+    def record(trace, x):
         history.append(mean_squared_error(x, val))
 
     cg_solve(CompletionProblem(train, 5), random_point(30, 30, 5, 3),
-             SolverConfig(max_iterations=result["iterations"]), monitor=record)
+             SolverConfig(max_iterations=result["iterations"]), (record,))
     assert len(history) == result["iterations"]
     assert min(history) < history[-1]
     assert result["validation_mse"] == min(history)
@@ -298,7 +311,7 @@ def test_complete_report_counts_only_the_solves_sparse_work(tmp_path):
     reset_op_count()
     monitor = ValidationMonitor(read_matrix_market(tmp_path / "val.mtx"))
     x, trace = cg_solve(CompletionProblem(train, 3), random_point(40, 30, 3, 4),
-                        SolverConfig(max_iterations=60), monitor=monitor)
+                        SolverConfig(max_iterations=60), (monitor,))
     monitor.best_point(x)
     assert trace.iterations == result["iterations"]
     assert result["sparse_flops"] == op_count()
@@ -670,3 +683,30 @@ def test_entry_count_beyond_the_grid_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "error: line 2: 4000000000000 entries exceed the 3 x 3 grid\n")
+
+
+@pytest.mark.parametrize("command, option, value, quantity", [
+    ("synth", "--os", "nan", "oversampling"),
+    ("synth", "--os", "inf", "oversampling"),
+    ("synth", "--cn", "nan", "condition number"),
+    ("synth", "--cn", "inf", "condition number"),
+    ("movielens-prep", "--fractions", "nan,0.5,0.5", "fractions"),
+    ("complete", "--cost-tol", "nan", "tolerances"),
+    ("complete", "--grad-tol", "nan", "tolerances"),
+    ("complete", "--cost-tol", "inf", "tolerances"),
+])
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, option, value,
+                                             quantity):
+    if command == "synth":
+        argv = ["--n", "10", "--m", "10", "--rank", "2", "--os", "2", "--seed", "0",
+                "--out", str(tmp_path / "out")]
+    elif command == "movielens-prep":
+        argv = ["--ratings", str(write_ratings(tmp_path)), "--seed", "0",
+                "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = ["--data", str(write_problem(tmp_path)[0]), "--rank", "2", "--seed", "0",
+                "--report", str(tmp_path / "out" / "report.json")]
+    assert run_cli(command, *argv, option, value) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and quantity in lines[0]
+    assert not (tmp_path / "out").exists()

@@ -17,11 +17,14 @@ from r3mc import (
     ObservedEntries,
     RankSchedule,
     SolverConfig,
+    SolverTrace,
     SparseResidual,
     SyntheticSpec,
+    TraceRow,
     ValidationMonitor,
     cg_solve,
     cost,
+    cost_plateau,
     early_stopped_solve,
     initial_rank_one_point,
     masked_values,
@@ -74,6 +77,11 @@ def test_solver_config_rejects_bad_values():
         SolverConfig(cost_tolerance=-1.0)
     with pytest.raises(ConfigError):
         SolverConfig(gradient_norm_tolerance=-1e-3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            SolverConfig(cost_tolerance=bad)
+        with pytest.raises(ConfigError):
+            SolverConfig(gradient_norm_tolerance=bad)
     with pytest.raises(ConfigError):
         SolverConfig(armijo_slope=0.0)
     with pytest.raises(ConfigError):
@@ -151,10 +159,11 @@ def test_cg_solve_monitor_stop():
     x, trace = cg_solve(
         problem,
         random_point(30, 30, 2, 10),
-        monitor=lambda iteration, point, f: iteration >= 3,
+        stops=(lambda trace, point: "third" if trace.iterations >= 3 else None,),
     )
     assert trace.iterations == 3
-    assert trace.reason == "monitor_stop"
+    assert trace.reason == "third"
+    assert not trace.converged
 
 
 def test_cg_solve_budget_exhaustion():
@@ -360,7 +369,7 @@ def test_validation_monitor_reuses_the_score_of_its_last_iterate(monkeypatch):
     val, _ = make_problem(30, 30, 2, 0.5, 58)  # any pattern on the grid will do
     monitor = ValidationMonitor(val.entries)
     x, trace = cg_solve(problem, random_point(30, 30, 2, 3), SolverConfig(max_iterations=8),
-                        monitor=monitor)
+                        (monitor,))
     assert trace.iterations >= 1
     calls = count_calls(monkeypatch, solver_module, "mean_squared_error")
     best, v = monitor.best_point(x)
@@ -382,20 +391,84 @@ def train_and_validation(n, m, r, train_count, val_count, seed, noise):
             ObservedEntries(n, m, rows[train_count:], cols[train_count:], vals[train_count:]))
 
 
-def hand_attached_validation(problem, x0, config, validation):
-    """Oracle: a validated solve as callers wrote it before ``early_stopped_solve``."""
+# The oracle of the stop rules is the protocol they replaced: one callback
+# ``monitor(iteration, point, cost) -> bool`` per solve, whose True ended the
+# solve as "monitor_stop", whichever rule inside it fired.
+MONITOR_STOP = "monitor_stop"
+
+
+def monitored_solve(problem, x0, config, monitor=None):
+    """``cg_solve`` under the monitor protocol, through a stop-rule adapter."""
+    if monitor is None:
+        return cg_solve(problem, x0, config)
+
+    def rule(trace, x):
+        return MONITOR_STOP if monitor(trace.iterations, x, trace.final_cost) else None
+
+    return cg_solve(problem, x0, config, (rule,))
+
+
+class MonitorProtocolValidation:
+    """``ValidationMonitor`` as the monitor protocol wrote it."""
+
+    def __init__(self, validation):
+        self.validation = validation
+        self.best, self.best_x, self.prev, self.rises = np.inf, None, np.inf, 0
+        self.last_x = None
+
+    def __call__(self, iteration, x, f):
+        v = mean_squared_error(x, self.validation)
+        if v < self.best:
+            self.best, self.best_x = v, x
+        self.rises = self.rises + 1 if v > self.prev else 0
+        self.prev, self.last_x = v, x
+        return self.rises >= solver_module.VALIDATION_WINDOW
+
+    def best_point(self, x):
+        v = self.prev if x is self.last_x else mean_squared_error(x, self.validation)
+        return (self.best_x, self.best) if self.best < v else (x, v)
+
+    def fired(self):
+        """The rule a "monitor_stop" names: validation when its window is
+        full (it is asked first), else the cost plateau."""
+        return "validation_rise" if self.rises >= solver_module.VALIDATION_WINDOW \
+            else "cost_plateau"
+
+
+def monitor_protocol_plateau():
+    """``cost_plateau`` as the monitor protocol wrote it, over its own deque."""
+    recent = deque(maxlen=solver_module.PLATEAU_WINDOW + 1)
+
+    def monitor(iteration, x, f):
+        recent.append(f)
+        return len(recent) == recent.maxlen and (
+            recent[0] - f <= solver_module.PLATEAU_TOL * max(recent[0], 1e-300))
+
+    return monitor
+
+
+def monitor_protocol_early_stopped_solve(problem, x0, config, validation=None,
+                                         monitor=None):
+    """Oracle: ``early_stopped_solve`` composed under the monitor protocol.
+    Returns (point, trace, validation MSE, the rule a "monitor_stop" names)."""
     if validation is None:
-        x, trace = cg_solve(problem, x0, config)
-        return x, trace, None
-    monitor = ValidationMonitor(validation)
-    x, trace = cg_solve(problem, x0, config, monitor=monitor)
-    x, val_mse = monitor.best_point(x)
-    return x, trace, val_mse
+        x, trace = monitored_solve(problem, x0, config, monitor)
+        return x, trace, None, "cost_plateau"
+    tracker = MonitorProtocolValidation(validation)
+
+    def stop(iteration, x, f):
+        return tracker(iteration, x, f) or (
+            monitor is not None and monitor(iteration, x, f))
+
+    x, trace = monitored_solve(problem, x0, config, stop)
+    x, val_mse = tracker.best_point(x)
+    return x, trace, val_mse, tracker.fired()
 
 
 def hand_written_homotopy(problem, schedule, config=SolverConfig(), seed=0):
     """Oracle: the homotopy with its own per-rank monitor and best-point
-    bookkeeping, as it was written before ``early_stopped_solve``."""
+    bookkeeping, as it was written before ``early_stopped_solve``.  Its
+    steps are (rank, trace, validation MSE, the rule a "monitor_stop" names)."""
 
     def rank_monitor(validation):
         recent = deque(maxlen=solver_module.PLATEAU_WINDOW + 1)
@@ -417,13 +490,14 @@ def hand_written_homotopy(problem, schedule, config=SolverConfig(), seed=0):
     best_x, best_val, prev_val = x, np.inf, np.inf
     for r in range(1, schedule.max_rank + 1):
         prob_r = CompletionProblem(problem.entries, r)
-        validation = None if schedule.validation is None else ValidationMonitor(
+        validation = None if schedule.validation is None else MonitorProtocolValidation(
             schedule.validation)
-        solved, trace = cg_solve(prob_r, start, config, monitor=rank_monitor(validation))
-        val = None
+        solved, trace = monitored_solve(prob_r, start, config, rank_monitor(validation))
+        val, fired = None, "cost_plateau"
         if validation is not None:
             solved, val = validation.best_point(solved)
-        steps.append((r, trace, val))
+            fired = validation.fired()
+        steps.append((r, trace, val, fired))
         x = solved
         if val is not None:
             if val < best_val:
@@ -445,16 +519,21 @@ def trace_rows(trace):
 
 def assert_same_point(a, b):
     for fa, fb in zip((a.U, a.R, a.V), (b.U, b.R, b.V)):
-        np.testing.assert_array_equal(fa, fb)
+        assert fa.shape == fb.shape and fa.tobytes() == fb.tobytes()
+
+
+def named_reason(reason, fired):
+    """A monitor-protocol reason with "monitor_stop" named by its rule."""
+    return fired if reason == MONITOR_STOP else reason
 
 
 def test_early_stopped_solve_without_validation_is_cg_solve():
     problem, _ = make_problem(30, 30, 2, 4.0, 61, noise=1e-3)
     x0 = random_point(30, 30, 2, 62)
     config = SolverConfig(max_iterations=40)
-    for monitor in (None, lambda iteration, x, f: iteration >= 7):
-        x, trace, val = early_stopped_solve(problem, x0, config, monitor=monitor)
-        x_ref, trace_ref = cg_solve(problem, x0, config, monitor=monitor)
+    for stops in ((), (lambda trace, x: "seventh" if trace.iterations >= 7 else None,)):
+        x, trace, val = early_stopped_solve(problem, x0, config, stops=stops)
+        x_ref, trace_ref = cg_solve(problem, x0, config, stops)
         assert val is None
         assert_same_point(x, x_ref)
         assert trace_rows(trace) == trace_rows(trace_ref)
@@ -470,16 +549,19 @@ def test_early_stopped_solve_matches_a_hand_attached_validation_monitor(max_iter
     x0 = random_point(30, 30, 5, 64)
     config = SolverConfig(max_iterations=max_iterations)
     x, trace, v = early_stopped_solve(problem, x0, config, val)
-    x_ref, trace_ref, v_ref = hand_attached_validation(problem, x0, config, val)
+    x_ref, trace_ref, v_ref, fired = monitor_protocol_early_stopped_solve(
+        problem, x0, config, val)
     assert_same_point(x, x_ref)
     assert trace_rows(trace) == trace_rows(trace_ref)
-    assert trace.reason == trace_ref.reason
+    assert trace.reason == named_reason(trace_ref.reason, fired)
+    assert v == v_ref
     history = []
     cg_solve(problem, x0, SolverConfig(max_iterations=trace.iterations),
-             monitor=lambda iteration, y, f: history.append(mean_squared_error(y, val)))
+             (lambda trace, y: history.append(mean_squared_error(y, val)),))
     assert v == min(history) == mean_squared_error(x, val)
     if max_iterations == 500:
-        assert trace.reason == "monitor_stop"
+        assert trace_ref.reason == "monitor_stop"
+        assert trace.reason == "validation_rise" and trace.converged
         assert v < history[-1]
 
 
@@ -489,16 +571,16 @@ def test_early_stopped_solve_extra_monitor_stops_a_validated_solve():
     x0 = random_point(30, 30, 5, 64)
     seen = []
 
-    def stop_at_four(iteration, x, f):
-        seen.append(iteration)
-        return iteration >= 4
+    def stop_at_four(trace, x):
+        seen.append(trace.iterations)
+        return "fourth" if trace.iterations >= 4 else None
 
-    x, trace, v = early_stopped_solve(problem, x0, SolverConfig(), val, stop_at_four)
-    assert trace.iterations == 4 and trace.reason == "monitor_stop"
+    x, trace, v = early_stopped_solve(problem, x0, SolverConfig(), val, (stop_at_four,))
+    assert trace.iterations == 4 and trace.reason == "fourth"
     assert seen == [1, 2, 3, 4]
     history = []
     cg_solve(problem, x0, SolverConfig(max_iterations=4),
-             monitor=lambda iteration, y, f: history.append(mean_squared_error(y, val)))
+             (lambda trace, y: history.append(mean_squared_error(y, val)),))
     assert v == min(history) == mean_squared_error(x, val)
 
 
@@ -512,8 +594,75 @@ def test_rank_incremental_solve_matches_the_hand_written_homotopy(validated):
     x_ref, steps_ref = hand_written_homotopy(problem, schedule, config, seed=3)
     assert_same_point(x, x_ref)
     assert [(s.rank, trace_rows(s.trace), s.trace.reason, s.validation_mse)
-            for s in steps] == [(r, trace_rows(t), t.reason, v) for r, t, v in steps_ref]
+            for s in steps] == [(r, trace_rows(t), named_reason(t.reason, fired), v)
+                                for r, t, v, fired in steps_ref]
     assert len(steps) > 1
+
+
+@pytest.mark.parametrize("validated", [False, True])
+def test_rank_incremental_solve_matches_the_monitor_protocol(validated, monkeypatch):
+    # the homotopy's own loop, with each rank solved as the monitor protocol
+    # composed it: the validation monitor or'ed with a deque cost plateau
+    train, val = train_and_validation(40, 40, 3, 500, 150, 65, 0.01)
+    problem = CompletionProblem(train, 3)
+    schedule = RankSchedule(max_rank=5, validation=val if validated else None)
+    config = SolverConfig(max_iterations=200)
+    x, steps = rank_incremental_solve(problem, schedule, config, seed=3)
+    fired = []
+
+    def protocol_solve(prob_r, x0, config, validation, stops):
+        assert stops == (cost_plateau,)
+        x, trace, v, rule = monitor_protocol_early_stopped_solve(
+            prob_r, x0, config, validation, monitor_protocol_plateau())
+        fired.append(rule)
+        return x, trace, v
+
+    monkeypatch.setattr(solver_module, "early_stopped_solve", protocol_solve)
+    x_ref, steps_ref = rank_incremental_solve(problem, schedule, config, seed=3)
+    assert_same_point(x, x_ref)
+    assert len(steps) == len(steps_ref) == len(fired) > 1
+    for s, ref, rule in zip(steps, steps_ref, fired):
+        assert (s.rank, trace_rows(s.trace), s.validation_mse) == (
+            ref.rank, trace_rows(ref.trace), ref.validation_mse)
+        assert s.trace.reason == named_reason(ref.trace.reason, rule)
+    # ranks 1 and 2 end on the rule this case exercises
+    rule = "validation_rise" if validated else "cost_plateau"
+    assert [s.trace.reason for s in steps[:2]] == [rule, rule]
+
+
+def test_validation_rule_is_asked_before_the_further_stops():
+    train, val = train_and_validation(30, 30, 2, 360, 90, 63, 0.05)
+    problem = CompletionProblem(train, 5)
+    x0 = random_point(30, 30, 5, 64)
+    asked = []
+
+    def plateau(trace, x):
+        asked.append(trace.iterations)
+        return cost_plateau(trace, x)
+
+    x, trace, v = early_stopped_solve(problem, x0, SolverConfig(), val, (plateau,))
+    assert trace.reason == "validation_rise"
+    assert asked == list(range(1, trace.iterations))
+
+
+def test_cost_plateau_compares_the_cost_a_window_back():
+    window, tol = solver_module.PLATEAU_WINDOW, solver_module.PLATEAU_TOL
+
+    def trace_of(costs):
+        return SolverTrace(initial_cost=2.0, rows=[
+            TraceRow(k + 1, c, 0.0, 1.0, 0, False, 0.0) for k, c in enumerate(costs)])
+
+    flat = [1.0] * window
+    assert cost_plateau(trace_of(flat), None) is None  # a window spans window + 1 costs
+    assert cost_plateau(trace_of(flat + [1.0 - 0.5 * tol]), None) == "cost_plateau"
+    assert cost_plateau(trace_of(flat + [1.0 - 2.0 * tol]), None) is None
+    # a fall of exactly the tolerance is a plateau (1e-6 * 1e6 is exactly 1.0)
+    assert tol * 1e6 == 1.0
+    assert cost_plateau(trace_of([1e6] * window + [1e6 - 1.0]), None) == "cost_plateau"
+    # the fall counts from exactly window iterations back
+    steady = [1.0] + [1.0 - tol] * (window - 1) + [1.0 - 1.5 * tol]
+    assert cost_plateau(trace_of(steady), None) is None
+    assert cost_plateau(trace_of([5.0] + flat + [1.0]), None) == "cost_plateau"
 
 
 def test_rank_incremental_solve_returns_the_first_rank_with_the_lowest_validation_error(
