@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .data_io import (
     SyntheticSpec,
+    check_fractions,
     parse_movielens,
     read_matrix_market,
     split_train_val_test,
@@ -55,6 +56,7 @@ from .solver import (
     RankSchedule,
     SolverConfig,
     cg_solve,
+    check_same_grid,
     check_validation,
     early_stopped_solve,
     rank_incremental_solve,
@@ -157,14 +159,6 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-def _check_grid(data, test):
-    if (test.n, test.m) != (data.n, data.m):
-        raise ConfigError(
-            "test grid %d x %d does not match the data grid %d x %d"
-            % (test.n, test.m, data.n, data.m)
-        )
-
-
 def _solve(args, problem, validation, config):
     """Run the configured solve; returns (point, traces, rank_steps, reason,
     validation MSE of the point or None)."""
@@ -200,7 +194,7 @@ def cmd_complete(args):
     test = None
     if args.test:
         test = read_matrix_market(args.test)
-        _check_grid(entries, test)
+        check_same_grid("test", test, entries)
 
     config = _solver_config(args)
     reset_op_count()
@@ -290,17 +284,12 @@ def cmd_complete(args):
 
 def _bench_synth_cell(params):
     """Generate, solve from a random point, compare to the ground truth."""
-    spec = SyntheticSpec(
-        n=params["n"], m=params["m"], rank=params["rank"],
-        oversampling=params["os"], condition_number=params["cn"],
-    )
-    problem, (left, right) = synthesize(spec, params["seed"])
-    config = SolverConfig(**params["config"])
+    problem, (left, right) = synthesize(params["spec"], params["seed"])
     t0 = time.perf_counter()
     # synthesize draws from the streams seed and seed + 1; a start on the
     # seed stream would span the generating left factor's column space
-    x0 = random_point(spec.n, spec.m, spec.rank, params["seed"] + 2**32)
-    x, trace = cg_solve(problem, x0, config)
+    x0 = random_point(problem.n, problem.m, problem.rank, params["seed"] + 2**32)
+    x, trace = cg_solve(problem, x0, params["config"])
     diff = x.matrix() - left @ right
     return trace, {"mse": float((diff * diff).mean()),
                    "time_s": time.perf_counter() - t0}
@@ -311,11 +300,10 @@ def _bench_movielens_cell(params):
     train, val, test = split_train_val_test(
         params["entries"], params["fractions"], params["seed"]
     )
-    config = SolverConfig(**params["config"])
     t0 = time.perf_counter()
     problem = CompletionProblem(train, params["rank"])
     x0 = random_point(problem.n, problem.m, problem.rank, params["seed"])
-    x, trace, val_mse = early_stopped_solve(problem, x0, config,
+    x, trace, val_mse = early_stopped_solve(problem, x0, params["config"],
                                             val if val.count else None)
     scores = {} if val_mse is None else {"val_mse": val_mse}
     if test.count:
@@ -386,15 +374,15 @@ def _write_rows_csv(fh, header, rows):
 
 
 def cmd_bench(args):
-    common = {"config": asdict(_solver_config(args)),
-              "deterministic": args.deterministic}
-    # each protocol supplies its cell, run columns, constant columns,
-    # sweep axes, seeds, count column and summarized (column, label) pairs
+    common = {"config": _solver_config(args), "deterministic": args.deterministic}
+    # each protocol checks its values before any run and supplies its cell, run
+    # columns, constant columns, sweep axes, specs, seeds, count column and
+    # summarized (column, label) pairs
     if args.movielens:
         if args.ranks is None:
             raise ConfigError("--movielens needs --ranks")
         axes = {"rank": _distinct("--ranks", _int_list(args.ranks))}
-        common["fractions"] = tuple(_float_list(args.fractions))
+        common["fractions"] = check_fractions(_float_list(args.fractions))
         seeds = _distinct("--seeds", _int_list(args.seeds or ""))
         if not seeds:
             raise ConfigError("--movielens needs --seeds")
@@ -404,7 +392,10 @@ def cmd_bench(args):
         if args.splits < 1:
             raise ConfigError("--splits must be at least 1")
         seeds = range(seeds[0], seeds[0] + args.splits)
-        common["entries"] = to_entries(parse_movielens(args.movielens))
+        entries = common["entries"] = to_entries(parse_movielens(args.movielens))
+        for rank in axes["rank"]:
+            CompletionProblem(entries, rank)  # raises unless the rank fits the grid
+        specs = {}
         cell, constants, count_column = _bench_movielens_cell, {}, "splits"
         run_header = ["rank", "seed", "iterations", "final_cost", "val_mse",
                       "test_mse", "reason", "time_s", "error"]
@@ -419,6 +410,8 @@ def cmd_bench(args):
         cns = [None] if args.cn is None else _distinct("--cn", _float_list(args.cn))
         axes = {"rank": _distinct("--ranks", _int_list(args.ranks)),
                 "os": _distinct("--os", _float_list(args.os)), "cn": cns}
+        specs = {point: SyntheticSpec(args.n, args.m, *point)
+                 for point in itertools.product(*axes.values())}
         seeds = _distinct("--seeds", _int_list(args.seeds))
         constants = {"n": args.n, "m": args.m}
         common.update(constants)
@@ -428,7 +421,7 @@ def cmd_bench(args):
         summarized = (("final_cost", "final_cost"), ("mse", "mse"),
                       ("time_s", "time"))
 
-    tasks = [dict(common, **dict(zip(axes, point)), seed=seed)
+    tasks = [dict(common, **dict(zip(axes, point)), seed=seed, spec=specs.get(point))
              for point in itertools.product(*axes.values()) for seed in seeds]
     rows = _run_tasks(functools.partial(_bench_run, cell, run_header), tasks, args.jobs)
     summary = _summarize(rows, constants, axes, count_column, summarized)

@@ -238,17 +238,24 @@ def _subset(entries, idx):
     )
 
 
-def split_train_val_test(entries, fractions, seed):
-    """Random disjoint split covering all entries.
-
-    ``fractions`` are three finite nonnegative numbers summing to one; the
-    split sizes match them to within a single entry.
-    """
+def check_fractions(fractions):
+    """``fractions`` as a tuple of floats; raises ConfigError unless they
+    are three finite nonnegative numbers summing to one."""
     f = tuple(float(v) for v in fractions)
     if len(f) != 3 or not all(0.0 <= v < np.inf for v in f):
         raise ConfigError("fractions must be three finite nonnegative numbers")
     if abs(sum(f) - 1.0) > 1e-9:
         raise ConfigError("fractions must sum to one")
+    return f
+
+
+def split_train_val_test(entries, fractions, seed):
+    """Random disjoint split covering all entries.
+
+    ``fractions`` pass ``check_fractions``; the split sizes match them to
+    within a single entry.
+    """
+    f = check_fractions(fractions)
     total = entries.count
     perm = CounterRng(seed).permutation(total)
     c1 = int(round(f[0] * total))
@@ -330,12 +337,10 @@ def _read_header(stream, banner, fields):
     return sizes, body
 
 
-def write_matrix_market(target, entries, comments=()):
+def write_matrix_market(target, entries):
     """Write observed entries in the 1-based coordinate format."""
     with _opened(target, "w") as stream:
         stream.write("%%MatrixMarket matrix coordinate real general\n")
-        for c in comments:
-            stream.write("% " + str(c) + "\n")
         stream.write("%d %d %d\n" % (entries.n, entries.m, entries.count))
         stream.writelines(
             "%d %d %r\n" % entry
@@ -473,15 +478,13 @@ def _scan_entries(n, m, nnz, body):
                            np.array(cols, dtype=np.int64), np.array(vals))
 
 
-def write_dense_matrix_market(target, matrix, comments=()):
+def write_dense_matrix_market(target, matrix):
     """Write a dense matrix in the column-major array format."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ConfigError("expected a matrix")
     with _opened(target, "w") as stream:
         stream.write("%%MatrixMarket matrix array real general\n")
-        for c in comments:
-            stream.write("% " + str(c) + "\n")
         stream.write("%d %d\n" % matrix.shape)
         stream.writelines("%r\n" % v for v in matrix.T.ravel().tolist())
 

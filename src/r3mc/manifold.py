@@ -15,7 +15,7 @@ membership conditions (orthonormal U, V, invertible R, tangency and
 horizontality) are checked by each class's ``validate``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,11 +53,13 @@ def _as_factor(name, a, rows=None, cols=None):
 
 @dataclass(frozen=True)
 class FixedRankPoint:
-    """Factor triple (U, R, V) with U, V orthonormal and R invertible."""
+    """Factor triple (U, R, V) with U, V orthonormal and R invertible; the
+    constructor forms the metric's ``weights`` (W1, W2) = (R RT, RT R)."""
 
     U: np.ndarray
     R: np.ndarray
     V: np.ndarray
+    weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "U", _as_factor("U", self.U))
@@ -67,6 +69,7 @@ class FixedRankPoint:
             raise DimensionError("R must be square")
         if self.r > min(self.n, self.m):
             raise DimensionError("rank exceeds min(n, m)")
+        object.__setattr__(self, "weights", (self.R @ self.R.T, self.R.T @ self.R))
 
     @property
     def n(self):
@@ -181,24 +184,25 @@ def tangency_defect(x, triple):
     )
 
 
+def _horizontality_residual(x, du, dr, dv):
+    """(C1, C2) = (Skew(UT dU W1 + R dRT), Skew(VT dV W2 + RT dR)); both
+    vanish exactly on the horizontal space."""
+    w1, w2 = x.weights
+    return skew(x.U.T @ du @ w1 + x.R @ dr.T), skew(x.V.T @ dv @ w2 + x.R.T @ dr)
+
+
 def horizontality_defect(x, triple):
     """Residual of the horizontality conditions
 
         Skew(UT dU R RT + R dRT) = 0 and Skew(VT dV RT R + RT dR) = 0.
     """
     du, dr, dv = triple.triple() if isinstance(triple, TangentTriple) else triple
-    w1 = x.R @ x.R.T
-    w2 = x.R.T @ x.R
-    return max(
-        np.linalg.norm(skew(x.U.T @ du @ w1 + x.R @ dr.T)),
-        np.linalg.norm(skew(x.V.T @ dv @ w2 + x.R.T @ dr)),
-    )
+    return max(np.linalg.norm(c) for c in _horizontality_residual(x, du, dr, dv))
 
 
 def metric(x, xi, eta):
     """Inner product tr(R RT dUxT dUe) + tr(dRxT dRe) + tr(RT R dVxT dVe)."""
-    w1 = x.R @ x.R.T
-    w2 = x.R.T @ x.R
+    w1, w2 = x.weights
     return float(
         np.sum((xi.dU @ w1) * eta.dU)
         + np.sum(xi.dR * eta.dR)
@@ -222,8 +226,7 @@ def project_to_tangent(x, ambient):
     zu = _as_factor("zU", zu, rows=x.n, cols=x.r)
     zr = _as_factor("zR", zr, rows=x.r, cols=x.r)
     zv = _as_factor("zV", zv, rows=x.m, cols=x.r)
-    w1 = x.R @ x.R.T
-    w2 = x.R.T @ x.R
+    w1, w2 = x.weights
     bu = solve_lyapunov_spd(w1, w1 @ (x.U.T @ zu + zu.T @ x.U) @ w1)
     bv = solve_lyapunov_spd(w2, w2 @ (x.V.T @ zv + zv.T @ x.V) @ w2)
     du = zu - x.U @ np.linalg.solve(w1, bu).T
@@ -240,11 +243,7 @@ def project_to_horizontal(x, xi):
     """
     if not isinstance(xi, TangentTriple):
         raise TypeError("project_to_horizontal expects a TangentTriple")
-    w1 = x.R @ x.R.T
-    w2 = x.R.T @ x.R
-    c1 = skew(x.U.T @ xi.dU @ w1 + x.R @ xi.dR.T)
-    c2 = skew(x.V.T @ xi.dV @ w2 + x.R.T @ xi.dR)
-    o1, o2 = solve_coupled_lyapunov(x.R, c1, c2)
+    o1, o2 = solve_coupled_lyapunov(x.R, *_horizontality_residual(x, *xi.triple()))
     return HorizontalVector(
         x,
         xi.dU - x.U @ o1,

@@ -288,8 +288,7 @@ def riemannian_gradient(problem, x):
     s = residual(problem, ev)
     sv = sparse_apply(s, x.V)
     stu = sparse_apply(s, x.U, transpose=True)
-    w1 = x.R @ x.R.T
-    w2 = x.R.T @ x.R
+    w1, w2 = x.weights
     dr = x.U.T @ sv
     t1 = dr @ x.R.T
     t2 = x.V.T @ stu @ x.R

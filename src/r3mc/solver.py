@@ -42,6 +42,7 @@ from .problem import (
     sparse_apply,
 )
 from .rng import CounterRng
+from .smallmat import RANK_TOL
 
 REASON_COST = "cost_tolerance"
 REASON_GRADIENT = "gradient_tolerance"
@@ -389,16 +390,20 @@ class RankSchedule:
             raise ConfigError("max_rank must be at least one")
 
 
+def check_same_grid(name, part, data):
+    """Raise ConfigError unless the ``name`` pattern ``part`` lies on the
+    grid of the ``data`` pattern."""
+    if (part.n, part.m) != (data.n, data.m):
+        raise ConfigError("%s grid %d x %d does not match the data grid %d x %d"
+                          % (name, part.n, part.m, data.n, data.m))
+
+
 def check_validation(train, validation):
     """Raise ConfigError unless ``validation`` can early-stop a solve on
     ``train``: it must be non-empty, on the same grid and disjoint from it."""
     if validation.count == 0:
         raise ConfigError("validation pattern is empty")
-    if (validation.n, validation.m) != (train.n, train.m):
-        raise ConfigError(
-            "validation grid %d x %d does not match the data grid %d x %d"
-            % (validation.n, validation.m, train.n, train.m)
-        )
+    check_same_grid("validation", validation, train)
     lin_train = train.rows * train.m + train.cols
     lin_val = validation.rows * validation.m + validation.cols
     if np.intersect1d(lin_train, lin_val).size:
@@ -595,7 +600,7 @@ def truncated_warm_start(problem, p, config=SolverConfig(), seed=0):
                       RuntimeWarning, stacklevel=2)
     q, t = np.linalg.qr(w)
     sig = np.linalg.svd(t, compute_uv=False)
-    if sig[0] == 0.0 or sig[-1] <= 1e-12 * sig[0]:
+    if sig[0] == 0.0 or sig[-1] <= RANK_TOL * sig[0]:
         raise SingularMatrixError("fitted coefficients are rank deficient")
     x = FixedRankPoint(u, t.T, q)
     return _transpose_point(x) if tall else x

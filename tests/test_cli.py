@@ -12,6 +12,7 @@ from r3mc import (
     CompletionProblem,
     CounterRng,
     ObservedEntries,
+    SingularMatrixError,
     SolverConfig,
     SyntheticSpec,
     ValidationMonitor,
@@ -258,6 +259,30 @@ def test_complete_rejects_mismatched_validation_grid(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["complete", "--test", "other.mtx"],
+     "test grid 20 x 20 does not match the data grid 40 x 40"),
+    (["bench", "--movielens", "ratings.dat", "--seeds", "7"], "--movielens needs --ranks"),
+    (["bench", "--n", "20", "--m", "20", "--ranks", "a,b", "--os", "3", "--seeds", "0"],
+     "expected a comma-separated integer list, got 'a,b'"),
+    (["bench", "--n", "20", "--m", "20", "--ranks", "2", "--os", "x", "--seeds", "0"],
+     "expected a comma-separated number list, got 'x'"),
+])
+def test_usage_errors_print_one_line(tmp_path, capsys, monkeypatch, argv, message):
+    write_problem(tmp_path)
+    write_problem(tmp_path, n=20, m=20, seed=9, name="other.mtx")
+    write_ratings(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "complete":
+        argv = argv + ["--data", "entries.mtx", "--rank", "2", "--seed", "0",
+                       "--report", "out/report.json"]
+    else:
+        argv = argv + ["--out-dir", "out"]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "out").exists()
+
+
 def test_complete_val_returns_the_best_validation_iterate(tmp_path):
     # rank 5 on noisy rank-2 data overfits, so validation error turns up
     # and the solve stops five rises after its best iterate
@@ -363,23 +388,66 @@ def test_bench_synthetic_sweep_and_aggregates(tmp_path, capsys):
                   (("final_cost", "final_cost"), ("mse", "mse"), ("time_s", "time")))
 
 
-def test_bench_isolates_per_run_failures(tmp_path, capsys):
+def test_bench_isolates_per_run_failures(tmp_path, capsys, monkeypatch):
+    # every value of the sweep is valid; the runs at one grid point raise
+    real = cli.synthesize
+
+    def failing(spec, seed):
+        if spec.oversampling == 4.0:
+            raise SingularMatrixError("forced failure")
+        return real(spec, seed)
+
+    monkeypatch.setattr(cli, "synthesize", failing)
     out = tmp_path / "partial"
     code = run_cli(
-        "bench", "--n", "30", "--m", "30", "--ranks", "2", "--os", "3,40",
+        "bench", "--n", "30", "--m", "30", "--ranks", "2", "--os", "3,4",
         "--seeds", "0,1", "--out-dir", str(out), "--deterministic",
     )
     assert code == 0
     assert "4 runs, 2 failed" in capsys.readouterr().out
     runs = read_csv(out / "runs.csv", SYNTH_RUNS_HEADER)
-    bad = [r for r in runs if r["os"] == "40.0"]
-    assert len(bad) == 2 and all("ConfigError" in r["error"] for r in bad)
+    bad = [r for r in runs if r["os"] == "4.0"]
+    assert len(bad) == 2
+    assert all(r["error"] == "SingularMatrixError: forced failure" for r in bad)
     rows = read_csv(out / "summary.csv", SYNTH_SUMMARY_HEADER)
     check_summary(runs, rows, ("rank", "os", "cn"),
                   (("final_cost", "final_cost"), ("mse", "mse"), ("time_s", "time")))
     summary = {row["os"]: row for row in rows}
-    assert summary["40.0"]["failures"] == "2"
+    assert summary["4.0"]["failures"] == "2"
     assert summary["3.0"]["failures"] == "0"
+
+
+@pytest.mark.parametrize("sweep, message", [
+    (["--os", "nan"], "oversampling must be positive and finite"),
+    (["--os", "3,40"], "oversampling 40 needs 3040 entries, grid has only 400"),
+    (["--ranks", "2,30"], "rank must lie in [1, min(n, m)]"),
+    (["--cn", "10,0.5"], "condition number must be finite and at least 1"),
+    # the ratings file is missing: the fractions are checked before it is read
+    (["--movielens", "missing.dat", "--fractions", "nan,0.5,0.5"],
+     "fractions must be three finite nonnegative numbers"),
+    (["--movielens", "missing.dat", "--fractions", "0.5,0.5"],
+     "fractions must be three finite nonnegative numbers"),
+    (["--movielens", "missing.dat", "--fractions", "0.5,0.6,0.1"],
+     "fractions must sum to one"),
+    (["--movielens", "ratings.dat", "--ranks", "1,13"], "rank must lie in [1, min(n, m)]"),
+])
+def test_bench_rejects_an_invalid_sweep_before_any_run(tmp_path, capsys, monkeypatch,
+                                                       sweep, message):
+    write_ratings(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    monkeypatch.setattr(cli, "_bench_run", lambda *args: runs.append(args))
+    if sweep[0] == "--movielens":
+        args = dict(zip(["--ranks", "--seeds", "--splits"], ["1", "7", "2"]))
+    else:
+        args = dict(zip(["--n", "--m", "--ranks", "--os", "--seeds"],
+                        ["20", "20", "2", "3", "0,1"]))
+    args.update(zip(sweep[::2], sweep[1::2]))
+    argv = [a for kv in args.items() for a in kv]
+    assert run_cli("bench", *argv, "--out-dir", "out") == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert runs == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_parallel_jobs_match_serial_bytes(tmp_path):

@@ -14,8 +14,11 @@ from r3mc import (
     CounterRng,
     DegenerateDirectionError,
     DimensionError,
+    NonDescentDirectionError,
     ObservedEntries,
     RankSchedule,
+    RetractionError,
+    SingularMatrixError,
     SolverConfig,
     SolverTrace,
     SparseResidual,
@@ -55,6 +58,26 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def fail_calls(monkeypatch, module, name, error, failing):
+    """Make module.name raise ``error`` on the calls numbered in ``failing``
+    (from one) and run as before on the others; returns the call list."""
+    calls, original = [], getattr(module, name)
+
+    def maybe_failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) in failing:
+            raise error("forced failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, maybe_failing)
+    return calls
+
+
+def non_increasing(trace):
+    costs = [trace.initial_cost] + [row.cost for row in trace.rows]
+    return all(b <= a for a, b in zip(costs, costs[1:]))
 
 
 def make_problem(n, m, r, ratio, seed, noise=0.0, rank=None):
@@ -183,6 +206,57 @@ def test_cg_solve_stalls_when_armijo_cannot_be_met():
     x, trace = cg_solve(problem, random_point(30, 30, 2, 14), config)
     assert trace.reason == "line_search_stall"
     assert not trace.converged
+
+
+def test_cg_solve_backtracks_when_the_retraction_fails(monkeypatch):
+    problem, _ = make_problem(30, 30, 2, 4.0, 19)
+    x0 = random_point(30, 30, 2, 20)
+    config = SolverConfig(max_iterations=5, cost_tolerance=0.0)
+    _, plain = cg_solve(problem, x0, config)
+    fail_calls(monkeypatch, solver_module, "retract", RetractionError, {1})
+    _, trace = cg_solve(problem, x0, config)
+    first, want = trace.rows[0], plain.rows[0]
+    # the failed trial counts as one backtrack from the same initial step
+    assert first.backtracks == max(1, want.backtracks)
+    assert first.step == want.step * (0.5 if want.backtracks == 0 else 1.0)
+    assert not first.reset
+    assert (trace.reason, trace.iterations) == ("max_iterations", 5)
+    assert non_increasing(trace)
+
+
+@pytest.mark.parametrize("error, failing, outcome", [
+    (NonDescentDirectionError, {1}, "same step"),
+    (DegenerateDirectionError, {1}, "same step"),
+    # on the reset direction a degenerate direction tries a unit step
+    (DegenerateDirectionError, {1, 2}, "unit step"),
+    # on the reset direction a non-descent pairing leaves nothing to try
+    (NonDescentDirectionError, {1, 2}, "stall"),
+])
+def test_cg_solve_retries_from_steepest_descent_when_the_initial_step_fails(
+        monkeypatch, error, failing, outcome):
+    problem, _ = make_problem(30, 30, 2, 4.0, 21)
+    x0 = random_point(30, 30, 2, 22)
+    config = SolverConfig(max_iterations=5, cost_tolerance=0.0)
+    _, plain = cg_solve(problem, x0, config)
+    calls = fail_calls(monkeypatch, solver_module, "initial_step", error, failing)
+    x, trace = cg_solve(problem, x0, config)
+    # the first direction is already steepest descent, so the retry asks
+    # for the step along the same direction
+    assert all(np.array_equal(a, b)
+               for a, b in zip(calls[0][2].triple(), calls[1][2].triple()))
+    assert non_increasing(trace)
+    if outcome == "stall":
+        assert (trace.reason, trace.iterations, len(calls)) == ("line_search_stall", 0, 2)
+        assert x is x0
+        return
+    first = trace.rows[0]
+    assert first.reset
+    if outcome == "unit step":
+        assert first.step == 0.5 ** first.backtracks
+    else:
+        assert (first.step, first.backtracks, first.cost) == (
+            plain.rows[0].step, plain.rows[0].backtracks, plain.rows[0].cost)
+    assert (trace.reason, trace.iterations) == ("max_iterations", 5)
 
 
 def test_solves_write_nothing_to_stdout_or_stderr(capsys):
@@ -346,6 +420,32 @@ def test_rank_incremental_solve_single_rank_schedule():
     x, steps = rank_incremental_solve(problem, RankSchedule(max_rank=1))
     assert len(steps) == 1 and steps[0].rank == 1
     assert x.r == 1
+
+
+def test_rank_incremental_solve_reraises_a_singular_first_rank(monkeypatch):
+    problem, _ = make_problem(30, 30, 2, 4.0, 54)
+    fail_calls(monkeypatch, solver_module, "early_stopped_solve", SingularMatrixError, {1})
+    with pytest.raises(SingularMatrixError, match="forced failure"):
+        rank_incremental_solve(problem, RankSchedule(max_rank=3))
+
+
+@pytest.mark.parametrize("name, error, failing", [
+    ("rank_one_update", DegenerateDirectionError, {1}),
+    ("rank_one_update", SingularMatrixError, {1}),
+    ("early_stopped_solve", SingularMatrixError, {2}),
+])
+def test_rank_incremental_solve_returns_the_last_solved_rank_when_growing_fails(
+        monkeypatch, name, error, failing):
+    problem, _ = make_problem(30, 30, 2, 4.0, 55)
+    want, want_steps = rank_incremental_solve(problem, RankSchedule(max_rank=1))
+    calls = fail_calls(monkeypatch, solver_module, name, error, failing)
+    x, steps = rank_incremental_solve(problem, RankSchedule(max_rank=3))
+    assert len(calls) == max(failing)
+    assert [s.rank for s in steps] == [1] and x.r == 1
+    assert_same_point(x, want)
+    assert trace_rows(steps[0].trace) == trace_rows(want_steps[0].trace)
+    assert steps[0].trace.reason == want_steps[0].trace.reason
+    assert non_increasing(steps[0].trace)
 
 
 def test_rank_incremental_solve_returns_best_validation_point():
