@@ -114,10 +114,12 @@ def _solver_config(args):
 
 
 def _add_solver_options(sub):
-    sub.add_argument("--max-iters", type=int, default=500, help="iteration budget")
-    sub.add_argument("--cost-tol", type=float, default=1e-20,
+    defaults = SolverConfig()
+    sub.add_argument("--max-iters", type=int, default=defaults.max_iterations,
+                     help="iteration budget")
+    sub.add_argument("--cost-tol", type=float, default=defaults.cost_tolerance,
                      help="stop when cost falls below")
-    sub.add_argument("--grad-tol", type=float, default=1e-14,
+    sub.add_argument("--grad-tol", type=float, default=defaults.gradient_norm_tolerance,
                      help="stop on relative gradient norm")
     sub.add_argument("--deterministic", action="store_true",
                      help="zero wall-clock fields in outputs")
@@ -441,7 +443,8 @@ def cmd_bench(args):
 
 
 def cmd_movielens_prep(args):
-    fractions = tuple(_float_list(args.fractions))
+    # checked before the parse, so a bad list fails before any work
+    fractions = check_fractions(_float_list(args.fractions))
     dataset = parse_movielens(args.ratings)
     entries = to_entries(dataset)
     train, val, test = split_train_val_test(entries, fractions, args.seed)

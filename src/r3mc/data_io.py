@@ -26,6 +26,13 @@ def required_count(n, m, rank, oversampling):
     return int(round(oversampling * degrees_of_freedom(n, m, rank)))
 
 
+def _check_condition(rank, condition_number):
+    if not 1.0 <= condition_number < np.inf:
+        raise ConfigError("condition number must be finite and at least 1")
+    if rank == 1 and condition_number > 1.0:
+        raise ConfigError("a rank-one matrix cannot have condition number above 1")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a synthetic completion problem."""
@@ -48,8 +55,8 @@ class SyntheticSpec:
                 "oversampling %.3g needs %d entries, grid has only %d"
                 % (self.oversampling, self.count, self.n * self.m)
             )
-        if self.condition_number is not None and not 1.0 <= self.condition_number < np.inf:
-            raise ConfigError("condition number must be finite and at least 1")
+        if self.condition_number is not None:
+            _check_condition(self.rank, self.condition_number)
 
     @property
     def count(self):
@@ -70,17 +77,11 @@ def synth_conditioned(n, m, rank, condition_number, seed):
     Singular values are geometrically spaced from 1/CN up to 1, so the
     product has condition number exactly CN (all ones when CN = 1).
     """
-    if not 1.0 <= condition_number < np.inf:
-        raise ConfigError("condition number must be finite and at least 1")
-    if rank == 1 and condition_number > 1.0:
-        raise ConfigError("a rank-one matrix cannot have condition number above 1")
+    _check_condition(rank, condition_number)
     rng = CounterRng(seed)
     qa = polar_orthonormal_factor(rng.standard_normal((n, rank)))
     qb = polar_orthonormal_factor(rng.standard_normal((m, rank)))
-    if rank == 1:
-        sigma = np.ones(1)
-    else:
-        sigma = np.logspace(-np.log10(condition_number), 0.0, rank)
+    sigma = np.logspace(-np.log10(condition_number), 0.0, rank)
     return qa * sigma, qb.T
 
 

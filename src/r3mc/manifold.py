@@ -83,11 +83,11 @@ class FixedRankPoint:
     def r(self):
         return self.R.shape[1]
 
-    def validate(self, tol=CHECK_TOL):
+    def validate(self):
         """Check Stiefel membership of U, V and invertibility of R."""
         for name, f in (("U", self.U), ("V", self.V)):
             defect = np.linalg.norm(f.T @ f - np.eye(self.r))
-            if defect > tol:
+            if defect > CHECK_TOL:
                 raise ContractViolationError(
                     "%s is not orthonormal, defect %.3e" % (name, defect)
                 )
@@ -119,12 +119,12 @@ class TangentTriple:
         self.dR = _as_factor("dR", self.dR, rows=x.r, cols=x.r)
         self.dV = _as_factor("dV", self.dV, rows=x.m, cols=x.r)
 
-    def validate(self, tol=CHECK_TOL):
+    def validate(self):
         # Projections divide by R RT, so attainable accuracy degrades with
         # its condition number; the tolerance tracks that honestly.
         defect = tangency_defect(self.point, (self.dU, self.dR, self.dV))
         scale = 1.0 + np.linalg.norm(self.dU) + np.linalg.norm(self.dV)
-        if defect > tol * scale * _middle_condition(self.point):
+        if defect > CHECK_TOL * scale * _middle_condition(self.point):
             raise ContractViolationError("not a tangent triple, defect %.3e" % defect)
 
     def triple(self):
@@ -156,13 +156,13 @@ class TangentTriple:
 class HorizontalVector(TangentTriple):
     """Tangent triple orthogonal to the group directions in the metric."""
 
-    def validate(self, tol=CHECK_TOL):
-        super().validate(tol)
+    def validate(self):
+        super().validate()
         defect = horizontality_defect(self.point, (self.dU, self.dR, self.dV))
         scale = 1.0 + np.linalg.norm(self.dU) + np.linalg.norm(self.dR)
         scale += np.linalg.norm(self.dV)
         scale *= 1.0 + np.linalg.norm(self.point.R) ** 2
-        if defect > tol * scale * _middle_condition(self.point):
+        if defect > CHECK_TOL * scale * _middle_condition(self.point):
             raise ContractViolationError("not horizontal, defect %.3e" % defect)
 
 

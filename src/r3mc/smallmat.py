@@ -5,8 +5,6 @@ returned in explicitly symmetrized form so the guarantee is exact, not
 just within rounding.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolationError, DimensionError, SingularMatrixError
@@ -44,16 +42,9 @@ def _require_skew(name, a):
     return a
 
 
-@dataclass(frozen=True)
-class SpdFactorization:
-    """Eigendecomposition of an SPD matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def spd_factorization(p):
-    """Factor a symmetric positive definite matrix; raises if not SPD.
+    """(eigenvalues, eigenvectors) of a symmetric positive definite matrix,
+    eigenvalues descending; raises if not SPD.
 
     An eigenvalue counts as nonpositive when it falls below the rounding
     noise of the eigensolve itself, size * eps * max eigenvalue.  Scaled
@@ -69,7 +60,7 @@ def spd_factorization(p):
         raise SingularMatrixError(
             "matrix is not positive definite (min eigenvalue %.3e)" % vals[-1]
         )
-    return SpdFactorization(vals, vecs)
+    return vals, vecs
 
 
 def polar_orthonormal_factor(a):
@@ -96,10 +87,9 @@ def solve_lyapunov_spd(p, q):
     q = _require_square("Q", q)
     if p.shape != q.shape:
         raise DimensionError("P and Q must have matching shapes")
-    fac = spd_factorization(p)
-    qp = fac.eigenvectors.T @ sym(q) @ fac.eigenvectors
-    denom = fac.eigenvalues[:, None] + fac.eigenvalues[None, :]
-    b = fac.eigenvectors @ (qp / denom) @ fac.eigenvectors.T
+    lam, e = spd_factorization(p)
+    qp = e.T @ sym(q) @ e
+    b = e @ (qp / (lam[:, None] + lam[None, :])) @ e.T
     return sym(b)
 
 

@@ -59,11 +59,21 @@ VALIDATION_WINDOW = 5
 # relatively, over the last PLATEAU_WINDOW accepted iterations
 PLATEAU_WINDOW = 10
 PLATEAU_TOL = 1e-6
+# the line search accepts step s once the cost fell by at least
+# ARMIJO_SLOPE * s * |slope|, shrinking s by BACKTRACK_FACTOR at most
+# MAX_BACKTRACKS times
+ARMIJO_SLOPE = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 25
+# the power iteration stops once the Rayleigh quotient changed by at most
+# POWER_TOL, relatively, or after POWER_MAX_ITERATIONS products
+POWER_TOL = 1e-8
+POWER_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs for one conjugate-gradient run.
+    """Stop rules for one conjugate-gradient run.
 
     The gradient stop is relative: the solve halts once the gradient norm
     falls below ``gradient_norm_tolerance`` times the starting gradient
@@ -73,9 +83,6 @@ class SolverConfig:
     max_iterations: int = 500
     cost_tolerance: float = 1e-20
     gradient_norm_tolerance: float = 1e-14
-    armijo_slope: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 25
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -83,12 +90,6 @@ class SolverConfig:
         if not (0.0 <= self.cost_tolerance < np.inf
                 and 0.0 <= self.gradient_norm_tolerance < np.inf):
             raise ConfigError("tolerances must be finite and nonnegative")
-        if not 0.0 < self.armijo_slope < 1.0:
-            raise ConfigError("armijo_slope must lie in (0, 1)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ConfigError("backtrack_factor must lie in (0, 1)")
-        if self.max_backtracks < 0:
-            raise ConfigError("max_backtracks must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -136,21 +137,21 @@ def pr_plus_beta(x_new, grad_new, grad_prev_transported, prev_norm_sq):
     return max(0.0, raw / prev_norm_sq)
 
 
-def _armijo_search(problem, ev, eta, slope, s0, config):
+def _armijo_search(problem, ev, eta, slope, s0):
     """Backtrack from s0 until the Armijo bound holds; returns the accepted
     trial's evaluation, its step and the backtrack count, or None when
     exhausted.  Each trial point is evaluated once."""
     s = s0
-    for k in range(config.max_backtracks + 1):
+    for k in range(MAX_BACKTRACKS + 1):
         try:
             y = retract(ev.point, eta, s)
         except RetractionError:
-            s *= config.backtrack_factor
+            s *= BACKTRACK_FACTOR
             continue
         trial = evaluate(problem, y)
-        if trial.cost <= ev.cost + config.armijo_slope * s * slope:
+        if trial.cost <= ev.cost + ARMIJO_SLOPE * s * slope:
             return trial, s, k
-        s *= config.backtrack_factor
+        s *= BACKTRACK_FACTOR
     return None
 
 
@@ -218,7 +219,7 @@ def cg_solve(problem, x0, config=SolverConfig(), stops=()):
                 # backtracking decide; otherwise reset below.
                 s0 = 1.0 if reset else None
             if s0 is not None and s0 > 0.0:
-                accepted = _armijo_search(problem, ev, eta, slope, s0, config)
+                accepted = _armijo_search(problem, ev, eta, slope, s0)
             if accepted is not None or reset:
                 break
             # CG direction failed; retry once from steepest descent.
@@ -254,11 +255,11 @@ def cg_solve(problem, x0, config=SolverConfig(), stops=()):
     return x, trace
 
 
-def _dominant_residual_pair(res, seed, tol=1e-8, max_iterations=200):
+def _dominant_residual_pair(res, seed):
     """Dominant singular triple (sigma, u, v) of a sparse residual.
 
     Power iteration on ST S from a seeded gaussian start; stops when the
-    Rayleigh quotient changes by less than ``tol`` relatively.
+    Rayleigh quotient changes by less than ``POWER_TOL`` relatively.
     """
     rng = CounterRng(seed)
     m = res.pattern.m
@@ -268,7 +269,7 @@ def _dominant_residual_pair(res, seed, tol=1e-8, max_iterations=200):
         raise DegenerateDirectionError("residual is identically zero")
     v /= scale
     rayleigh = -np.inf
-    for _ in range(max_iterations):
+    for _ in range(POWER_MAX_ITERATIONS):
         w = sparse_apply(res, v)
         z = sparse_apply(res, w, transpose=True)
         new_rayleigh = float(v[:, 0] @ z[:, 0])
@@ -280,7 +281,7 @@ def _dominant_residual_pair(res, seed, tol=1e-8, max_iterations=200):
             rayleigh = -np.inf
             continue
         v = z / norm_z
-        if abs(new_rayleigh - rayleigh) <= tol * max(abs(new_rayleigh), 1e-300):
+        if abs(new_rayleigh - rayleigh) <= POWER_TOL * max(abs(new_rayleigh), 1e-300):
             rayleigh = new_rayleigh
             break
         rayleigh = new_rayleigh

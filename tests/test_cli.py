@@ -422,6 +422,8 @@ def test_bench_isolates_per_run_failures(tmp_path, capsys, monkeypatch):
     (["--os", "3,40"], "oversampling 40 needs 3040 entries, grid has only 400"),
     (["--ranks", "2,30"], "rank must lie in [1, min(n, m)]"),
     (["--cn", "10,0.5"], "condition number must be finite and at least 1"),
+    (["--ranks", "1", "--cn", "5"],
+     "a rank-one matrix cannot have condition number above 1"),
     # the ratings file is missing: the fractions are checked before it is read
     (["--movielens", "missing.dat", "--fractions", "nan,0.5,0.5"],
      "fractions must be three finite nonnegative numbers"),
@@ -572,6 +574,16 @@ def test_movielens_prep_reports_an_integer_beyond_64_bits(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "error: line 2: integer field outside the 64-bit range\n")
+    assert not out.exists()
+
+
+def test_movielens_prep_checks_the_fractions_before_reading_the_ratings(tmp_path, capsys):
+    out = tmp_path / "prep"
+    code = run_cli("movielens-prep", "--ratings", str(tmp_path / "missing.dat"),
+                   "--out-dir", str(out), "--seed", "0", "--fractions", "0.5,0.5")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: fractions must be three finite nonnegative numbers\n")
     assert not out.exists()
 
 

@@ -55,6 +55,9 @@ def test_synthetic_spec_validation():
         SyntheticSpec(10, 10, 5, 4.0)
     with pytest.raises(ConfigError):
         SyntheticSpec(100, 80, 4, 3.0, condition_number=0.5)
+    with pytest.raises(ConfigError, match="a rank-one matrix cannot have condition"):
+        SyntheticSpec(100, 80, 1, 3.0, condition_number=5.0)
+    assert SyntheticSpec(100, 80, 1, 3.0, condition_number=1.0).rank == 1
 
 
 def test_synth_gaussian_is_deterministic_with_unit_moments():
