@@ -557,7 +557,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ConfigError, ContractViolationError, DegenerateDirectionError,
-            DimensionError, ParseError, SingularMatrixError, OSError) as exc:
+            DimensionError, MemoryError, OSError, ParseError, SingularMatrixError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

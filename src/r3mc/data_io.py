@@ -48,6 +48,7 @@ class SyntheticSpec:
             raise ConfigError("dimensions must be positive")
         if not 1 <= self.rank <= min(self.n, self.m):
             raise ConfigError("rank must lie in [1, min(n, m)]")
+        check_grid(self.n, self.m, self.rank)
         if not 0.0 < self.oversampling < np.inf:
             raise ConfigError("oversampling must be positive and finite")
         if self.count > self.n * self.m:

@@ -10,9 +10,11 @@ respectively,
 
 which adapts step lengths to the current spectrum.  Tangent vectors are
 represented by their horizontal lifts: triples whose projection kills the
-group directions.  Constructors check shapes and finiteness only; the
-membership conditions (orthonormal U, V, invertible R, tangency and
-horizontality) are checked by each class's ``validate``.
+group directions, which unpack as (dU, dR, dV).  Shapes and finiteness
+are checked where values enter: by the constructors and by
+``project_to_tangent`` on its ambient input.  The membership conditions
+(orthonormal U, V, invertible R, tangency and horizontality) are checked
+by each class's ``validate``.
 """
 
 from dataclasses import dataclass, field
@@ -122,13 +124,13 @@ class TangentTriple:
     def validate(self):
         # Projections divide by R RT, so attainable accuracy degrades with
         # its condition number; the tolerance tracks that honestly.
-        defect = tangency_defect(self.point, (self.dU, self.dR, self.dV))
+        defect = tangency_defect(self.point, self)
         scale = 1.0 + np.linalg.norm(self.dU) + np.linalg.norm(self.dV)
         if defect > CHECK_TOL * scale * _middle_condition(self.point):
             raise ContractViolationError("not a tangent triple, defect %.3e" % defect)
 
-    def triple(self):
-        return self.dU, self.dR, self.dV
+    def __iter__(self):
+        return iter((self.dU, self.dR, self.dV))
 
     def _like(self, du, dr, dv):
         return type(self)(self.point, du, dr, dv)
@@ -158,7 +160,7 @@ class HorizontalVector(TangentTriple):
 
     def validate(self):
         super().validate()
-        defect = horizontality_defect(self.point, (self.dU, self.dR, self.dV))
+        defect = horizontality_defect(self.point, self)
         scale = 1.0 + np.linalg.norm(self.dU) + np.linalg.norm(self.dR)
         scale += np.linalg.norm(self.dV)
         scale *= 1.0 + np.linalg.norm(self.point.R) ** 2
@@ -177,7 +179,7 @@ def _middle_condition(x):
 
 def tangency_defect(x, triple):
     """Size of the symmetric parts of UT dU and VT dV (zero on the tangent space)."""
-    du, _, dv = triple.triple() if isinstance(triple, TangentTriple) else triple
+    du, _, dv = triple
     return max(
         np.linalg.norm(sym(x.U.T @ du)),
         np.linalg.norm(sym(x.V.T @ dv)),
@@ -196,7 +198,7 @@ def horizontality_defect(x, triple):
 
         Skew(UT dU R RT + R dRT) = 0 and Skew(VT dV RT R + RT dR) = 0.
     """
-    du, dr, dv = triple.triple() if isinstance(triple, TangentTriple) else triple
+    du, dr, dv = triple
     return max(np.linalg.norm(c) for c in _horizontality_residual(x, du, dr, dv))
 
 
@@ -222,7 +224,7 @@ def project_to_tangent(x, ambient):
     U B W^{-1}; the V side is analogous with W = RT R; the R component
     passes through unchanged.
     """
-    zu, zr, zv = ambient.triple() if isinstance(ambient, TangentTriple) else ambient
+    zu, zr, zv = ambient
     zu = _as_factor("zU", zu, rows=x.n, cols=x.r)
     zr = _as_factor("zR", zr, rows=x.r, cols=x.r)
     zv = _as_factor("zV", zv, rows=x.m, cols=x.r)
@@ -243,7 +245,7 @@ def project_to_horizontal(x, xi):
     """
     if not isinstance(xi, TangentTriple):
         raise TypeError("project_to_horizontal expects a TangentTriple")
-    o1, o2 = solve_coupled_lyapunov(x.R, *_horizontality_residual(x, *xi.triple()))
+    o1, o2 = solve_coupled_lyapunov(x.R, *_horizontality_residual(x, *xi))
     return HorizontalVector(
         x,
         xi.dU - x.U @ o1,
@@ -278,7 +280,7 @@ def retract(x, xi, step):
 
 def transport_to(y, eta):
     """Transport a horizontal vector to the point y (tangent then horizontal projection)."""
-    return project_to_horizontal(y, project_to_tangent(y, eta.triple()))
+    return project_to_horizontal(y, project_to_tangent(y, eta))
 
 
 def random_point(n, m, r, seed):

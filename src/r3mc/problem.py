@@ -58,11 +58,15 @@ def op_count():
     return op_counter.flops
 
 
-def check_grid(n, m):
-    """Raise DimensionError unless the n x m grid has at most 2**63 cells,
-    so that every row-major cell number i m + j fits an int64."""
+def check_grid(n, m, rank=0):
+    """Raise DimensionError unless the n x m grid has at most 2**63 cells, so
+    every row-major cell number i m + j fits an int64, and a rank-``rank``
+    factor pair on it fits a float64 array: (n + m) rank 8 < 2**63 bytes."""
     if n * m > 2**63:
         raise DimensionError("grid of %d x %d cells exceeds 2**63" % (n, m))
+    if (n + m) * rank * 8 >= 2**63:
+        raise DimensionError("rank-%d factors of the %d x %d grid exceed 2**63 bytes"
+                             % (rank, n, m))
 
 
 class ObservedEntries:
@@ -150,6 +154,7 @@ class CompletionProblem:
             raise ContractViolationError("need at least one observed entry")
         if not 1 <= self.rank <= min(self.entries.n, self.entries.m):
             raise ContractViolationError("rank must lie in [1, min(n, m)]")
+        check_grid(self.n, self.m, self.rank)
 
     @property
     def n(self):

@@ -392,8 +392,10 @@ class RankSchedule:
 
 
 def check_same_grid(name, part, data):
-    """Raise ConfigError unless the ``name`` pattern ``part`` lies on the
-    grid of the ``data`` pattern."""
+    """Raise ConfigError unless the ``name`` pattern ``part`` is non-empty
+    and lies on the grid of the ``data`` pattern."""
+    if part.count == 0:
+        raise ConfigError("%s pattern is empty" % name)
     if (part.n, part.m) != (data.n, data.m):
         raise ConfigError("%s grid %d x %d does not match the data grid %d x %d"
                           % (name, part.n, part.m, data.n, data.m))
@@ -402,8 +404,6 @@ def check_same_grid(name, part, data):
 def check_validation(train, validation):
     """Raise ConfigError unless ``validation`` can early-stop a solve on
     ``train``: it must be non-empty, on the same grid and disjoint from it."""
-    if validation.count == 0:
-        raise ConfigError("validation pattern is empty")
     check_same_grid("validation", validation, train)
     lin_train = train.rows * train.m + train.cols
     lin_val = validation.rows * validation.m + validation.cols

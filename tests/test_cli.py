@@ -765,6 +765,61 @@ def test_entry_count_beyond_the_grid_is_a_usage_error(tmp_path, capsys):
         "error: line 2: 4000000000000 entries exceed the 3 x 3 grid\n")
 
 
+TALL_ROWS = 2**62  # one rank-1 factor column of this many rows is 2**65 bytes
+
+
+@pytest.mark.parametrize("command", [
+    ["complete", "--data", "tall.mtx", "--rank", "1", "--seed", "0"],
+    ["complete", "--data", "tall.mtx", "--rank-updates", "1", "--seed", "0"],
+    ["synth", "--n", str(TALL_ROWS), "--m", "2", "--rank", "1", "--os", "1.5",
+     "--seed", "0", "--out", "out"],
+    ["bench", "--n", str(TALL_ROWS), "--m", "2", "--ranks", "1", "--os", "1.5",
+     "--seeds", "0", "--out-dir", "out"],
+], ids=["rank", "rank-updates", "synth", "bench"])
+def test_factors_too_large_for_an_array_are_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                          command):
+    # the size rule fails before any factor is allocated
+    (tmp_path / "tall.mtx").write_text("%%%%MatrixMarket matrix coordinate real general\n"
+                                       "%d 2 1\n1 1 1.0\n" % TALL_ROWS)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*command) == 2
+    assert capsys.readouterr().err == (
+        "error: rank-1 factors of the %d x 2 grid exceed 2**63 bytes\n" % TALL_ROWS)
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_allocation_failure_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    message = ("Unable to allocate 22.4 GiB for an array with shape (3000000000, 1) "
+               "and data type float64")
+
+    def too_big(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "random_point", too_big)
+    data, _ = write_problem(tmp_path)
+    assert run_cli("complete", "--data", str(data), "--rank", "1", "--seed", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode", [["--rank", "2"], ["--rank-updates", "2"]],
+                         ids=["fixed-rank", "homotopy"])
+def test_complete_checks_for_an_empty_test_set_before_solving(tmp_path, capsys,
+                                                              monkeypatch, mode):
+    solves = []
+    for name in ("early_stopped_solve", "rank_incremental_solve"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: solves.append(name))
+    data, _ = write_problem(tmp_path)
+    report = tmp_path / "report.json"
+    code = run_cli("complete", "--data", str(data), "--test", str(write_empty(tmp_path)),
+                   "--seed", "3", "--report", str(report), *mode)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: test pattern is empty\n"
+    assert captured.out == "" and not report.exists() and not solves
+
+
 @pytest.mark.parametrize("command, option, value, quantity", [
     ("synth", "--os", "nan", "oversampling"),
     ("synth", "--os", "inf", "oversampling"),

@@ -10,6 +10,7 @@ import r3mc
 from _geometry import group_action, random_horizontal, rotate_vector, vertical_lift
 from r3mc import (
     ContractViolationError,
+    DimensionError,
     SingularMatrixError,
     CounterRng,
     FixedRankPoint,
@@ -114,7 +115,7 @@ def test_horizontal_vector_rejects_a_vertical_tangent():
     x = random_point(8, 6, 2, 5)
     lift = vertical_lift(x, skew(np.arange(4.0).reshape(2, 2)), np.zeros((2, 2)))
     with pytest.raises(ContractViolationError, match="not horizontal"):
-        HorizontalVector(x, *lift.triple())
+        HorizontalVector(x, *lift)
 
 
 def test_metric_matches_direct_formula_and_is_positive():
@@ -256,6 +257,32 @@ def test_transport_lands_horizontal_at_target():
     carried = transport_to(y, h)
     assert isinstance(carried, HorizontalVector)
     assert horizontality_defect(y, carried) <= 1e-9 * max(1.0, norm(y, carried))
+
+
+def test_tangent_vectors_unpack_as_their_three_components():
+    x = random_point(8, 6, 2, 31)
+    h = random_horizontal(x, 32)
+    du, dr, dv = h
+    assert du is h.dU and dr is h.dR and dv is h.dV
+
+
+@pytest.mark.parametrize("component, cut", [
+    (0, np.s_[1:]), (0, np.s_[:, 1:]), (1, np.s_[1:]), (1, np.s_[:, 1:]),
+    (2, np.s_[1:]), (2, np.s_[:, 1:]),
+], ids=["zU-rows", "zU-cols", "zR-rows", "zR-cols", "zV-rows", "zV-cols"])
+def test_project_to_tangent_checks_the_ambient_shapes(component, cut):
+    # the only shape check between a vector and the point it is projected to
+    x = random_point(8, 6, 2, 33)
+    z = list(ambient_triple(CounterRng(34), x))
+    z[component] = z[component][cut]
+    with pytest.raises(DimensionError):
+        project_to_tangent(x, z)
+
+
+def test_transport_from_a_point_of_another_rank_is_a_dimension_error():
+    x, y = random_point(8, 6, 2, 35), random_point(8, 6, 3, 36)
+    with pytest.raises(DimensionError):
+        transport_to(y, random_horizontal(x, 37))
 
 
 def test_group_action_preserves_matrix_and_composes():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from r3mc import CounterRng, ContractViolationError, SingularMatrixError
+from r3mc import CounterRng, SingularMatrixError
 from r3mc.smallmat import (
     polar_orthonormal_factor,
     skew,
@@ -169,8 +169,3 @@ def test_coupled_lyapunov_rejects_singular_middle():
     c = skew(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     with pytest.raises(SingularMatrixError):
         solve_coupled_lyapunov(np.diag([1.0, 0.0]), c, c)
-
-
-def test_coupled_lyapunov_rejects_nonskew_rhs():
-    with pytest.raises(ContractViolationError):
-        solve_coupled_lyapunov(np.eye(2), np.eye(2), np.zeros((2, 2)))
