@@ -49,7 +49,6 @@ from .problem import (
     sparse_apply,
 )
 from .solver import (
-    RankSchedule,
     RankStep,
     SolverConfig,
     SolverTrace,

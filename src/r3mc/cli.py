@@ -48,16 +48,13 @@ from .problem import (
     cost,
     mean_squared_error,
     op_count,
-    reset_op_count,
 )
 from .solver import (
     REASON_MAX_ITERATIONS,
     REASON_STALL,
-    RankSchedule,
     SolverConfig,
     cg_solve,
-    check_same_grid,
-    check_validation,
+    check_held_out,
     early_stopped_solve,
     rank_incremental_solve,
     truncated_warm_start,
@@ -162,23 +159,21 @@ def cmd_synth(args):
 
 
 def _solve(args, problem, validation, config):
-    """Run the configured solve; returns (point, traces, rank_steps, reason,
-    validation MSE of the point or None)."""
+    """Run the configured solve; returns (the RankStep of the returned
+    point, every RankStep of the solve)."""
     if args.rank_updates is not None:
-        schedule = RankSchedule(max_rank=args.rank_updates, validation=validation)
-        x, steps = rank_incremental_solve(problem, schedule, config, args.seed)
-        # ranks count up from one, so the point's rank names its step
-        return (x, [s.trace for s in steps], steps, steps[-1].trace.reason,
-                steps[x.r - 1].validation_mse)
+        x, steps = rank_incremental_solve(problem, args.rank_updates, config, args.seed,
+                                          validation)
+        return next(s for s in steps if s.point is x), steps
     if validation is not None:
         # before the warm start's solve, so a bad file fails before any work
-        check_validation(problem.entries, validation)
+        check_held_out("validation", validation, problem.entries)
     if args.warm_start_cols is not None:
         x0 = truncated_warm_start(problem, args.warm_start_cols, config, args.seed)
     else:
         x0 = random_point(problem.n, problem.m, problem.rank, args.seed)
-    x, trace, val_mse = early_stopped_solve(problem, x0, config, validation)
-    return x, [trace], None, trace.reason, val_mse
+    step = early_stopped_solve(problem, x0, config, validation)
+    return step, [step]
 
 
 def cmd_complete(args):
@@ -196,17 +191,18 @@ def cmd_complete(args):
     test = None
     if args.test:
         test = read_matrix_market(args.test)
-        check_same_grid("test", test, entries)
+        check_held_out("test", test, entries)
 
     config = _solver_config(args)
-    reset_op_count()
+    flops_before = op_count()
     t0 = time.perf_counter()
-    x, traces, steps, reason, val_mse = _solve(args, problem, validation, config)
+    step, steps = _solve(args, problem, validation, config)
     elapsed = 0.0 if args.deterministic else time.perf_counter() - t0
     # the solve's own sparse work, before the evaluations of the report below
-    sparse_flops = op_count()
+    sparse_flops = op_count() - flops_before
+    x, val_mse, reason = step.point, step.validation_mse, steps[-1].trace.reason
     final_cost = cost(problem, x)
-    rows = [row for tr in traces for row in tr.rows]
+    rows = [row for s in steps for row in s.trace.rows]
     exit_code = _REASON_EXIT.get(reason, EXIT_OK)
     test_mse = mean_squared_error(x, test) if test is not None else None
 
@@ -232,7 +228,7 @@ def cmd_complete(args):
             "sparse_flops": sparse_flops,
             "time_s": elapsed,
         }
-        if steps is not None:
+        if args.rank_updates is not None:
             result["ranks"] = [
                 {
                     "rank": s.rank,
@@ -305,13 +301,12 @@ def _bench_movielens_cell(params):
     t0 = time.perf_counter()
     problem = CompletionProblem(train, params["rank"])
     x0 = random_point(problem.n, problem.m, problem.rank, params["seed"])
-    x, trace, val_mse = early_stopped_solve(problem, x0, params["config"],
-                                            val if val.count else None)
-    scores = {} if val_mse is None else {"val_mse": val_mse}
+    step = early_stopped_solve(problem, x0, params["config"], val if val.count else None)
+    scores = {} if step.validation_mse is None else {"val_mse": step.validation_mse}
     if test.count:
-        scores["test_mse"] = mean_squared_error(x, test)
+        scores["test_mse"] = mean_squared_error(step.point, test)
     scores["time_s"] = time.perf_counter() - t0
-    return trace, scores
+    return step.trace, scores
 
 
 _RUN_DEFAULTS = {"iterations": 0, "reason": "", "time_s": 0.0, "error": ""}
@@ -451,11 +446,12 @@ def cmd_movielens_prep(args):
     out_dir = Path(args.out_dir)
     names = (("train", train), ("val", val), ("test", test))
     for name, part in names:
+        path = out_dir / ("%s.mtx" % name)
         if part.count:
-            _atomic_write(
-                out_dir / ("%s.mtx" % name),
-                lambda fh, part=part: write_matrix_market(fh, part),
-            )
+            _atomic_write(path, lambda fh, part=part: write_matrix_market(fh, part))
+        else:
+            # a file left by an earlier run would pass for this run's part
+            path.unlink(missing_ok=True)
     meta = {
         "format_version": 1,
         "users": dataset.n_users,

@@ -372,43 +372,21 @@ def rank_one_update(problem, x, seed=0, exact_scale=False):
     return FixedRankPoint(u_plus, r_plus, v_plus)
 
 
-@dataclass(frozen=True)
-class RankSchedule:
-    """Controls the rank-updating homotopy.
-
-    The homotopy starts at rank one.  Each rank runs conjugate gradient
-    until convergence, a cost plateau, or (with a validation pattern)
-    ``VALIDATION_WINDOW`` consecutive validation increases; the homotopy
-    then grows the rank by one and stops at ``max_rank``, on convergence,
-    or when the per-rank validation error starts rising.
-    """
-
-    max_rank: int
-    validation: ObservedEntries | None = None
-
-    def __post_init__(self):
-        if self.max_rank < 1:
-            raise ConfigError("max_rank must be at least one")
-
-
-def check_same_grid(name, part, data):
-    """Raise ConfigError unless the ``name`` pattern ``part`` is non-empty
-    and lies on the grid of the ``data`` pattern."""
+def check_held_out(name, part, train):
+    """Raise ConfigError unless the held-out ``name`` pattern ``part`` is
+    non-empty, lies on the grid of ``train`` and shares no cell with it."""
     if part.count == 0:
         raise ConfigError("%s pattern is empty" % name)
-    if (part.n, part.m) != (data.n, data.m):
+    if (part.n, part.m) != (train.n, train.m):
         raise ConfigError("%s grid %d x %d does not match the data grid %d x %d"
-                          % (name, part.n, part.m, data.n, data.m))
-
-
-def check_validation(train, validation):
-    """Raise ConfigError unless ``validation`` can early-stop a solve on
-    ``train``: it must be non-empty, on the same grid and disjoint from it."""
-    check_same_grid("validation", validation, train)
+                          % (name, part.n, part.m, train.n, train.m))
+    # cell numbers; the training ones are sorted and unique, as in every
+    # ObservedEntries, so each held-out cell is looked up, not sorted in
     lin_train = train.rows * train.m + train.cols
-    lin_val = validation.rows * validation.m + validation.cols
-    if np.intersect1d(lin_train, lin_val).size:
-        raise ConfigError("validation pattern overlaps the training pattern")
+    lin_part = part.rows * part.m + part.cols
+    at = np.searchsorted(lin_train, lin_part)
+    if train.count and np.any(lin_train.take(at, mode="clip") == lin_part):
+        raise ConfigError("%s pattern overlaps the training pattern" % name)
 
 
 class ValidationMonitor:
@@ -436,6 +414,21 @@ class ValidationMonitor:
         return (self.best_x, self.best) if self.best < v else (x, v)
 
 
+@dataclass(frozen=True)
+class RankStep:
+    """Outcome of one early-stopped solve: the point it returns, the
+    solve's trace, and the point's validation MSE (None without
+    validation)."""
+
+    point: FixedRankPoint
+    trace: SolverTrace
+    validation_mse: float | None
+
+    @property
+    def rank(self):
+        return self.point.r
+
+
 def early_stopped_solve(problem, x0, config=SolverConfig(), validation=None,
                         stops=()):
     """``cg_solve``, early-stopped on a validation pattern when one is given.
@@ -445,16 +438,14 @@ def early_stopped_solve(problem, x0, config=SolverConfig(), validation=None,
     straight rises of the validation error, and the returned point is the
     iterate where that error was lowest.
 
-    Returns (point, trace, validation MSE of the point, or None without
-    validation).
+    Returns the solve's RankStep.
     """
     if validation is None:
-        x, trace = cg_solve(problem, x0, config, stops)
-        return x, trace, None
+        return RankStep(*cg_solve(problem, x0, config, stops), None)
     tracker = ValidationMonitor(validation)
     x, trace = cg_solve(problem, x0, config, (tracker, *stops))
     x, val = tracker.best_point(x)
-    return x, trace, val
+    return RankStep(x, trace, val)
 
 
 def cost_plateau(trace, x):
@@ -467,65 +458,56 @@ def cost_plateau(trace, x):
     return None
 
 
-@dataclass(frozen=True)
-class RankStep:
-    """Outcome of one rank of the homotopy."""
-
-    rank: int
-    trace: SolverTrace
-    validation_mse: float | None
-
-
-def rank_incremental_solve(problem, schedule, config=SolverConfig(), seed=0):
+def rank_incremental_solve(problem, max_rank, config=SolverConfig(), seed=0,
+                           validation=None):
     """Homotopy over ranks: solve, grow by one, repeat.
 
     Starts from the rank-one initializer, runs ``early_stopped_solve`` on
-    ``schedule.validation`` with the ``cost_plateau`` rule at each rank from
-    one up to ``schedule.max_rank``, and grows through ``rank_one_update``.
-    With a validation pattern the homotopy stops once a rank's validation
-    error exceeds the previous rank's, and returns the point of the first
-    rank with the lowest error; without one it returns the last point.
+    ``validation`` with the ``cost_plateau`` rule at each rank from one up
+    to ``max_rank``, and grows through ``rank_one_update``.  With a
+    validation pattern the homotopy stops once a rank's validation error
+    exceeds the previous rank's, and returns the point of the first rank
+    with the lowest error; without one it returns the last point.
 
     Returns (point, steps) with one RankStep per visited rank.
     """
-    if schedule.max_rank > min(problem.n, problem.m):
+    if max_rank < 1:
+        raise ConfigError("max_rank must be at least one")
+    if max_rank > min(problem.n, problem.m):
         raise ConfigError("max_rank exceeds min(n, m)")
-    if schedule.validation is not None:
-        check_validation(problem.entries, schedule.validation)
+    if validation is not None:
+        check_held_out("validation", validation, problem.entries)
 
     x = initial_rank_one_point(problem, seed)
-    steps, points = [], []
-    for r in range(1, schedule.max_rank + 1):
+    steps = []
+    for r in range(1, max_rank + 1):
         prob_r = CompletionProblem(problem.entries, r)
         try:
-            x, trace, val = early_stopped_solve(
-                prob_r, x, config, schedule.validation, (cost_plateau,))
+            step = early_stopped_solve(prob_r, x, config, validation, (cost_plateau,))
         except SingularMatrixError:
             # the grown direction sits below the numerical noise of the
-            # previous fit, so the schedule is exhausted, not broken
+            # previous fit, so the homotopy is exhausted, not broken
             if not steps:
                 raise
             break
-        steps.append(RankStep(rank=r, trace=trace, validation_mse=val))
-        points.append(x)
-        if val is not None and len(steps) > 1 and val > steps[-2].validation_mse:
+        steps.append(step)
+        if validation is not None and len(steps) > 1 and (
+                step.validation_mse > steps[-2].validation_mse):
             break
-        if trace.final_cost <= config.cost_tolerance:
+        if step.trace.final_cost <= config.cost_tolerance:
             break
-        if r < schedule.max_rank:
+        if r < max_rank:
             try:
                 # grow with the exact one-dimensional step: the raw sigma of
                 # the mean-scaled residual shrinks with 1/|Omega|, which
                 # would leave the grown factor numerically rank deficient
-                x = rank_one_update(prob_r, x, seed + r + 1, exact_scale=True)
+                x = rank_one_update(prob_r, step.point, seed + r + 1, exact_scale=True)
             except (DegenerateDirectionError, SingularMatrixError):
                 break
 
-    if schedule.validation is None:
-        return points[-1], steps
     # min keeps the first of equal errors
-    best = min(range(len(steps)), key=lambda k: steps[k].validation_mse)
-    return points[best], steps
+    best = steps[-1] if validation is None else min(steps, key=lambda s: s.validation_mse)
+    return best.point, steps
 
 
 def _transpose_entries(entries):

@@ -23,7 +23,6 @@ from r3mc import (
     CounterRng,
     FixedRankPoint,
     ObservedEntries,
-    RankSchedule,
     SolverConfig,
     SparseResidual,
     SyntheticSpec,
@@ -380,9 +379,8 @@ def test_08_rank_growth_lowers_heldout_error_until_the_true_rank():
         pool, (count / total, 5000 / total, 0.0), 11
     )
     problem = CompletionProblem(train, 8)
-    schedule = RankSchedule(max_rank=10, validation=heldout)
     config = SolverConfig(max_iterations=500)
-    x, steps = rank_incremental_solve(problem, schedule, config, seed=9)
+    x, steps = rank_incremental_solve(problem, 10, config, seed=9, validation=heldout)
 
     mses = [s.validation_mse for s in steps]
     best = int(np.argmin(mses))

@@ -30,6 +30,7 @@ from r3mc import (
     write_matrix_market,
 )
 from r3mc import cli, solver
+from r3mc import problem as problem_module
 from r3mc.cli import TRACE_HEADER, main
 
 SYNTH_RUNS_HEADER = "n,m,rank,os,cn,seed,iterations,final_cost,mse,reason,time_s,error"
@@ -601,6 +602,18 @@ def test_movielens_prep_skips_empty_split_files(tmp_path):
     assert meta["splits"] == {"train": 120, "val": 0, "test": 0}
 
 
+def test_movielens_prep_removes_the_files_of_empty_parts(tmp_path):
+    # a rerun into the same directory leaves no split file of an earlier
+    # run, which --test would then have scored on training cells
+    ratings = write_ratings(tmp_path)
+    out = tmp_path / "prep"
+    for seed, fractions in (("1", "0.8,0.1,0.1"), ("2", "1,0,0")):
+        assert run_cli("movielens-prep", "--ratings", str(ratings), "--out-dir", str(out),
+                       "--seed", seed, "--fractions", fractions) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["meta.json", "train.mtx"]
+    assert read_matrix_market(out / "train.mtx").count == 120
+
+
 def test_environment_does_not_configure_the_cli(tmp_path, monkeypatch, capsys):
     data, _ = write_problem(tmp_path)
     held_out, _ = write_problem(tmp_path, seed=9, name="held_out.mtx")
@@ -818,6 +831,40 @@ def test_complete_checks_for_an_empty_test_set_before_solving(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.err == "error: test pattern is empty\n"
     assert captured.out == "" and not report.exists() and not solves
+
+
+@pytest.mark.parametrize("mode", [["--rank", "2"], ["--rank-updates", "2"]],
+                         ids=["fixed-rank", "homotopy"])
+def test_complete_rejects_a_test_set_that_overlaps_the_training_data(tmp_path, capsys,
+                                                                     monkeypatch, mode):
+    solves = []
+    for name in ("early_stopped_solve", "rank_incremental_solve"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: solves.append(name))
+    data, _ = write_problem(tmp_path)
+    report = tmp_path / "report.json"
+    code = run_cli("complete", "--data", str(data), "--test", str(data), "--seed", "3",
+                   "--report", str(report), *mode)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: test pattern overlaps the training pattern\n"
+    assert captured.out == "" and not report.exists() and not solves
+
+
+def test_complete_leaves_the_global_flop_count_running(tmp_path):
+    # the report counts the solve's own flops as a difference, so a count
+    # other code has run up is neither lost nor reported
+    data, _ = write_problem(tmp_path)
+    flops = []
+    for start in (0, 10**15):
+        reset_op_count()
+        problem_module.op_counter.add(start)
+        report = tmp_path / ("report_%d.json" % start)
+        assert run_cli("complete", "--data", str(data), "--rank", "2", "--seed", "3",
+                       "--max-iters", "20", "--report", str(report)) in (0, 3)
+        flops.append(json.loads(report.read_text())["result"]["sparse_flops"])
+        assert op_count() >= start + flops[-1]
+    assert flops[0] == flops[1] > 0
+    assert op_count() >= 10**15
 
 
 @pytest.mark.parametrize("command, option, value, quantity", [

@@ -658,15 +658,15 @@ def test_cold_solve_is_byte_identical_to_the_reference_kernels(condition_number)
 
 
 def test_homotopy_with_validation_is_byte_identical_to_the_reference_kernels():
-    from r3mc import RankSchedule, rank_incremental_solve, split_train_val_test
+    from r3mc import rank_incremental_solve, split_train_val_test
 
     p, _ = synthesize(SyntheticSpec(36, 44, 3, 5.0, condition_number=10.0), 8)
     train, val, _ = split_train_val_test(p.entries, (0.8, 0.2, 0.0), 9)
     problem = CompletionProblem(train, 3)
 
     def homotopy():
-        x, steps = rank_incremental_solve(problem, RankSchedule(max_rank=3, validation=val),
-                                          SolverConfig(max_iterations=30), seed=2)
+        x, steps = rank_incremental_solve(problem, 3, SolverConfig(max_iterations=30),
+                                          seed=2, validation=val)
         return factor_bytes(x), [(s.rank, s.validation_mse, trace_rows(s.trace))
                                  for s in steps]
 

@@ -17,7 +17,7 @@ from r3mc import (
     DimensionError,
     NonDescentDirectionError,
     ObservedEntries,
-    RankSchedule,
+    RankStep,
     RetractionError,
     SingularMatrixError,
     SolverConfig,
@@ -262,7 +262,7 @@ def test_solves_write_nothing_to_stdout_or_stderr(capsys):
     problem, _ = make_problem(20, 20, 2, 4.0, 15)
     config = SolverConfig(max_iterations=20, cost_tolerance=0.0)
     _, trace = cg_solve(problem, random_point(20, 20, 2, 16), config)
-    _, steps = rank_incremental_solve(problem, RankSchedule(max_rank=3), config)
+    _, steps = rank_incremental_solve(problem, 3, config)
     assert trace.iterations > 0 and sum(s.trace.iterations for s in steps) > 0
     assert capsys.readouterr() == ("", "")
 
@@ -381,30 +381,47 @@ def problem_at_rank(problem, r):
 
 
 def test_rank_schedule_guards():
-    with pytest.raises(ConfigError):
-        RankSchedule(max_rank=0)
+    problem, _ = make_problem(20, 24, 2, 4.0, 50)
+    with pytest.raises(ConfigError, match="max_rank must be at least one"):
+        rank_incremental_solve(problem, 0)
 
 
 def test_rank_incremental_solve_guards():
     problem, _ = make_problem(20, 24, 2, 4.0, 50)
     with pytest.raises(ConfigError):
-        rank_incremental_solve(problem, RankSchedule(max_rank=21))
+        rank_incremental_solve(problem, 21)
     empty = ObservedEntries(20, 24, [], [], [])
     with pytest.raises(ConfigError, match="empty"):
-        rank_incremental_solve(problem, RankSchedule(max_rank=2, validation=empty))
+        rank_incremental_solve(problem, 2, validation=empty)
     wrong_grid = ObservedEntries(19, 24, [0], [0], [1.0])
     with pytest.raises(ConfigError, match="grid"):
-        rank_incremental_solve(problem, RankSchedule(max_rank=2, validation=wrong_grid))
+        rank_incremental_solve(problem, 2, validation=wrong_grid)
     e = problem.entries
     overlap = ObservedEntries(20, 24, e.rows[:1], e.cols[:1], e.vals[:1])
     with pytest.raises(ConfigError, match="overlap"):
-        rank_incremental_solve(problem, RankSchedule(max_rank=2, validation=overlap))
+        rank_incremental_solve(problem, 2, validation=overlap)
+
+
+def test_check_held_out_finds_a_shared_cell_wherever_it_sits():
+    # oracle: set intersection; a shared cell may come before, between or
+    # after the training cells, and an empty training pattern shares none
+    gen = np.random.default_rng(67)
+    for _ in range(300):
+        train_cells, part_cells = (gen.choice(20, gen.integers(lo, 21), replace=False)
+                                   for lo in (0, 1))
+        train, part = (ObservedEntries(4, 5, c // 5, c % 5, np.ones(c.size))
+                       for c in (train_cells, part_cells))
+        if set(train_cells) & set(part_cells):
+            with pytest.raises(ConfigError, match="^part pattern overlaps the training"):
+                solver_module.check_held_out("part", part, train)
+        else:
+            solver_module.check_held_out("part", part, train)
 
 
 def test_rank_incremental_solve_stops_at_the_true_rank():
     problem, x_true = make_problem(60, 60, 4, 5.0, 51)
     config = SolverConfig(cost_tolerance=1e-16)
-    x, steps = rank_incremental_solve(problem, RankSchedule(max_rank=8), config)
+    x, steps = rank_incremental_solve(problem, 8, config)
     assert [s.rank for s in steps] == [1, 2, 3, 4]
     assert x.r == 4
     assert steps[-1].trace.final_cost <= 1e-10
@@ -416,7 +433,7 @@ def test_rank_incremental_solve_stops_at_the_true_rank():
 
 def test_rank_incremental_solve_single_rank_schedule():
     problem, _ = make_problem(30, 30, 2, 4.0, 52)
-    x, steps = rank_incremental_solve(problem, RankSchedule(max_rank=1))
+    x, steps = rank_incremental_solve(problem, 1)
     assert len(steps) == 1 and steps[0].rank == 1
     assert x.r == 1
 
@@ -425,7 +442,7 @@ def test_rank_incremental_solve_reraises_a_singular_first_rank(monkeypatch):
     problem, _ = make_problem(30, 30, 2, 4.0, 54)
     fail_calls(monkeypatch, solver_module, "early_stopped_solve", SingularMatrixError, {1})
     with pytest.raises(SingularMatrixError, match="forced failure"):
-        rank_incremental_solve(problem, RankSchedule(max_rank=3))
+        rank_incremental_solve(problem, 3)
 
 
 @pytest.mark.parametrize("name, error, failing", [
@@ -436,9 +453,9 @@ def test_rank_incremental_solve_reraises_a_singular_first_rank(monkeypatch):
 def test_rank_incremental_solve_returns_the_last_solved_rank_when_growing_fails(
         monkeypatch, name, error, failing):
     problem, _ = make_problem(30, 30, 2, 4.0, 55)
-    want, want_steps = rank_incremental_solve(problem, RankSchedule(max_rank=1))
+    want, want_steps = rank_incremental_solve(problem, 1)
     calls = fail_calls(monkeypatch, solver_module, name, error, failing)
-    x, steps = rank_incremental_solve(problem, RankSchedule(max_rank=3))
+    x, steps = rank_incremental_solve(problem, 3)
     assert len(calls) == max(failing)
     assert [s.rank for s in steps] == [1] and x.r == 1
     assert_same_point(x, want)
@@ -456,8 +473,7 @@ def test_rank_incremental_solve_returns_best_validation_point():
     train = ObservedEntries(50, 50, rows[:count], cols[:count], vals[:count])
     val = ObservedEntries(50, 50, rows[count:], cols[count:], vals[count:])
     problem = CompletionProblem(train, 3)
-    schedule = RankSchedule(max_rank=6, validation=val)
-    x, steps = rank_incremental_solve(problem, schedule)
+    x, steps = rank_incremental_solve(problem, 6, validation=val)
     mses = [s.validation_mse for s in steps]
     assert all(v is not None for v in mses)
     assert mean_squared_error(x, val) == pytest.approx(min(mses), rel=1e-12)
@@ -564,7 +580,8 @@ def monitor_protocol_early_stopped_solve(problem, x0, config, validation=None,
     return x, trace, val_mse, tracker.fired()
 
 
-def hand_written_homotopy(problem, schedule, config=SolverConfig(), seed=0):
+def hand_written_homotopy(problem, max_rank, validation=None, config=SolverConfig(),
+                          seed=0):
     """Oracle: the homotopy with its own per-rank monitor and best-point
     bookkeeping, as it was written before ``early_stopped_solve``.  Its
     steps are (rank, trace, validation MSE, the rule a "monitor_stop" names)."""
@@ -587,15 +604,14 @@ def hand_written_homotopy(problem, schedule, config=SolverConfig(), seed=0):
     x = start = initial_rank_one_point(problem, seed)
     steps = []
     best_x, best_val, prev_val = x, np.inf, np.inf
-    for r in range(1, schedule.max_rank + 1):
+    for r in range(1, max_rank + 1):
         prob_r = CompletionProblem(problem.entries, r)
-        validation = None if schedule.validation is None else MonitorProtocolValidation(
-            schedule.validation)
-        solved, trace = monitored_solve(prob_r, start, config, rank_monitor(validation))
+        tracker = None if validation is None else MonitorProtocolValidation(validation)
+        solved, trace = monitored_solve(prob_r, start, config, rank_monitor(tracker))
         val, fired = None, "cost_plateau"
-        if validation is not None:
-            solved, val = validation.best_point(solved)
-            fired = validation.fired()
+        if tracker is not None:
+            solved, val = tracker.best_point(solved)
+            fired = tracker.fired()
         steps.append((r, trace, val, fired))
         x = solved
         if val is not None:
@@ -606,9 +622,9 @@ def hand_written_homotopy(problem, schedule, config=SolverConfig(), seed=0):
             prev_val = val
         if trace.final_cost <= config.cost_tolerance:
             break
-        if r < schedule.max_rank:
+        if r < max_rank:
             start = rank_one_update(prob_r, solved, seed + r + 1, exact_scale=True)
-    return (best_x if schedule.validation is not None else x), steps
+    return (best_x if validation is not None else x), steps
 
 
 def trace_rows(trace):
@@ -631,12 +647,12 @@ def test_early_stopped_solve_without_validation_is_cg_solve():
     x0 = random_point(30, 30, 2, 62)
     config = SolverConfig(max_iterations=40)
     for stops in ((), (lambda trace, x: "seventh" if trace.iterations >= 7 else None,)):
-        x, trace, val = early_stopped_solve(problem, x0, config, stops=stops)
+        step = early_stopped_solve(problem, x0, config, stops=stops)
         x_ref, trace_ref = cg_solve(problem, x0, config, stops)
-        assert val is None
-        assert_same_point(x, x_ref)
-        assert trace_rows(trace) == trace_rows(trace_ref)
-        assert trace.reason == trace_ref.reason
+        assert step.validation_mse is None and step.rank == 2
+        assert_same_point(step.point, x_ref)
+        assert trace_rows(step.trace) == trace_rows(trace_ref)
+        assert step.trace.reason == trace_ref.reason
 
 
 @pytest.mark.parametrize("max_iterations", [500, 12, 1])
@@ -647,7 +663,8 @@ def test_early_stopped_solve_matches_a_hand_attached_validation_monitor(max_iter
     problem = CompletionProblem(train, 5)
     x0 = random_point(30, 30, 5, 64)
     config = SolverConfig(max_iterations=max_iterations)
-    x, trace, v = early_stopped_solve(problem, x0, config, val)
+    step = early_stopped_solve(problem, x0, config, val)
+    x, trace, v = step.point, step.trace, step.validation_mse
     x_ref, trace_ref, v_ref, fired = monitor_protocol_early_stopped_solve(
         problem, x0, config, val)
     assert_same_point(x, x_ref)
@@ -674,7 +691,8 @@ def test_early_stopped_solve_extra_monitor_stops_a_validated_solve():
         seen.append(trace.iterations)
         return "fourth" if trace.iterations >= 4 else None
 
-    x, trace, v = early_stopped_solve(problem, x0, SolverConfig(), val, (stop_at_four,))
+    step = early_stopped_solve(problem, x0, SolverConfig(), val, (stop_at_four,))
+    x, trace, v = step.point, step.trace, step.validation_mse
     assert trace.iterations == 4 and trace.reason == "fourth"
     assert seen == [1, 2, 3, 4]
     history = []
@@ -687,10 +705,10 @@ def test_early_stopped_solve_extra_monitor_stops_a_validated_solve():
 def test_rank_incremental_solve_matches_the_hand_written_homotopy(validated):
     train, val = train_and_validation(40, 40, 3, 500, 150, 65, 0.01)
     problem = CompletionProblem(train, 3)
-    schedule = RankSchedule(max_rank=5, validation=val if validated else None)
+    validation = val if validated else None
     config = SolverConfig(max_iterations=200)
-    x, steps = rank_incremental_solve(problem, schedule, config, seed=3)
-    x_ref, steps_ref = hand_written_homotopy(problem, schedule, config, seed=3)
+    x, steps = rank_incremental_solve(problem, 5, config, seed=3, validation=validation)
+    x_ref, steps_ref = hand_written_homotopy(problem, 5, validation, config, seed=3)
     assert_same_point(x, x_ref)
     assert [(s.rank, trace_rows(s.trace), s.trace.reason, s.validation_mse)
             for s in steps] == [(r, trace_rows(t), named_reason(t.reason, fired), v)
@@ -704,9 +722,9 @@ def test_rank_incremental_solve_matches_the_monitor_protocol(validated, monkeypa
     # composed it: the validation monitor or'ed with a deque cost plateau
     train, val = train_and_validation(40, 40, 3, 500, 150, 65, 0.01)
     problem = CompletionProblem(train, 3)
-    schedule = RankSchedule(max_rank=5, validation=val if validated else None)
+    validation = val if validated else None
     config = SolverConfig(max_iterations=200)
-    x, steps = rank_incremental_solve(problem, schedule, config, seed=3)
+    x, steps = rank_incremental_solve(problem, 5, config, seed=3, validation=validation)
     fired = []
 
     def protocol_solve(prob_r, x0, config, validation, stops):
@@ -714,10 +732,11 @@ def test_rank_incremental_solve_matches_the_monitor_protocol(validated, monkeypa
         x, trace, v, rule = monitor_protocol_early_stopped_solve(
             prob_r, x0, config, validation, monitor_protocol_plateau())
         fired.append(rule)
-        return x, trace, v
+        return RankStep(x, trace, v)
 
     monkeypatch.setattr(solver_module, "early_stopped_solve", protocol_solve)
-    x_ref, steps_ref = rank_incremental_solve(problem, schedule, config, seed=3)
+    x_ref, steps_ref = rank_incremental_solve(problem, 5, config, seed=3,
+                                              validation=validation)
     assert_same_point(x, x_ref)
     assert len(steps) == len(steps_ref) == len(fired) > 1
     for s, ref, rule in zip(steps, steps_ref, fired):
@@ -739,7 +758,7 @@ def test_validation_rule_is_asked_before_the_further_stops():
         asked.append(trace.iterations)
         return cost_plateau(trace, x)
 
-    x, trace, v = early_stopped_solve(problem, x0, SolverConfig(), val, (plateau,))
+    trace = early_stopped_solve(problem, x0, SolverConfig(), val, (plateau,)).trace
     assert trace.reason == "validation_rise"
     assert asked == list(range(1, trace.iterations))
 
@@ -774,15 +793,34 @@ def test_rank_incremental_solve_returns_the_first_rank_with_the_lowest_validatio
     real = solver_module.early_stopped_solve
 
     def scripted_solve(*args, **kwargs):
-        x, trace, _ = real(*args, **kwargs)
-        points.append(x)
-        return x, trace, next(scripted)
+        step = real(*args, **kwargs)
+        points.append(step.point)
+        return RankStep(step.point, step.trace, next(scripted))
 
     monkeypatch.setattr(solver_module, "early_stopped_solve", scripted_solve)
-    schedule = RankSchedule(max_rank=5, validation=val)
-    x, steps = rank_incremental_solve(CompletionProblem(train, 4), schedule)
+    x, steps = rank_incremental_solve(CompletionProblem(train, 4), 5, validation=val)
     assert [s.validation_mse for s in steps] == [0.5, 0.3, 0.3, 0.4]
     assert x is points[1] and x.r == 2
+
+
+@pytest.mark.parametrize("validated", [False, True])
+def test_rank_incremental_solve_returns_the_point_of_one_of_its_steps(validated):
+    train, val = train_and_validation(40, 40, 3, 500, 150, 65, 0.01)
+    validation = val if validated else None
+    x, steps = rank_incremental_solve(CompletionProblem(train, 3), 5,
+                                      SolverConfig(max_iterations=200), seed=3,
+                                      validation=validation)
+    chosen = [s for s in steps if s.point is x]
+    assert len(chosen) == 1
+    if validated:
+        mses = [s.validation_mse for s in steps]
+        assert chosen[0] is steps[mses.index(min(mses))]
+        assert chosen[0].validation_mse == mean_squared_error(x, val)
+    else:
+        assert chosen[0] is steps[-1]
+        assert all(s.validation_mse is None for s in steps)
+    assert [s.rank for s in steps] == [s.point.r for s in steps] == list(
+        range(1, len(steps) + 1))
 
 
 def test_truncated_oversampling_formula():
