@@ -127,7 +127,6 @@ class RatingsDataset:
     rows: np.ndarray
     cols: np.ndarray
     ratings: np.ndarray
-    timestamps: np.ndarray
     user_id_range: int
     item_id_range: int
 
@@ -152,7 +151,7 @@ def parse_movielens(source):
         if columns is None:
             rewind()
             columns = _scan_ratings(stream)
-    users, items, ratings, stamps = columns
+    users, items, ratings = columns
     uniq_users, rows = np.unique(users, return_inverse=True)
     uniq_items, cols = np.unique(items, return_inverse=True)
     return RatingsDataset(
@@ -161,7 +160,6 @@ def parse_movielens(source):
         rows=rows.astype(np.int64),
         cols=cols.astype(np.int64),
         ratings=ratings,
-        timestamps=stamps,
         user_id_range=int(uniq_users[-1]),
         item_id_range=int(uniq_items[-1]),
     )
@@ -175,7 +173,7 @@ _RATING = np.dtype([("user", np.int64), ("sep1", "U1"), ("item", np.int64),
 
 
 def _bulk_ratings(lines):
-    """(users, items, ratings, timestamps) from one array parse, or None.
+    """(users, items, ratings) from one array parse, or None.
 
     None when the parse rejects a line or a line fails a check.  The
     parse accepts a subset of what ``_scan_ratings`` accepts, with the
@@ -189,15 +187,16 @@ def _bulk_ratings(lines):
             or min(users.min(), items.min()) < 1
             or not np.all((ratings > 0.0) & (ratings <= 5.0))):
         return None
-    return tuple(np.ascontiguousarray(table[f]) for f in ("user", "item", "rating", "stamp"))
+    return tuple(np.ascontiguousarray(table[f]) for f in ("user", "item", "rating"))
 
 
 _INT64 = range(-2**63, 2**63)  # the integers an int64 holds
 
 
 def _scan_ratings(lines):
-    """(users, items, ratings, timestamps), checked one line at a time."""
-    users, items, ratings, stamps = [], [], [], []
+    """(users, items, ratings), checked one line at a time; the timestamp
+    is parsed and checked but not kept."""
+    users, items, ratings = [], [], []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -220,11 +219,10 @@ def _scan_ratings(lines):
         users.append(uid)
         items.append(mid)
         ratings.append(rating)
-        stamps.append(stamp)
     if not users:
         raise ParseError("no ratings found")
     return (np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64),
-            np.asarray(ratings), np.asarray(stamps, dtype=np.int64))
+            np.asarray(ratings))
 
 
 def to_entries(dataset):

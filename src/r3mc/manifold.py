@@ -34,6 +34,7 @@ from .smallmat import (
     skew,
     solve_coupled_lyapunov,
     solve_lyapunov_spd,
+    spd_factorization,
     sym,
 )
 
@@ -259,7 +260,9 @@ def retract(x, xi, step):
 
     U and V shift and re-orthonormalize through the polar factor,
     R shifts additively.  A zero step returns x itself.  Raises
-    RetractionError when a shifted factor loses rank.
+    RetractionError when a shifted factor loses rank, or when either
+    metric weight of the new point is not positive definite to the
+    precision of ``spd_factorization``, which the gradient there needs.
     """
     if not isinstance(xi, HorizontalVector):
         raise TypeError("retract expects a HorizontalVector")
@@ -275,7 +278,13 @@ def retract(x, xi, step):
     sig = np.linalg.svd(r_new, compute_uv=False)
     if sig[0] == 0.0 or sig[-1] <= RANK_TOL * sig[0]:
         raise RetractionError("shifted R factor is numerically singular")
-    return FixedRankPoint(u_new, r_new, v_new)
+    y = FixedRankPoint(u_new, r_new, v_new)
+    try:
+        for w in y.weights:
+            spd_factorization(w)
+    except SingularMatrixError as exc:
+        raise RetractionError("metric weight of the shifted point is singular") from exc
+    return y
 
 
 def transport_to(y, eta):

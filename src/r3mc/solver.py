@@ -3,8 +3,9 @@ rank-updating homotopy and the truncated-column warm start.
 
 The search direction follows Polak-Ribiere with nonnegativity clipping
 and a reset to steepest descent whenever the combined direction fails
-the descent test.  Step sizes seed from the exact minimizer of the
-linearized objective and backtrack under the Armijo rule.
+the descent test or its line search finds no step.  Step sizes seed
+from the exact minimizer of the linearized objective and backtrack
+under the Armijo rule.
 """
 
 import time
@@ -137,11 +138,24 @@ def pr_plus_beta(x_new, grad_new, grad_prev_transported, prev_norm_sq):
     return max(0.0, raw / prev_norm_sq)
 
 
-def _armijo_search(problem, ev, eta, slope, s0):
-    """Backtrack from s0 until the Armijo bound holds; returns the accepted
-    trial's evaluation, its step and the backtrack count, or None when
-    exhausted.  Each trial point is evaluated once."""
-    s = s0
+def _line_search(problem, ev, eta, slope, steepest):
+    """One attempt along eta from the evaluated point ev: seed the step
+    with the linearized minimizer, then backtrack until the Armijo bound
+    holds.  Returns the accepted trial's evaluation, its step and the
+    backtrack count, or None when the direction gives no positive step
+    or the backtracks run out.  A direction invisible on the pattern
+    gives None, or a unit step when it is the ``steepest`` descent one.
+    Each trial point is evaluated once."""
+    try:
+        s = initial_step(problem, ev, eta)
+    except NonDescentDirectionError:
+        return None
+    except DegenerateDirectionError:
+        if not steepest:
+            return None
+        s = 1.0
+    if not s > 0.0:
+        return None
     for k in range(MAX_BACKTRACKS + 1):
         try:
             y = retract(ev.point, eta, s)
@@ -184,15 +198,14 @@ def cg_solve(problem, x0, config=SolverConfig(), stops=()):
 
     t0 = time.perf_counter()
     ev = evaluate(problem, x0)
-    x, f = x0, ev.cost
-    trace = SolverTrace(initial_cost=f)
+    trace = SolverTrace(initial_cost=ev.cost)
     grad = riemannian_gradient(problem, ev)
-    grad_norm_sq = metric(x, grad, grad)
+    grad_norm_sq = metric(x0, grad, grad)
     grad_norm_0 = np.sqrt(grad_norm_sq)
     eta = -grad
 
     while True:
-        if f <= config.cost_tolerance:
+        if ev.cost <= config.cost_tolerance:
             trace.reason = REASON_COST
             break
         if np.sqrt(grad_norm_sq) <= config.gradient_norm_tolerance * grad_norm_0:
@@ -202,45 +215,27 @@ def cg_solve(problem, x0, config=SolverConfig(), stops=()):
             trace.reason = REASON_MAX_ITERATIONS
             break
 
-        slope = metric(x, grad, eta)
-        reset = False
-        if slope >= 0.0:
-            eta, slope, reset = -grad, -grad_norm_sq, True
-
-        accepted = None
-        while True:
-            try:
-                s0 = initial_step(problem, ev, eta)
-            except NonDescentDirectionError:
-                s0 = None
-            except DegenerateDirectionError:
-                # Direction invisible on the pattern.  On the already
-                # reset direction fall back to a unit step and let the
-                # backtracking decide; otherwise reset below.
-                s0 = 1.0 if reset else None
-            if s0 is not None and s0 > 0.0:
-                accepted = _armijo_search(problem, ev, eta, slope, s0)
-            if accepted is not None or reset:
+        # the CG direction while it descends, then steepest descent
+        slope = metric(ev.point, grad, eta)
+        for reset in (True,) if slope >= 0.0 else (False, True):
+            if reset:
+                eta, slope = -grad, -grad_norm_sq
+            accepted = _line_search(problem, ev, eta, slope, reset)
+            if accepted is not None:
                 break
-            # CG direction failed; retry once from steepest descent.
-            eta, slope, reset = -grad, -grad_norm_sq, True
-        if accepted is None:
+        else:
             trace.reason = REASON_STALL
             break
 
         ev, s, backtracks = accepted
-        x_new = ev.point
         grad_new = riemannian_gradient(problem, ev)
-        grad_norm_sq_new = metric(x_new, grad_new, grad_new)
-        beta = pr_plus_beta(
-            x_new, grad_new, transport_to(x_new, grad), grad_norm_sq
-        )
-        eta = -grad_new + beta * transport_to(x_new, eta)
-        x, f, grad, grad_norm_sq = x_new, ev.cost, grad_new, grad_norm_sq_new
+        beta = pr_plus_beta(ev.point, grad_new, transport_to(ev.point, grad), grad_norm_sq)
+        eta = -grad_new + beta * transport_to(ev.point, eta)
+        grad, grad_norm_sq = grad_new, metric(ev.point, grad_new, grad_new)
         trace.rows.append(
             TraceRow(
                 iteration=trace.iterations + 1,
-                cost=f,
+                cost=ev.cost,
                 grad_norm=float(np.sqrt(grad_norm_sq)),
                 step=s,
                 backtracks=backtracks,
@@ -248,11 +243,11 @@ def cg_solve(problem, x0, config=SolverConfig(), stops=()):
                 time_s=time.perf_counter() - t0,
             )
         )
-        trace.reason = next(filter(None, (rule(trace, x) for rule in stops)), "")
+        trace.reason = next(filter(None, (rule(trace, ev.point) for rule in stops)), "")
         if trace.reason:
             break
 
-    return x, trace
+    return ev.point, trace
 
 
 def _dominant_residual_pair(res, seed):

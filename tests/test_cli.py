@@ -194,6 +194,28 @@ def test_complete_exhausted_budget_exits_three(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "6"])
+def test_complete_on_one_outlying_value_ends_in_a_stall(tmp_path, capsys, seed):
+    # the trials toward the outlier shrink R RT below what the gradient's
+    # eigensolve resolves; the retraction refuses them, so the line
+    # search runs out instead of the next gradient failing
+    out = tmp_path / "gen"
+    assert run_cli("synth", "--n", "12", "--m", "10", "--rank", "2", "--os", "3",
+                   "--seed", "3", "--out", str(out)) == 0
+    e = read_matrix_market(out / "entries.mtx")
+    vals = e.vals.copy()
+    vals[0] = 2.0**62
+    data = tmp_path / "outlier.mtx"
+    write_matrix_market(data, ObservedEntries(e.n, e.m, e.rows, e.cols, vals))
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    code = run_cli("complete", "--data", str(data), "--rank", "2", "--seed", seed,
+                   "--report", str(report))
+    assert code == 4
+    assert "not positive definite" not in capsys.readouterr().err
+    assert json.loads(report.read_text())["result"]["reason"] == "line_search_stall"
+
+
 def test_complete_homotopy_reports_per_rank_results(tmp_path, capsys):
     problem, _ = synthesize(SyntheticSpec(30, 30, 2, 5.0), 4)
     train, val, test = split_train_val_test(problem.entries, (0.8, 0.1, 0.1), 5)

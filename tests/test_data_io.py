@@ -136,7 +136,6 @@ def test_parse_movielens_single_line():
     assert ds.n_users == 1 and ds.n_items == 1
     assert ds.rows.tolist() == [0] and ds.cols.tolist() == [0]
     assert ds.ratings.tolist() == [5.0]
-    assert ds.timestamps.tolist() == [978300760]
     assert ds.user_id_range == 1 and ds.item_id_range == 1193
     assert ds.count == 1
 
@@ -190,7 +189,6 @@ def test_parse_movielens_reads_the_64_bit_extremes():
     ds = parse_movielens(["%d::%d::3::%d" % (2**63 - 1, 2**63 - 1, -2**63),
                           "1::1::4::%d" % (2**63 - 1)])
     assert ds.user_id_range == ds.item_id_range == 2**63 - 1
-    assert ds.timestamps.tolist() == [-2**63, 2**63 - 1]
 
 
 def test_parse_movielens_reads_files(tmp_path):
@@ -377,6 +375,18 @@ def test_dense_matrix_market_errors():
         read_dense_matrix_market(
             io.StringIO("%%MatrixMarket matrix array real general\n2 3\n1\n2\n3\n4\n5\n")
         )
+
+
+@pytest.mark.parametrize("body, message, line", [
+    # line numbers count the banner, the size line, blanks and comments
+    ("1\n2\n% comment\n3\n4\n5\n", "more than 4 values", 8),
+    ("1\n\n2\nthree\n4\n", "malformed value", 6),
+])
+def test_dense_reader_body_errors_name_their_line(body, message, line):
+    text = "%%MatrixMarket matrix array real general\n2 2\n" + body
+    with pytest.raises(ParseError) as info:
+        read_dense_matrix_market(io.StringIO(text))
+    assert (str(info.value), info.value.line) == ("line %d: %s" % (line, message), line)
 
 
 @pytest.mark.parametrize("size, count", [
@@ -774,7 +784,7 @@ def test_writer_bytes_are_pinned():
 def oracle_parse_movielens(source):
     """The line-at-a-time ratings parser, kept as the reference (it lets
     an integer beyond 64 bits escape as an OverflowError)."""
-    users, items, ratings, stamps = [], [], [], []
+    users, items, ratings = [], [], []
     with _opened(source, "r") as stream:
         for lineno, line in enumerate(stream, start=1):
             line = line.strip()
@@ -786,7 +796,7 @@ def oracle_parse_movielens(source):
             try:
                 uid, mid = int(parts[0]), int(parts[1])
                 rating = float(parts[2])
-                stamp = int(parts[3])
+                int(parts[3])  # the timestamp is checked, not kept
             except ValueError as exc:
                 raise ParseError("non-numeric field: %s" % exc, lineno) from None
             if uid < 1 or mid < 1:
@@ -796,7 +806,6 @@ def oracle_parse_movielens(source):
             users.append(uid)
             items.append(mid)
             ratings.append(rating)
-            stamps.append(stamp)
     if not users:
         raise ParseError("no ratings found")
     raw_users = np.asarray(users, dtype=np.int64)
@@ -809,7 +818,6 @@ def oracle_parse_movielens(source):
         rows=rows.astype(np.int64),
         cols=cols.astype(np.int64),
         ratings=np.asarray(ratings),
-        timestamps=np.asarray(stamps, dtype=np.int64),
         user_id_range=int(uniq_users[-1]),
         item_id_range=int(uniq_items[-1]),
     )
@@ -821,11 +829,10 @@ def ratings_outcome(parser, source):
         ds = parser(source)
     except ParseError as exc:
         return ("error", str(exc), exc.line)
-    arrays = (ds.rows, ds.cols, ds.ratings, ds.timestamps)
-    assert [a.dtype for a in arrays] == [np.int64, np.int64, np.float64, np.int64]
+    arrays = (ds.rows, ds.cols, ds.ratings)
+    assert [a.dtype for a in arrays] == [np.int64, np.int64, np.float64]
     return ("ok", ds.n_users, ds.n_items, ds.user_id_range, ds.item_id_range,
-            ds.rows.tolist(), ds.cols.tolist(), ds.ratings.view(np.int64).tolist(),
-            ds.timestamps.tolist())
+            ds.rows.tolist(), ds.cols.tolist(), ds.ratings.view(np.int64).tolist())
 
 
 def assert_parses_like_the_oracle(text):
@@ -983,19 +990,19 @@ def test_bulk_ratings_errors_match_the_scan(body, message, line):
         assert ratings_outcome(oracle_parse_movielens, io.StringIO(body)) == want
 
 
-@pytest.mark.parametrize("line, user, rating, stamp", [
-    ("+5::2::+4::+6", 5, 4.0, 6),
-    ("5_000::2::3::4", 5000, 3.0, 4),
-    ("١٢::2::٣::٤", 12, 3.0, 4),   # Arabic-Indic digits
-    (" 7 :: 2 ::\t2.5\t:: 4 ", 7, 2.5, 4),
-    ("7::2\r::3::4", 7, 3.0, 4),         # a carriage return inside the line
+@pytest.mark.parametrize("line, user, rating", [
+    ("+5::2::+4::+6", 5, 4.0),
+    ("5_000::2::3::4", 5000, 3.0),
+    ("١٢::2::٣::٤", 12, 3.0),   # Arabic-Indic digits
+    (" 7 :: 2 ::\t2.5\t:: 4 ", 7, 2.5),
+    ("7::2\r::3::4", 7, 3.0),         # a carriage return inside the line
 ])
-def test_ratings_reader_accepts_what_only_the_line_scan_accepts(line, user, rating, stamp):
+def test_ratings_reader_accepts_what_only_the_line_scan_accepts(line, user, rating):
     text = "1::1::1::1\n" + line + "\n"
     assert assert_parses_like_the_oracle(text)[0] == "ok"
     ds = parse_movielens(io.StringIO(text))
     assert ds.user_id_range == max(1, user)
-    assert ds.ratings.tolist() == [1.0, rating] and ds.timestamps.tolist() == [1, stamp]
+    assert ds.ratings.tolist() == [1.0, rating]
 
 
 def test_ratings_reader_rescans_sources_it_cannot_seek(tmp_path):
@@ -1029,4 +1036,4 @@ def test_files_this_package_writes_take_the_array_parse(tmp_path, monkeypatch):
     path = tmp_path / "ratings.dat"
     path.write_text("3::10::4::978300760\n1::10::4.5::978300761\n", encoding="utf-8")
     assert parse_movielens(path).ratings.tolist() == [4.0, 4.5]
-    assert parse_movielens(["1::2::3::4", "5::6::1::7\n"]).timestamps.tolist() == [4, 7]
+    assert parse_movielens(["1::2::3::4", "5::6::1::7\n"]).ratings.tolist() == [3.0, 1.0]

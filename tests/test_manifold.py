@@ -242,6 +242,21 @@ def test_retraction_type_and_rank_guards():
         retract(x, collapse, 1.0)
 
 
+def test_retraction_refuses_a_point_whose_weights_are_not_positive_definite():
+    # the new R = diag(1, 2e-12) passes the singular value test (ratio
+    # above RANK_TOL), but its weight R RT = diag(1, 4e-24) falls below
+    # the eigensolve floor that the gradient at the new point needs
+    u = np.eye(4, 2)
+    x = FixedRankPoint(u, np.eye(2), u)
+    dr = np.diag([0.0, -(1.0 - 2e-12)])
+    xi = HorizontalVector(x, np.zeros((4, 2)), dr, np.zeros((4, 2)))
+    sig = np.linalg.svd(x.R + dr, compute_uv=False)
+    assert sig[-1] / sig[0] > 1e-12
+    with pytest.raises(RetractionError, match="metric weight"):
+        retract(x, xi, 1.0)
+    assert retract(x, xi, 0.5).R[1, 1] == pytest.approx(0.5)
+
+
 def test_transport_fixes_vectors_at_the_same_point():
     x = random_point(9, 7, 3, 25)
     h = random_horizontal(x, 26)

@@ -258,6 +258,185 @@ def test_cg_solve_retries_from_steepest_descent_when_the_initial_step_fails(
     assert (trace.reason, trace.iterations) == ("max_iterations", 5)
 
 
+# The oracle of the line search is the loop it replaced: the reset test,
+# a nested steepest-descent retry and a separate Armijo backtracking.  It
+# calls the solver module's functions by name, so a patch there reaches it.
+def reference_armijo_search(problem, ev, eta, slope, s0):
+    s = s0
+    for k in range(solver_module.MAX_BACKTRACKS + 1):
+        try:
+            y = solver_module.retract(ev.point, eta, s)
+        except RetractionError:
+            s *= solver_module.BACKTRACK_FACTOR
+            continue
+        trial = solver_module.evaluate(problem, y)
+        if trial.cost <= ev.cost + solver_module.ARMIJO_SLOPE * s * slope:
+            return trial, s, k
+        s *= solver_module.BACKTRACK_FACTOR
+    return None
+
+
+def reference_cg_solve(problem, x0, config=SolverConfig()):
+    ev = solver_module.evaluate(problem, x0)
+    x, f = x0, ev.cost
+    trace = SolverTrace(initial_cost=f)
+    grad = riemannian_gradient(problem, ev)
+    grad_norm_sq = metric(x, grad, grad)
+    grad_norm_0 = np.sqrt(grad_norm_sq)
+    eta = -grad
+
+    while True:
+        if f <= config.cost_tolerance:
+            trace.reason = "cost_tolerance"
+            break
+        if np.sqrt(grad_norm_sq) <= config.gradient_norm_tolerance * grad_norm_0:
+            trace.reason = "gradient_tolerance"
+            break
+        if trace.iterations >= config.max_iterations:
+            trace.reason = "max_iterations"
+            break
+
+        slope = metric(x, grad, eta)
+        reset = False
+        if slope >= 0.0:
+            eta, slope, reset = -grad, -grad_norm_sq, True
+
+        accepted = None
+        while True:
+            try:
+                s0 = solver_module.initial_step(problem, ev, eta)
+            except NonDescentDirectionError:
+                s0 = None
+            except DegenerateDirectionError:
+                s0 = 1.0 if reset else None
+            if s0 is not None and s0 > 0.0:
+                accepted = reference_armijo_search(problem, ev, eta, slope, s0)
+            if accepted is not None or reset:
+                break
+            eta, slope, reset = -grad, -grad_norm_sq, True
+        if accepted is None:
+            trace.reason = "line_search_stall"
+            break
+
+        ev, s, backtracks = accepted
+        x_new = ev.point
+        grad_new = riemannian_gradient(problem, ev)
+        grad_norm_sq_new = metric(x_new, grad_new, grad_new)
+        beta = pr_plus_beta(x_new, grad_new, solver_module.transport_to(x_new, grad),
+                            grad_norm_sq)
+        eta = -grad_new + beta * solver_module.transport_to(x_new, eta)
+        x, f, grad, grad_norm_sq = x_new, ev.cost, grad_new, grad_norm_sq_new
+        trace.rows.append(TraceRow(trace.iterations + 1, f, float(np.sqrt(grad_norm_sq)),
+                                   s, backtracks, reset, 0.0))
+    return x, trace
+
+
+def trace_bits(trace):
+    """Every field of a trace but the clock, floats as their exact bits."""
+    return (trace.initial_cost.hex(), trace.reason,
+            [(r.iteration, r.cost.hex(), r.grad_norm.hex(), r.step.hex(), r.backtracks,
+              r.reset) for r in trace.rows])
+
+
+def assert_solves_like_the_reference(problem, x0, config, patch=lambda mp: None):
+    """cg_solve and the reference, each under a fresh ``patch``, give the
+    same point, the same trace bits and the same calls of the step
+    functions; returns the trace."""
+    outcomes = []
+    for solve in (reference_cg_solve, cg_solve):
+        with pytest.MonkeyPatch.context() as mp:
+            patch(mp)
+            calls = [count_calls(mp, solver_module, name)
+                     for name in ("initial_step", "retract", "evaluate")]
+            x, trace = solve(problem, x0, config)
+        outcomes.append((x, trace, [len(c) for c in calls]))
+    (x_ref, trace_ref, calls_ref), (x, trace, calls) = outcomes
+    assert_same_point(x, x_ref)
+    assert trace_bits(trace) == trace_bits(trace_ref)
+    assert calls == calls_ref
+    return trace
+
+
+@pytest.mark.parametrize("n, m, r, ratio, seed, noise, iterations", [
+    (30, 30, 2, 4.0, 21, 0.0, 60),
+    (40, 25, 3, 3.0, 80, 1e-3, 80),
+    (30, 200, 3, 3.0, 61, 0.1, 40),   # noise-dominated
+    (20, 20, 2, 2.2, 81, 0.0, 100),   # scarce
+])
+def test_cg_solve_matches_the_reference_loop_on_seeded_problems(
+        n, m, r, ratio, seed, noise, iterations):
+    problem, _ = make_problem(n, m, r, ratio, seed, noise=noise)
+    x0 = random_point(n, m, r, seed + 50)
+    config = SolverConfig(max_iterations=iterations)
+    trace = assert_solves_like_the_reference(problem, x0, config)
+    assert trace.iterations > 0
+
+
+def test_cg_solve_matches_the_reference_loop_on_an_ill_conditioned_problem():
+    problem, _ = synthesize(SyntheticSpec(60, 60, 4, 3.0, condition_number=100.0), seed=5)
+    config = SolverConfig(max_iterations=120)
+    trace = assert_solves_like_the_reference(problem, random_point(60, 60, 4, 6), config)
+    assert trace.iterations > 0
+
+
+@pytest.mark.parametrize("name, error, failing, reason, resets", [
+    # the CG direction of the second iteration fails; steepest descent stands in
+    ("initial_step", NonDescentDirectionError, {2}, "max_iterations", [2]),
+    ("initial_step", DegenerateDirectionError, {2}, "max_iterations", [2]),
+    # degenerate steepest descent falls back to a unit step; later
+    # iterations of that trajectory reset on the descent test
+    ("initial_step", DegenerateDirectionError, {1, 2}, "max_iterations", [1]),
+    ("initial_step", DegenerateDirectionError, {3, 4}, "max_iterations", [3, 5, 7, 8]),
+    # non-descent on both directions: a stall
+    ("initial_step", NonDescentDirectionError, {1, 2}, "line_search_stall", []),
+    ("initial_step", NonDescentDirectionError, {3, 4}, "line_search_stall", []),
+    # failed retractions count as backtracks
+    ("retract", RetractionError, {1, 2, 5}, "max_iterations", []),
+])
+def test_cg_solve_matches_the_reference_loop_on_forced_fallbacks(name, error, failing,
+                                                                  reason, resets):
+    problem, _ = make_problem(30, 30, 2, 4.0, 21)
+    x0 = random_point(30, 30, 2, 22)
+    config = SolverConfig(max_iterations=8, cost_tolerance=0.0)
+    trace = assert_solves_like_the_reference(
+        problem, x0, config, lambda mp: fail_calls(mp, solver_module, name, error, failing))
+    assert trace.reason == reason
+    assert [row.iteration for row in trace.rows if row.reset] == resets
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_cg_solve_matches_the_reference_loop_on_a_nonpositive_initial_step(bad):
+    # a CG direction whose initial step is not positive gives no step;
+    # steepest descent stands in
+    problem, _ = make_problem(30, 30, 2, 4.0, 21)
+
+    def patch(mp):
+        calls, original = [], solver_module.initial_step
+
+        def step(*args):
+            calls.append(args)
+            return bad if len(calls) == 2 else original(*args)
+
+        mp.setattr(solver_module, "initial_step", step)
+
+    config = SolverConfig(max_iterations=8, cost_tolerance=0.0)
+    trace = assert_solves_like_the_reference(problem, random_point(30, 30, 2, 22), config,
+                                             patch)
+    assert [row.iteration for row in trace.rows if row.reset] == [2]
+
+
+def test_cg_solve_matches_the_reference_loop_when_the_line_search_runs_out():
+    problem, _ = make_problem(30, 30, 2, 4.0, 13)
+
+    def strict(mp):
+        mp.setattr(solver_module, "ARMIJO_SLOPE", 1.0 - 1e-9)
+        mp.setattr(solver_module, "MAX_BACKTRACKS", 0)
+
+    trace = assert_solves_like_the_reference(problem, random_point(30, 30, 2, 14),
+                                             SolverConfig(), strict)
+    assert trace.reason == "line_search_stall"
+
+
 def test_solves_write_nothing_to_stdout_or_stderr(capsys):
     problem, _ = make_problem(20, 20, 2, 4.0, 15)
     config = SolverConfig(max_iterations=20, cost_tolerance=0.0)
@@ -290,6 +469,33 @@ def test_dominant_residual_pair_matches_dense_svd():
     assert np.linalg.norm(sigma * np.outer(u, v) - s[0] * np.outer(w[:, 0], zt[0])) <= 1e-3 * s[0]
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dominant_residual_pair_reseeds_a_start_the_residual_cannot_see(monkeypatch):
+    # columns 5 and 6 carry no observation, so a start supported on them
+    # gives S v = 0 and the iteration must draw a new start
+    rows, cols = np.divmod(np.arange(25), 5)
+    vals = CounterRng(23).standard_normal(25)
+    res = SparseResidual(ObservedEntries(5, 7, rows, cols, np.zeros(25)), vals)
+    draws = []
+
+    class FirstDrawOffPattern(CounterRng):
+        def standard_normal(self, shape):
+            draws.append(shape)
+            if len(draws) == 1:
+                v = np.zeros(shape)
+                v[5:] = 1.0
+                return v
+            return super().standard_normal(shape)
+
+    monkeypatch.setattr(solver_module, "CounterRng", FirstDrawOffPattern)
+    sigma, u, v = _dominant_residual_pair(res, seed=0)
+    assert draws == [(7, 1), (7, 1)]
+    dense = np.zeros((5, 7))
+    dense[rows, cols] = vals
+    w, s, zt = np.linalg.svd(dense)
+    assert sigma == pytest.approx(s[0], rel=1e-6)
+    assert np.linalg.norm(sigma * np.outer(u, v) - s[0] * np.outer(w[:, 0], zt[0])) <= 1e-3 * s[0]
 
 
 def test_dominant_residual_pair_rejects_zero_residual():
@@ -355,6 +561,26 @@ def test_rank_one_update_perturbs_spanned_directions_with_warning():
     assert s[1] <= 1e-10 * sigma
     assert abs(right_t[0] @ v) == pytest.approx(1.0, abs=1e-8)
     assert np.linalg.norm(x.U.T @ left[:, 0]) <= 1e-8
+
+
+def test_rank_one_update_perturbs_a_spanned_right_direction_too():
+    # the transposed case: the residual is exactly rank one along the
+    # current right factor, so the V side takes the random complement
+    x = random_point(9, 6, 2, 42)
+    rows, cols = np.divmod(np.arange(54), 6)
+    w = CounterRng(43).standard_normal(9)
+    data = x.matrix() + np.outer(w, x.V[:, 0])
+    entries = ObservedEntries(9, 6, rows, cols, data[rows, cols])
+    problem = CompletionProblem(entries, 2)
+    with pytest.warns(RuntimeWarning, match="factor span"):
+        y = rank_one_update(problem, x, seed=1)
+    sigma, u, v = _dominant_residual_pair(residual_of(problem, x), seed=1)
+    diff = y.matrix() - x.matrix()
+    left, s, right_t = np.linalg.svd(diff)
+    assert s[0] == pytest.approx(sigma, rel=1e-8)
+    assert s[1] <= 1e-10 * sigma
+    assert abs(left[:, 0] @ u) == pytest.approx(1.0, abs=1e-8)
+    assert np.linalg.norm(x.V.T @ right_t[0]) <= 1e-8
 
 
 def test_rank_one_update_exact_scale_never_raises_cost():
@@ -884,6 +1110,14 @@ def test_truncated_warm_start_fit_matches_dense_least_squares():
         np.testing.assert_allclose(fitted[:, j], warm.U @ coef, rtol=0, atol=tol)
         checked += 1
     assert checked >= 0.9 * e.m
+
+
+def test_truncated_warm_start_rejects_rank_deficient_coefficients():
+    # all-zero data fits every column with zero coefficients
+    rows, cols = sample_mask(20, 60, 600, 64)
+    problem = CompletionProblem(ObservedEntries(20, 60, rows, cols, np.zeros(600)), 2)
+    with pytest.raises(SingularMatrixError, match="fitted coefficients are rank deficient"):
+        truncated_warm_start(problem, 20, seed=10)
 
 
 def test_truncated_warm_start_warns_on_under_determined_columns():
