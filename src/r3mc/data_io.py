@@ -261,11 +261,10 @@ def split_train_val_test(entries, fractions, seed):
     c1 = int(round(f[0] * total))
     c2 = int(round((f[0] + f[1]) * total))
     c1, c2 = min(c1, total), min(max(c2, c1), total)
-    return (
-        _subset(entries, perm[:c1]),
-        _subset(entries, perm[c1:c2]),
-        _subset(entries, perm[c2:]),
-    )
+    # each part in pattern order: ObservedEntries sorts it so anyway, and
+    # an already sorted key sorts fast
+    return tuple(_subset(entries, np.sort(perm[a:b]))
+                 for a, b in ((0, c1), (c1, c2), (c2, total)))
 
 
 @contextmanager
@@ -337,16 +336,33 @@ def _read_header(stream, banner, fields):
     return sizes, body
 
 
+def _tokens(keys, fmt, numbers):
+    """``fmt % x`` for each key, formatted once per distinct key.
+
+    ``numbers`` maps the sorted distinct keys to the Python numbers that
+    ``fmt`` formats.  Returns an object array of strings aligned with
+    ``keys``; the table spans only the keys that occur.
+    """
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    table = np.array([fmt % x for x in numbers(distinct)], dtype=object)
+    return table[inverse]
+
+
 def write_matrix_market(target, entries):
-    """Write observed entries in the 1-based coordinate format."""
+    """Write observed entries in the 1-based coordinate format.
+
+    The bytes are those of ``"%d %d %r\\n"`` per entry, formatted from
+    Python numbers; each distinct row, column and value is formatted
+    once.  Values are keyed by their bits, so 0.0 and -0.0 stay apart.
+    """
+    rows = _tokens(entries.rows, "%d ", lambda d: [i + 1 for i in d.tolist()])
+    cols = _tokens(entries.cols, "%d ", lambda d: [j + 1 for j in d.tolist()])
+    vals = _tokens(entries.vals.view(np.int64), "%r\n",
+                   lambda d: d.view(np.float64).tolist())
     with _opened(target, "w") as stream:
         stream.write("%%MatrixMarket matrix coordinate real general\n")
         stream.write("%d %d %d\n" % (entries.n, entries.m, entries.count))
-        stream.writelines(
-            "%d %d %r\n" % entry
-            for entry in zip((entries.rows + 1).tolist(), (entries.cols + 1).tolist(),
-                             entries.vals.tolist())
-        )
+        stream.writelines(map("".join, zip(rows, cols, vals)))
 
 
 # one coordinate entry line as the array parse reads it

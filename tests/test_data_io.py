@@ -31,7 +31,7 @@ from r3mc import (
     write_dense_matrix_market,
     write_matrix_market,
 )
-from r3mc.data_io import _opened, _read_header
+from r3mc.data_io import _opened, _read_header, check_fractions
 
 
 def test_counting_helpers():
@@ -254,6 +254,53 @@ def test_split_rejects_bad_fractions():
         split_train_val_test(entries, (0.5, 0.5), 0)
 
 
+def oracle_split_train_val_test(entries, fractions, seed):
+    """The split with each part taken in permutation order, kept as the
+    reference."""
+    f = check_fractions(fractions)
+    total = entries.count
+    perm = CounterRng(seed).permutation(total)
+    c1 = int(round(f[0] * total))
+    c2 = int(round((f[0] + f[1]) * total))
+    c1, c2 = min(c1, total), min(max(c2, c1), total)
+    return tuple(
+        ObservedEntries(entries.n, entries.m, entries.rows[p], entries.cols[p],
+                        entries.vals[p])
+        for p in (perm[:c1], perm[c1:c2], perm[c2:])
+    )
+
+
+def power_law_ratings(n, m, count, seed):
+    """Ratings 1..5 on a pattern whose row and column degrees fall as
+    powers of their rank, as in ratings data."""
+    gen = np.random.default_rng(seed)
+
+    def draw(size, exponent):
+        weight = (1.0 + np.arange(size)) ** -exponent
+        return gen.choice(size, count, p=weight / weight.sum())
+
+    cells = np.unique(draw(n, 0.8) * m + draw(m, 1.0))
+    vals = gen.integers(1, 6, cells.size).astype(np.float64)
+    return ObservedEntries(n, m, cells // m, cells % m, vals)
+
+
+@pytest.mark.parametrize("fractions", [(0.8, 0.1, 0.1), (1, 0, 0), (0, 0, 1)])
+@pytest.mark.parametrize("pattern", [
+    lambda: random_entries(40, 30, 500, 12),
+    lambda: power_law_ratings(300, 120, 4000, 13),
+], ids=["uniform", "power-law"])
+def test_split_parts_match_the_permutation_order_split(pattern, fractions):
+    entries = pattern()
+    for seed in (0, 5):
+        got = split_train_val_test(entries, fractions, seed)
+        want = oracle_split_train_val_test(entries, fractions, seed)
+        for g, w in zip(got, want):
+            assert (g.n, g.m) == (w.n, w.m)
+            for name in ("rows", "cols", "vals"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_matrix_market_round_trip_is_bitwise_exact():
     entries = random_entries(9, 11, 30, 11)
     buf = io.StringIO()
@@ -462,8 +509,8 @@ def oracle_write_matrix_market(stream, entries):
     """The line-at-a-time coordinate writer, kept as the reference."""
     stream.write("%%MatrixMarket matrix coordinate real general\n")
     stream.write("%d %d %d\n" % (entries.n, entries.m, entries.count))
-    for i, j, v in zip(entries.rows, entries.cols, entries.vals):
-        stream.write("%d %d %s\n" % (i + 1, j + 1, repr(float(v))))
+    for i, j, v in zip(entries.rows.tolist(), entries.cols.tolist(), entries.vals.tolist()):
+        stream.write("%d %d %s\n" % (i + 1, j + 1, repr(v)))
 
 
 def oracle_write_dense_matrix_market(stream, matrix):
@@ -771,11 +818,58 @@ def test_writer_bytes_are_pinned():
         "3 4 3\n1 4 0.1\n2 2 4.0\n3 1 -2.5e-300\n"
     )
     buf = io.StringIO()
+    write_matrix_market(buf, ObservedEntries(3, 4, [], [], []))
+    assert buf.getvalue() == "%%MatrixMarket matrix coordinate real general\n3 4 0\n"
+    buf = io.StringIO()
     write_dense_matrix_market(buf, [[1.0, 1 / 3], [-0.0, 1e22]])
     assert buf.getvalue() == (
         "%%MatrixMarket matrix array real general\n"
         "2 2\n1.0\n-0.0\n0.3333333333333333\n1e+22\n"
     )
+
+
+# few distinct values, as in ratings: both zeros, subnormals, integers, a
+# value with no short decimal form and one printed in exponent form
+value_pool = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1.0, 2.0, 3.0, 4.0, 5.0,
+                              0.1, 1e22])
+grids = st.tuples(st.integers(1, 9), st.integers(1, 9)) | st.sampled_from(
+    [(2**62, 2), (2, 2**62), (2**63, 1)])
+
+
+@given(data=st.data(), grid=grids)
+def test_writer_matches_the_line_at_a_time_bytes_on_repeated_values(data, grid):
+    n, m = grid
+    cells = data.draw(st.lists(st.integers(0, n * m - 1) | st.sampled_from([0, n * m - 1]),
+                               unique=True, max_size=min(n * m, 40)), label="cells")
+    vals = data.draw(st.lists(value_pool, min_size=len(cells), max_size=len(cells)),
+                     label="vals")
+    rows, cols = np.divmod(np.array(cells, dtype=np.int64), m)
+    entries = ObservedEntries(n, m, rows, cols, vals)
+    got, want = io.StringIO(), io.StringIO()
+    write_matrix_market(got, entries)
+    oracle_write_matrix_market(want, entries)
+    assert got.getvalue() == want.getvalue()
+    back = read_matrix_market(io.StringIO(got.getvalue()))
+    assert back.rows.tolist() == entries.rows.tolist()
+    assert back.cols.tolist() == entries.cols.tolist()
+    # bit for bit, so the sign of every zero survives
+    assert back.vals.view(np.int64).tolist() == entries.vals.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n, m, rows, cols", [
+    (2**63, 1, [2**63 - 1, 0], [0, 0]),
+    (1, 2**63, [0, 0], [2**63 - 1, 0]),
+])
+def test_writer_round_trips_the_last_index_of_a_2_63_grid(n, m, rows, cols):
+    entries = ObservedEntries(n, m, rows, cols, [1.0, -0.0])
+    buf = io.StringIO()
+    write_matrix_market(buf, entries)
+    assert str(2**63) in buf.getvalue().splitlines()[3]
+    back = read_matrix_market(io.StringIO(buf.getvalue()))
+    assert (back.n, back.m) == (n, m)
+    assert back.rows.tolist() == entries.rows.tolist()
+    assert back.cols.tolist() == entries.cols.tolist()
+    assert back.vals.view(np.int64).tolist() == entries.vals.view(np.int64).tolist()
 
 
 # --- the bulk ratings reader against the line scan it replaces
