@@ -73,7 +73,9 @@ class ObservedEntries:
     """Sorted sparse pattern with values on an n x m grid.
 
     Triplets are stored row-major sorted with no duplicates: one stable
-    sort by cell number i m + j, which needs n m <= 2**63.  An empty
+    sort by cell number i m + j, which needs n m <= 2**63, or none when
+    the cell numbers already strictly increase.  The instance keeps its
+    own copies of the arrays either way.  An empty
     pattern is allowed here and rejected where a nonempty one is required
     (problem construction).  The per-row entry counts, an n-array, are
     computed on first use, so a pattern on a grid too tall to count its
@@ -98,16 +100,21 @@ class ObservedEntries:
         if not np.all(np.isfinite(vals)):
             raise ContractViolationError("values must be finite")
         # the row-major cell number, below n m <= 2**63
-        key = rows.astype(np.uint64) * np.uint64(m) + cols.astype(np.uint64)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        same = key[1:] == key[:-1]
-        if np.any(same):
-            k = int(np.flatnonzero(same)[0])
-            raise ContractViolationError(
-                "duplicate entry at (%d, %d)" % (rows[k], cols[k])
-            )
+        key = rows.view(np.uint64) * np.uint64(m)
+        key += cols.view(np.uint64)
+        if np.all(key[1:] > key[:-1]):  # sorted, without duplicates
+            del key  # so the copies peak at the output alone
+            rows, cols, vals = rows.copy(), cols.copy(), vals.copy()
+        else:
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            rows, cols, vals = rows[order], cols[order], vals[order]
+            same = key[1:] == key[:-1]
+            if np.any(same):
+                k = int(np.flatnonzero(same)[0])
+                raise ContractViolationError(
+                    "duplicate entry at (%d, %d)" % (rows[k], cols[k])
+                )
         self.n, self.m = n, m
         self.rows, self.cols, self.vals = rows, cols, vals
 

@@ -19,9 +19,45 @@ _U53 = float(2.0**-53)
 
 
 def _mix(z):
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """The SplitMix64 finalizer, in place on a uint64 array."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def stable_argsort(keys):
+    """``np.argsort(keys, kind="stable")`` of a 1-D array without NaN, faster.
+
+    The default sort orders the keys; then only the members of runs of
+    equal keys are put in index order, by one plain sort of the distinct
+    numbers run * size + index.  Ties are rare in a random draw, and even
+    where most keys tie this costs about half the stable sort.
+    """
+    keys = np.asarray(keys)
+    if keys.size > 2**32:  # run * size + index could pass 2**64
+        return np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
+    ranked = keys[order]
+    tie = ranked[1:] == ranked[:-1]
+    del ranked
+    if tie.any():
+        member = np.zeros(keys.size, dtype=bool)  # in a run of equal keys
+        member[1:] = tie
+        member[:-1] |= tie
+        at = np.flatnonzero(member)
+        start = np.ones(at.size, dtype=bool)
+        start[1:] = ~tie[at[1:] - 1]
+        size = np.uint64(keys.size)
+        pairs = np.cumsum(start, dtype=np.uint64)  # runs from 1, at most size / 2
+        pairs *= size
+        pairs += order[at].view(np.uint64)
+        pairs.sort()
+        pairs %= size
+        order[at] = pairs.view(np.int64)
+    return order
 
 
 class CounterRng:
@@ -35,10 +71,12 @@ class CounterRng:
 
     def raw(self, count):
         """Next ``count`` raw 64-bit words as a uint64 array."""
-        idx = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
+        z = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
         self._counter += count
         with np.errstate(over="ignore"):
-            return _mix(self._seed + idx * _GAMMA)
+            z *= _GAMMA
+            z += self._seed
+            return _mix(z)
 
     def uniform(self, count):
         """Doubles in [0, 1), 53-bit resolution."""
@@ -82,41 +120,52 @@ class CounterRng:
         an earlier step therefore shares that step's fate; following
         those links to a step that names no earlier one decides every
         step without walking the chosen set.
+
+        At most about four arrays of the sample's size are alive at once:
+        the bounds become the gaps j - t and the draws the sample in
+        place, and each word batch is dropped once read.
         """
         if count < 0 or count > population:
             raise ValueError("need 0 <= count <= population")
         if population > 2**63:
             raise ValueError("population %d exceeds 2**63" % population)
-        first = np.uint64(population - count)
-        bounds = first + np.arange(1, count + 1, dtype=np.uint64)  # j + 1 per step
-        rem = (np.uint64(0) - bounds) % bounds  # 2**64 mod bound
-        draws = np.empty(count, dtype=np.uint64)
+        bounds = np.arange(1, count + 1, dtype=np.uint64)
+        bounds += np.uint64(population - count)  # j + 1 per step
+        draws = np.empty(count, dtype=np.int64)  # t <= j < 2**63
         done = 0
         while done < count:
             words = self.raw(count - done)
-            tail = rem[done:]
-            rejected = np.flatnonzero((tail != 0) & (words >= np.uint64(0) - tail))
-            keep = int(rejected[0]) if rejected.size else words.size
-            draws[done:done + keep] = words[:keep] % bounds[done:done + keep]
+            tail = bounds[done:]
+            # draws past the first rejected word are drawn again
+            np.remainder(words, tail, out=draws[done:].view(np.uint64))
+            # a word at or above the largest multiple of its bound below 2**64
+            # lies in a block of bound words, from word - t, that runs past
+            # 2**64: word - t > 2**64 - bound, which is 0 - bound in uint64
+            words -= draws[done:].view(np.uint64)
+            rejected = np.flatnonzero(words > np.uint64(0) - tail)
+            del words
+            keep = int(rejected[0]) if rejected.size else count - done
             done += keep
             if rejected.size:  # resume just past the rejected word
-                self._counter -= words.size - keep - 1
-        steps = (bounds - np.uint64(1)).astype(np.int64)  # j per step
-        draws = draws.astype(np.int64)  # t <= j < 2**63
+                self._counter -= count - done - 1
         # a repeat of an earlier draw value collides
-        order = np.argsort(draws, kind="stable")
+        order = stable_argsort(draws)
         ranked = draws[order]
         collides = np.zeros(count, dtype=bool)
         collides[order[1:]] = ranked[1:] == ranked[:-1]
+        del order, ranked
         # a first draw t = j - gap names the step gap places back, if there is
         # one; jump the links until each ends at a step that names none
         link = np.arange(count)
-        gap = steps - draws
+        bounds -= np.uint64(1)
+        gap = bounds.view(np.int64)  # j - t per step, in place of j + 1
+        gap -= draws
         named = np.flatnonzero(~collides & (gap > 0) & (gap <= link))
         link[named] -= gap[named]
         while named.size:
             link[named] = link[link[named]]
             named = named[link[link[named]] != link[named]]
-        chosen = np.where(collides[link], steps, draws)
-        chosen.sort()
-        return chosen
+        # a colliding step takes its own index j = t + gap
+        np.add(draws, gap, out=draws, where=collides[link])
+        draws.sort()
+        return draws

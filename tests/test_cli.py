@@ -122,6 +122,16 @@ def test_synth_rejects_low_oversampling_unless_forced(tmp_path, capsys):
     assert (out / "entries.mtx").exists()
 
 
+def test_synth_rejects_an_oversampling_that_gives_no_entries(tmp_path, capsys):
+    out = tmp_path / "none"
+    assert run_cli("synth", "--n", "10", "--m", "10", "--rank", "1", "--os", "0.01",
+                   "--seed", "0", "--out", str(out), "--force") == 2
+    err = capsys.readouterr().err
+    assert err.endswith(
+        "error: oversampling 0.01 gives no entries on the 10 x 10 grid at rank 1\n")
+    assert not out.exists()
+
+
 def test_complete_solves_and_reports(tmp_path, capsys):
     data, problem = write_problem(tmp_path)
     report = tmp_path / "report.json"
@@ -443,6 +453,8 @@ def test_bench_isolates_per_run_failures(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("sweep, message", [
     (["--os", "nan"], "oversampling must be positive and finite"),
     (["--os", "3,40"], "oversampling 40 needs 3040 entries, grid has only 400"),
+    (["--n", "10", "--m", "10", "--ranks", "1", "--os", "0.01"],
+     "oversampling 0.01 gives no entries on the 10 x 10 grid at rank 1"),
     (["--ranks", "2,30"], "rank must lie in [1, min(n, m)]"),
     (["--cn", "10,0.5"], "condition number must be finite and at least 1"),
     (["--ranks", "1", "--cn", "5"],

@@ -2,6 +2,7 @@
 
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from r3mc import (
     write_dense_matrix_market,
     write_matrix_market,
 )
+from r3mc import data_io
 from r3mc.data_io import _opened, _read_header, check_fractions
 
 
@@ -57,6 +59,11 @@ def test_synthetic_spec_validation():
         SyntheticSpec(100, 80, 4, 3.0, condition_number=0.5)
     with pytest.raises(ConfigError, match="a rank-one matrix cannot have condition"):
         SyntheticSpec(100, 80, 1, 3.0, condition_number=5.0)
+    # 0.01 * 19 degrees of freedom rounds to no entries
+    with pytest.raises(ConfigError) as info:
+        SyntheticSpec(10, 10, 1, 0.01)
+    assert str(info.value) == "oversampling 0.01 gives no entries on the 10 x 10 grid at rank 1"
+    assert SyntheticSpec(10, 10, 1, 0.03).count == 1
     assert SyntheticSpec(100, 80, 1, 3.0, condition_number=1.0).rank == 1
 
 
@@ -122,6 +129,34 @@ def test_synthesize_values_match_the_factor_product():
     problem2, _ = synthesize(spec, 9)
     assert np.array_equal(problem.entries.vals, problem2.entries.vals)
     assert np.array_equal(problem.entries.rows, problem2.entries.rows)
+
+
+@pytest.mark.parametrize("rank", [1, 3, 10, 17, 40])
+def test_synthesize_values_in_chunks_are_one_einsum(monkeypatch, rank):
+    def check(count):
+        spec = SyntheticSpec(100, 100, rank, count / degrees_of_freedom(100, 100, rank))
+        assert spec.count == count
+        problem, (left, right) = synthesize(spec, count)
+        e = problem.entries
+        whole = np.einsum("ij,ji->i", left[e.rows], right[:, e.cols])
+        assert e.vals.tobytes() == whole.tobytes()
+
+    check(data_io._VALUE_CHUNK + 1)
+    chunk = 16
+    monkeypatch.setattr(data_io, "_VALUE_CHUNK", chunk)
+    for count in (chunk - 1, chunk, chunk + 1, 3 * chunk + 5, 40 * chunk + 5):
+        check(count)
+
+
+def test_synthesize_peaks_at_three_times_its_triplets():
+    tracemalloc.start()
+    try:
+        problem, _ = synthesize(SyntheticSpec(2000, 2000, 10, 4.0), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    e = problem.entries
+    assert peak <= 3 * (e.rows.nbytes + e.cols.nbytes + e.vals.nbytes)
 
 
 def test_synthesize_conditioned_path():

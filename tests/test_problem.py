@@ -3,6 +3,7 @@ loops they replace."""
 
 import dataclasses
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -110,10 +111,12 @@ def sorted_entries(n, m, rows, cols, vals):
 
 
 @given(data=st.data(), n=st.integers(1, 7), m=st.integers(1, 7),
-       repeats=st.booleans())
-def test_observed_entries_sort_like_the_lexsort(data, n, m, repeats):
+       repeats=st.booleans(), presorted=st.booleans())
+def test_observed_entries_sort_like_the_lexsort(data, n, m, repeats, presorted):
     cells = data.draw(st.lists(st.integers(0, n * m - 1), unique=not repeats,
                                max_size=2 * n * m), label="cells")
+    if presorted:
+        cells.sort()
     vals = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                               min_size=len(cells), max_size=len(cells)), label="vals")
     rows, cols = np.divmod(np.array(cells, dtype=np.int64), m)
@@ -126,12 +129,34 @@ def test_observed_entries_sort_like_the_lexsort(data, n, m, repeats):
 def test_observed_entries_sort_the_largest_grids(n, m):
     # cell numbers reach 2**63 - 1
     cells = [n * m - 1, (n * m) // 3, 1, (n * m) // 2, 0]
-    rows, cols = zip(*(divmod(c, m) for c in cells))
     vals = [1.0, 2.0, 3.0, 4.0, 5.0]
-    assert sorted_entries(n, m, rows, cols, vals) == oracle_sorted_entries(rows, cols, vals)
-    rows, cols = rows + rows[1:2], cols + cols[1:2]
-    assert sorted_entries(n, m, rows, cols, vals + [6.0]) == (
-        "duplicate entry at (%d, %d)" % (rows[1], cols[1]))
+    for cells in (cells, sorted(cells)):
+        rows, cols = zip(*(divmod(c, m) for c in cells))
+        assert sorted_entries(n, m, rows, cols, vals) == oracle_sorted_entries(
+            rows, cols, vals)
+        rows, cols = rows + rows[1:2], cols + cols[1:2]
+        assert sorted_entries(n, m, rows, cols, vals + [6.0]) == (
+            "duplicate entry at (%d, %d)" % (rows[1], cols[1]))
+
+
+def test_observed_entries_keep_sorted_triplets_without_a_sort():
+    n, m = 400, 300
+    rows, cols = sample_mask(n, m, 20000, 3)
+    vals = CounterRng(4).standard_normal(rows.size)
+    tracemalloc.start()
+    try:
+        e = ObservedEntries(n, m, rows, cols, vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # its own copies of the three arrays, and at most one cell-number key more
+    assert peak <= e.rows.nbytes + e.cols.nbytes + e.vals.nbytes + 8 * e.count
+    for own, theirs in ((e.rows, rows), (e.cols, cols), (e.vals, vals)):
+        assert not np.shares_memory(own, theirs)
+    shuffle = CounterRng(5).permutation(rows.size)
+    s = ObservedEntries(n, m, rows[shuffle], cols[shuffle], vals[shuffle])
+    for own, other in ((e.rows, s.rows), (e.cols, s.cols), (e.vals, s.vals)):
+        assert own.tobytes() == other.tobytes()
 
 
 @pytest.mark.parametrize("n, m", [(2**63 + 1, 1), (1, 2**64), (2**32, 2**31 + 1), (3, 2**62)])

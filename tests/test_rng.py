@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from r3mc import CounterRng, sample_mask
+from r3mc.rng import stable_argsort
 
 MASK = (1 << 64) - 1
 
@@ -125,6 +126,39 @@ def test_permutation_varies_with_seed():
         CounterRng(0).permutation(50).tolist()
         != CounterRng(1).permutation(50).tolist()
     )
+
+
+def argsorts_alike(keys):
+    got = stable_argsort(keys)
+    assert got.dtype == np.intp
+    return got.tolist() == np.argsort(keys, kind="stable").tolist()
+
+
+@given(st.lists(st.integers(-3, 3), max_size=300)
+       | st.lists(st.integers(-2**63, 2**63 - 1), max_size=50))
+def test_stable_argsort_on_int64_keys(keys):
+    assert argsorts_alike(np.array(keys, dtype=np.int64))
+
+
+@given(st.lists(st.integers(2**63 - 2, 2**63 + 2) | st.integers(2**64 - 3, 2**64 - 1)
+                | st.integers(0, 2), max_size=200))
+def test_stable_argsort_on_uint64_keys_above_2_63(keys):
+    assert argsorts_alike(np.array(keys, dtype=np.uint64))
+
+
+@given(st.lists(st.sampled_from([-0.0, 0.0, 1.5, -np.inf])
+                | st.floats(allow_nan=False), max_size=200))
+def test_stable_argsort_on_float64_keys_with_signed_zeros(keys):
+    assert argsorts_alike(np.array(keys, dtype=np.float64))
+
+
+@pytest.mark.parametrize("keys", [
+    np.array([], dtype=np.int64), np.array([7], dtype=np.int64),
+    np.array([], dtype=np.float64), np.array([-0.0]), np.array([2**64 - 1], dtype=np.uint64),
+    np.array([0.0, -0.0, 0.0, -0.0]), np.zeros(1000, dtype=np.int64),
+])
+def test_stable_argsort_on_edge_cases(keys):
+    assert argsorts_alike(keys)
 
 
 def test_sample_without_replacement_properties():
