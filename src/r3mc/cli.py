@@ -159,12 +159,10 @@ def cmd_synth(args):
 
 
 def _solve(args, problem, validation, config):
-    """Run the configured solve; returns (the RankStep of the returned
-    point, every RankStep of the solve)."""
+    """Run the configured solve: (the chosen RankStep, every RankStep of the solve)."""
     if args.rank_updates is not None:
-        x, steps = rank_incremental_solve(problem, args.rank_updates, config, args.seed,
-                                          validation)
-        return next(s for s in steps if s.point is x), steps
+        return rank_incremental_solve(problem, args.rank_updates, config, args.seed,
+                                      validation)
     if validation is not None:
         # before the warm start's solve, so a bad file fails before any work
         check_held_out("validation", validation, problem.entries)

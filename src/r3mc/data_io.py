@@ -51,7 +51,8 @@ class SyntheticSpec:
         if self.n < 1 or self.m < 1:
             raise ConfigError("dimensions must be positive")
         if not 1 <= self.rank <= min(self.n, self.m):
-            raise ConfigError("rank must lie in [1, min(n, m)]")
+            raise ConfigError("rank %d must lie in [1, %d] on the %d x %d grid"
+                              % (self.rank, min(self.n, self.m), self.n, self.m))
         check_grid(self.n, self.m, self.rank)
         if not 0.0 < self.oversampling < np.inf:
             raise ConfigError("oversampling must be positive and finite")
@@ -96,13 +97,17 @@ def synth_conditioned(n, m, rank, condition_number, seed):
 
 
 def sample_mask(n, m, count, seed):
-    """Exact-count uniform mask without replacement, row-major sorted."""
+    """Exact-count uniform mask without replacement, row-major sorted, on
+    any grid of at most 2**63 cells."""
+    check_grid(n, m)
     if not 1 <= count <= n * m:
         raise ConfigError("count must lie in [1, n m]")
     rng = CounterRng(seed)
     lin = rng.sample_without_replacement(n * m, count)
-    cols = lin % m
-    lin //= m
+    # split the cell numbers in uint64, where m = 2**63 fits
+    cell, width = lin.view(np.uint64), np.uint64(m)
+    cols = (cell % width).view(np.int64)
+    cell //= width
     return lin, cols
 
 

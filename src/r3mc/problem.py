@@ -14,9 +14,8 @@ is ``np.repeat(a, row_counts)``, which streams instead of gathering; the
 column side is a ``take`` on ``cols``.  Each kernel multiplies into the
 gathered temporary in place, and IEEE products commute, so the results
 are bit for bit those of ``a[rows] * b[cols]``.  ``evaluate`` computes
-the error at a point once; the gradient, the initial step and the
-residual accept that ``PointEvaluation`` in place of the point and then
-do not evaluate the model again.
+the error at a point once, and the gradient, initial step and residual
+take that ``PointEvaluation`` rather than evaluate the model again.
 """
 
 from dataclasses import dataclass
@@ -160,7 +159,8 @@ class CompletionProblem:
         if self.entries.count < 1:
             raise ContractViolationError("need at least one observed entry")
         if not 1 <= self.rank <= min(self.entries.n, self.entries.m):
-            raise ContractViolationError("rank must lie in [1, min(n, m)]")
+            raise ContractViolationError("rank %d must lie in [1, %d] on the %d x %d grid"
+                                         % (self.rank, min(self.n, self.m), self.n, self.m))
         check_grid(self.n, self.m, self.rank)
 
     @property
@@ -255,20 +255,14 @@ def evaluate(problem, x):
     return PointEvaluation(x, error, f)
 
 
-def _evaluation(problem, x):
-    """x when it already is an evaluation (of this problem), else evaluate it."""
-    return x if isinstance(x, PointEvaluation) else evaluate(problem, x)
-
-
-def residual(problem, x):
+def residual(problem, ev):
     """Scaled residual 2 (P_Omega(U R VT) - data) / |Omega| on the pattern,
-    at a point or from its PointEvaluation.
+    from the PointEvaluation ev.
 
     This is the Euclidean gradient of the mean-square objective seen as a
     sparse matrix, the quantity every downstream consumer (gradient,
     rank update) actually wants.
     """
-    ev = _evaluation(problem, x)
     return SparseResidual(problem.entries, ev.error * (2.0 / problem.entries.count))
 
 
@@ -280,9 +274,8 @@ def mean_squared_error(x, entries):
     return float(e @ e) / entries.count
 
 
-def riemannian_gradient(problem, x):
-    """Gradient of the objective in the quotient metric, at a point or
-    from its PointEvaluation.
+def riemannian_gradient(problem, ev):
+    """Gradient of the objective in the quotient metric at the evaluated point ev.
 
     Writing S for the scaled residual 2 e / |Omega| on the pattern and
     W1 = R RT, W2 = RT R, the components are
@@ -295,7 +288,6 @@ def riemannian_gradient(problem, x):
     W2 B + B W2 = 2 Sym(W2 VT ST U R).  The result is horizontal by
     construction, no explicit projection needed.
     """
-    ev = _evaluation(problem, x)
     x = ev.point
     s = residual(problem, ev)
     sv = sparse_apply(s, x.V)
@@ -325,9 +317,8 @@ def direction_values(x, xi, entries):
     return vals
 
 
-def initial_step(problem, x, xi):
-    """Exact minimizer of the linearized objective along xi, at a point or
-    from its PointEvaluation.
+def initial_step(problem, ev, xi):
+    """Exact minimizer of the linearized objective along xi at the evaluated point ev.
 
     Solves min_s |e + s d|^2 where e is the plain model-minus-data error
     and d the directional derivative of the model on the pattern, giving
@@ -336,7 +327,6 @@ def initial_step(problem, x, xi):
     """
     if not isinstance(xi, TangentTriple):
         raise TypeError("initial_step expects a tangent vector")
-    ev = _evaluation(problem, x)
     e = ev.error
     d = direction_values(ev.point, xi, problem.entries)
     dd = float(d @ d)

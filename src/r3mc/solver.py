@@ -461,10 +461,10 @@ def rank_incremental_solve(problem, max_rank, config=SolverConfig(), seed=0,
     ``validation`` with the ``cost_plateau`` rule at each rank from one up
     to ``max_rank``, and grows through ``rank_one_update``.  With a
     validation pattern the homotopy stops once a rank's validation error
-    exceeds the previous rank's, and returns the point of the first rank
-    with the lowest error; without one it returns the last point.
+    exceeds the previous rank's, and chooses the first step with the
+    lowest error; without one it chooses the last step.
 
-    Returns (point, steps) with one RankStep per visited rank.
+    Returns (step, steps): the chosen RankStep and one RankStep per visited rank.
     """
     if max_rank < 1:
         raise ConfigError("max_rank must be at least one")
@@ -502,7 +502,7 @@ def rank_incremental_solve(problem, max_rank, config=SolverConfig(), seed=0,
 
     # min keeps the first of equal errors
     best = steps[-1] if validation is None else min(steps, key=lambda s: s.validation_mse)
-    return best.point, steps
+    return best, steps
 
 
 def _transpose_entries(entries):
@@ -536,7 +536,9 @@ def truncated_warm_start(problem, p, config=SolverConfig(), seed=0):
     ent = _transpose_entries(problem.entries) if tall else problem.entries
     n, m = ent.n, ent.m
     if not rank <= p <= m:
-        raise ConfigError("need rank <= p <= m")
+        raise ConfigError("warm-start columns p = %d must lie in [rank, max(n, m)] = "
+                          "[%d, %d] on the %d x %d grid"
+                          % (p, rank, m, problem.n, problem.m))
     if truncated_oversampling(problem, p) <= 1.0:
         warnings.warn(
             "truncated problem is undersampled (ratio %.3f); the warm "

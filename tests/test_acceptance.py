@@ -28,6 +28,7 @@ from r3mc import (
     SyntheticSpec,
     cg_solve,
     cost,
+    evaluate,
     initial_step,
     masked_values,
     mean_squared_error,
@@ -112,7 +113,7 @@ def test_01_cost_slope_matches_the_gradient_along_horizontal_directions():
         entries = gaussian_entries(n, m, count, 100 + k)
         problem = CompletionProblem(entries, r)
         x = random_point(n, m, r, 200 + k)
-        grad = riemannian_gradient(problem, x)
+        grad = riemannian_gradient(problem, evaluate(problem, x))
         for j in range(10):
             xi = random_horizontal(x, 1000 * k + j)
             slope = metric(x, grad, xi)
@@ -251,12 +252,13 @@ def test_04_refactored_representations_behave_identically():
         problem = CompletionProblem(entries, r)
         x = benign_point(n, m, r, 600 + inst)
         f = cost(problem, x)
-        grad = riemannian_gradient(problem, x)
+        grad = riemannian_gradient(problem, evaluate(problem, x))
         for j in range(25):
             o1, o2 = orthogonal_pair(r, 700 + 25 * inst + j)
             y = group_action(x, o1, o2)
             assert abs(cost(problem, y) - f) <= 1e-10 * (1.0 + abs(f))
-            assert triple_gap(riemannian_gradient(problem, y), rotate_vector(x, grad, o1, o2)) <= 1e-10
+            grad_y = riemannian_gradient(problem, evaluate(problem, y))
+            assert triple_gap(grad_y, rotate_vector(x, grad, o1, o2)) <= 1e-10
 
     # full solves started from two representatives of the same class end
     # at the same objective value
@@ -332,7 +334,7 @@ def test_05_first_step_equals_the_brute_force_line_minimum():
         if ed > 0.0:
             xi = -xi
             dv = -dv
-        s_lib = initial_step(problem, x, xi)
+        s_lib = initial_step(problem, evaluate(problem, x), xi)
         s_oracle = golden_line_minimum(ev, dv)
         assert abs(s_lib - s_oracle) <= 1e-8 * abs(s_oracle)
         done += 1
@@ -380,7 +382,8 @@ def test_08_rank_growth_lowers_heldout_error_until_the_true_rank():
     )
     problem = CompletionProblem(train, 8)
     config = SolverConfig(max_iterations=500)
-    x, steps = rank_incremental_solve(problem, 10, config, seed=9, validation=heldout)
+    step, steps = rank_incremental_solve(problem, 10, config, seed=9, validation=heldout)
+    x = step.point
 
     mses = [s.validation_mse for s in steps]
     best = int(np.argmin(mses))
@@ -398,7 +401,8 @@ def test_09_rank_one_update_reconstruction_and_dominant_triple():
         train, _, _ = exact_rank_entries(30, 35, 4, 976, 5000 + seed)
         problem = CompletionProblem(train, 2)
         x = random_point(30, 35, 2, 6000 + seed)
-        sigma, u, v = _dominant_residual_pair(residual(problem, x), seed=seed)
+        ev = evaluate(problem, x)
+        sigma, u, v = _dominant_residual_pair(residual(problem, ev), seed=seed)
         y = rank_one_update(problem, x, seed=seed)
         gap = np.linalg.norm(y.matrix() - (x.matrix() - sigma * np.outer(u, v)))
         assert gap <= 1e-10 * (np.linalg.norm(x.R) + sigma)

@@ -283,6 +283,20 @@ def test_complete_rejects_exclusive_strategies(tmp_path, capsys):
     assert "exclusive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--rank", "11"], "rank 11 must lie in [1, 10] on the 12 x 10 grid"),
+    (["--rank-updates", "11"], "rank 11 must lie in [1, 10] on the 12 x 10 grid"),
+    (["--rank", "2", "--warm-start-cols", "20"],
+     "warm-start columns p = 20 must lie in [rank, max(n, m)] = [2, 12] on the 12 x 10 grid"),
+    (["--rank", "2", "--warm-start-cols", "1"],
+     "warm-start columns p = 1 must lie in [rank, max(n, m)] = [2, 12] on the 12 x 10 grid"),
+])
+def test_complete_range_errors_name_their_values(tmp_path, capsys, argv, message):
+    data, _ = write_problem(tmp_path, n=12, m=10, ratio=2.0)
+    assert run_cli("complete", "--data", str(data), "--seed", "0", *argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_complete_rejects_mismatched_validation_grid(tmp_path, capsys):
     data, _ = write_problem(tmp_path)
     other, _ = write_problem(tmp_path, n=20, m=20, seed=9, name="other.mtx")
@@ -455,7 +469,7 @@ def test_bench_isolates_per_run_failures(tmp_path, capsys, monkeypatch):
     (["--os", "3,40"], "oversampling 40 needs 3040 entries, grid has only 400"),
     (["--n", "10", "--m", "10", "--ranks", "1", "--os", "0.01"],
      "oversampling 0.01 gives no entries on the 10 x 10 grid at rank 1"),
-    (["--ranks", "2,30"], "rank must lie in [1, min(n, m)]"),
+    (["--ranks", "2,30"], "rank 30 must lie in [1, 20] on the 20 x 20 grid"),
     (["--cn", "10,0.5"], "condition number must be finite and at least 1"),
     (["--ranks", "1", "--cn", "5"],
      "a rank-one matrix cannot have condition number above 1"),
@@ -466,7 +480,8 @@ def test_bench_isolates_per_run_failures(tmp_path, capsys, monkeypatch):
      "fractions must be three finite nonnegative numbers"),
     (["--movielens", "missing.dat", "--fractions", "0.5,0.6,0.1"],
      "fractions must sum to one"),
-    (["--movielens", "ratings.dat", "--ranks", "1,13"], "rank must lie in [1, min(n, m)]"),
+    (["--movielens", "ratings.dat", "--ranks", "1,13"],
+     "rank 13 must lie in [1, 12] on the 15 x 12 grid"),
 ])
 def test_bench_rejects_an_invalid_sweep_before_any_run(tmp_path, capsys, monkeypatch,
                                                        sweep, message):

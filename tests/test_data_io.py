@@ -14,6 +14,7 @@ from r3mc import (
     ConfigError,
     ContractViolationError,
     CounterRng,
+    DimensionError,
     ObservedEntries,
     ParseError,
     RatingsDataset,
@@ -116,6 +117,19 @@ def test_sample_mask_boundaries_and_determinism():
         sample_mask(4, 4, 0, 0)
     with pytest.raises(ConfigError):
         sample_mask(4, 4, 17, 0)
+
+
+def test_sample_mask_splits_the_cells_of_a_2_63_cell_grid_in_either_orientation():
+    cells = CounterRng(0).sample_without_replacement(2**63, 5)
+    rows, cols = sample_mask(1, 2**63, 5, 0)
+    assert rows.dtype == cols.dtype == np.int64
+    assert rows.tolist() == [0] * 5 and cols.tolist() == cells.tolist()
+    rows, cols = sample_mask(2**63, 1, 5, 0)
+    assert rows.tolist() == cells.tolist() and cols.tolist() == [0] * 5
+    # a larger grid is the package's grid error, before any draw
+    for n, m in ((2**63, 2), (2, 2**63)):
+        with pytest.raises(DimensionError, match="exceeds 2\\*\\*63"):
+            sample_mask(n, m, 5, 0)
 
 
 def test_synthesize_values_match_the_factor_product():

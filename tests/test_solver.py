@@ -30,6 +30,7 @@ from r3mc import (
     cost,
     cost_plateau,
     early_stopped_solve,
+    evaluate,
     initial_rank_one_point,
     masked_values,
     mean_squared_error,
@@ -167,7 +168,7 @@ def test_cg_solve_zero_cost_start_stops_immediately():
 def test_cg_solve_gradient_stop_is_relative():
     problem, _ = make_problem(40, 40, 2, 4.0, 7, noise=1e-6)
     x0 = random_point(40, 40, 2, 8)
-    g0 = riemannian_gradient(problem, x0)
+    g0 = riemannian_gradient(problem, evaluate(problem, x0))
     gn0 = np.sqrt(metric(x0, g0, g0))
     config = SolverConfig(cost_tolerance=0.0, gradient_norm_tolerance=1e-6)
     x, trace = cg_solve(problem, x0, config)
@@ -532,7 +533,7 @@ def test_rank_one_update_reconstruction_identity():
 def residual_of(problem, x):
     from r3mc import residual
 
-    return residual(problem, x)
+    return residual(problem, evaluate(problem, x))
 
 
 def test_rank_one_update_rejects_full_rank():
@@ -647,9 +648,9 @@ def test_check_held_out_finds_a_shared_cell_wherever_it_sits():
 def test_rank_incremental_solve_stops_at_the_true_rank():
     problem, x_true = make_problem(60, 60, 4, 5.0, 51)
     config = SolverConfig(cost_tolerance=1e-16)
-    x, steps = rank_incremental_solve(problem, 8, config)
+    step, steps = rank_incremental_solve(problem, 8, config)
     assert [s.rank for s in steps] == [1, 2, 3, 4]
-    assert x.r == 4
+    assert step.point.r == 4
     assert steps[-1].trace.final_cost <= 1e-10
     assert all(s.validation_mse is None for s in steps)
     # each added rank improves the fit
@@ -659,9 +660,9 @@ def test_rank_incremental_solve_stops_at_the_true_rank():
 
 def test_rank_incremental_solve_single_rank_schedule():
     problem, _ = make_problem(30, 30, 2, 4.0, 52)
-    x, steps = rank_incremental_solve(problem, 1)
+    step, steps = rank_incremental_solve(problem, 1)
     assert len(steps) == 1 and steps[0].rank == 1
-    assert x.r == 1
+    assert step.point.r == 1
 
 
 def test_rank_incremental_solve_reraises_a_singular_first_rank(monkeypatch):
@@ -681,10 +682,10 @@ def test_rank_incremental_solve_returns_the_last_solved_rank_when_growing_fails(
     problem, _ = make_problem(30, 30, 2, 4.0, 55)
     want, want_steps = rank_incremental_solve(problem, 1)
     calls = fail_calls(monkeypatch, solver_module, name, error, failing)
-    x, steps = rank_incremental_solve(problem, 3)
+    step, steps = rank_incremental_solve(problem, 3)
     assert len(calls) == max(failing)
-    assert [s.rank for s in steps] == [1] and x.r == 1
-    assert_same_point(x, want)
+    assert [s.rank for s in steps] == [1] and step.point.r == 1
+    assert_same_point(step.point, want.point)
     assert trace_rows(steps[0].trace) == trace_rows(want_steps[0].trace)
     assert steps[0].trace.reason == want_steps[0].trace.reason
     assert non_increasing(steps[0].trace)
@@ -699,10 +700,10 @@ def test_rank_incremental_solve_returns_best_validation_point():
     train = ObservedEntries(50, 50, rows[:count], cols[:count], vals[:count])
     val = ObservedEntries(50, 50, rows[count:], cols[count:], vals[count:])
     problem = CompletionProblem(train, 3)
-    x, steps = rank_incremental_solve(problem, 6, validation=val)
+    step, steps = rank_incremental_solve(problem, 6, validation=val)
     mses = [s.validation_mse for s in steps]
     assert all(v is not None for v in mses)
-    assert mean_squared_error(x, val) == pytest.approx(min(mses), rel=1e-12)
+    assert mean_squared_error(step.point, val) == pytest.approx(min(mses), rel=1e-12)
 
 
 def test_validation_monitor_reuses_the_score_of_its_last_iterate(monkeypatch):
@@ -933,9 +934,9 @@ def test_rank_incremental_solve_matches_the_hand_written_homotopy(validated):
     problem = CompletionProblem(train, 3)
     validation = val if validated else None
     config = SolverConfig(max_iterations=200)
-    x, steps = rank_incremental_solve(problem, 5, config, seed=3, validation=validation)
+    step, steps = rank_incremental_solve(problem, 5, config, seed=3, validation=validation)
     x_ref, steps_ref = hand_written_homotopy(problem, 5, validation, config, seed=3)
-    assert_same_point(x, x_ref)
+    assert_same_point(step.point, x_ref)
     assert [(s.rank, trace_rows(s.trace), s.trace.reason, s.validation_mse)
             for s in steps] == [(r, trace_rows(t), named_reason(t.reason, fired), v)
                                 for r, t, v, fired in steps_ref]
@@ -950,7 +951,7 @@ def test_rank_incremental_solve_matches_the_monitor_protocol(validated, monkeypa
     problem = CompletionProblem(train, 3)
     validation = val if validated else None
     config = SolverConfig(max_iterations=200)
-    x, steps = rank_incremental_solve(problem, 5, config, seed=3, validation=validation)
+    step, steps = rank_incremental_solve(problem, 5, config, seed=3, validation=validation)
     fired = []
 
     def protocol_solve(prob_r, x0, config, validation, stops):
@@ -961,9 +962,9 @@ def test_rank_incremental_solve_matches_the_monitor_protocol(validated, monkeypa
         return RankStep(x, trace, v)
 
     monkeypatch.setattr(solver_module, "early_stopped_solve", protocol_solve)
-    x_ref, steps_ref = rank_incremental_solve(problem, 5, config, seed=3,
-                                              validation=validation)
-    assert_same_point(x, x_ref)
+    step_ref, steps_ref = rank_incremental_solve(problem, 5, config, seed=3,
+                                                 validation=validation)
+    assert_same_point(step.point, step_ref.point)
     assert len(steps) == len(steps_ref) == len(fired) > 1
     for s, ref, rule in zip(steps, steps_ref, fired):
         assert (s.rank, trace_rows(s.trace), s.validation_mse) == (
@@ -1024,26 +1025,25 @@ def test_rank_incremental_solve_returns_the_first_rank_with_the_lowest_validatio
         return RankStep(step.point, step.trace, next(scripted))
 
     monkeypatch.setattr(solver_module, "early_stopped_solve", scripted_solve)
-    x, steps = rank_incremental_solve(CompletionProblem(train, 4), 5, validation=val)
+    step, steps = rank_incremental_solve(CompletionProblem(train, 4), 5, validation=val)
     assert [s.validation_mse for s in steps] == [0.5, 0.3, 0.3, 0.4]
-    assert x is points[1] and x.r == 2
+    assert step.point is points[1] and step.rank == 2
 
 
 @pytest.mark.parametrize("validated", [False, True])
-def test_rank_incremental_solve_returns_the_point_of_one_of_its_steps(validated):
+def test_rank_incremental_solve_returns_one_of_its_steps(validated):
     train, val = train_and_validation(40, 40, 3, 500, 150, 65, 0.01)
     validation = val if validated else None
-    x, steps = rank_incremental_solve(CompletionProblem(train, 3), 5,
-                                      SolverConfig(max_iterations=200), seed=3,
-                                      validation=validation)
-    chosen = [s for s in steps if s.point is x]
-    assert len(chosen) == 1
+    step, steps = rank_incremental_solve(CompletionProblem(train, 3), 5,
+                                         SolverConfig(max_iterations=200), seed=3,
+                                         validation=validation)
+    assert [s for s in steps if s is step] == [step]
     if validated:
         mses = [s.validation_mse for s in steps]
-        assert chosen[0] is steps[mses.index(min(mses))]
-        assert chosen[0].validation_mse == mean_squared_error(x, val)
+        assert step is steps[mses.index(min(mses))]
+        assert step.validation_mse == mean_squared_error(step.point, val)
     else:
-        assert chosen[0] is steps[-1]
+        assert step is steps[-1]
         assert all(s.validation_mse is None for s in steps)
     assert [s.rank for s in steps] == [s.point.r for s in steps] == list(
         range(1, len(steps) + 1))
