@@ -20,6 +20,7 @@ import os
 import statistics
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -161,8 +162,7 @@ def cmd_synth(args):
 def _solve(args, problem, validation, config):
     """Run the configured solve: (the chosen RankStep, every RankStep of the solve)."""
     if args.rank_updates is not None:
-        return rank_incremental_solve(problem, args.rank_updates, config, args.seed,
-                                      validation)
+        return rank_incremental_solve(problem, config, args.seed, validation)
     if validation is not None:
         # before the warm start's solve, so a bad file fails before any work
         check_held_out("validation", validation, problem.entries)
@@ -545,11 +545,19 @@ def build_parser():
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # warnings print as one line, like synth's, without the source
+        # location; the warning filters (-W error too) still apply
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except (ConfigError, ContractViolationError, DegenerateDirectionError,
             DimensionError, MemoryError, OSError, ParseError, SingularMatrixError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -6,8 +6,6 @@ the dense array format for factor matrices; values are written with
 shortest exact float representations so read(write(x)) is lossless.
 """
 
-import itertools
-import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -164,13 +162,7 @@ def parse_movielens(source):
     at a time, which raises the error of the first offending line (or
     returns the ratings of a file that only the array parse rejects).
     """
-    with _opened(source, "r") as stream:
-        stream, rewind = _replayable(stream)
-        columns = _bulk_ratings(stream)
-        if columns is None:
-            rewind()
-            columns = _scan_ratings(stream)
-    users, items, ratings = columns
+    users, items, ratings = _parse(source, _bulk_ratings, _scan_ratings)
     uniq_users, rows = np.unique(users, return_inverse=True)
     uniq_items, cols = np.unique(items, return_inverse=True)
     return RatingsDataset(
@@ -301,6 +293,27 @@ def _opened(source, mode):
         yield source
 
 
+def _parse(source, bulk, scan):
+    """``bulk(lines)``, or ``scan(lines)`` from the first line again when
+    ``bulk`` returns None.
+
+    ``source`` is a path or an iterable of lines.  A seekable stream is
+    read again after a seek back to where it was; anything else is read
+    into a list first.
+    """
+    with _opened(source, "r") as lines:
+        try:
+            start = lines.tell()
+        except (AttributeError, OSError):
+            lines, start = list(lines), None
+        result = bulk(lines)
+        if result is None:
+            if start is not None:
+                lines.seek(start)
+            result = scan(lines)
+    return result
+
+
 def _content_lines(lines):
     for lineno, line in lines:
         text = line.strip()
@@ -387,8 +400,8 @@ def write_matrix_market(target, entries):
 # one coordinate entry line as the array parse reads it
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
 
-# a comment line, as _content_lines drops it; the array parse skips blank lines
-_comment_line = re.compile(r"\s*%").match
+# the size-line fields of a coordinate file
+_COORDINATE = ("rows", "cols", "nnz")
 
 
 def read_matrix_market(source):
@@ -397,42 +410,12 @@ def read_matrix_market(source):
     Raises ParseError with line numbers for malformed lines, indices out
     of range, duplicate entries (both occurrences reported), and entry
     count mismatches.  The entry lines are parsed and checked as whole
-    arrays.  When that parse rejects a line or a check fails, the content
-    lines (blank and comment lines dropped) are parsed as arrays again,
-    and when that fails too they are read one line at a time, which
-    raises the error of the first offending line (or returns the entries
-    of a file that only the array parses reject).
+    arrays.  When that parse rejects a line (a comment line after the
+    size line too) or a check fails, the file is read again one line at
+    a time, which raises the error of the first offending line (or
+    returns the entries of a file that only the array parse rejects).
     """
-    fields = ("rows", "cols", "nnz")
-    with _opened(source, "r") as stream:
-        stream, rewind = _replayable(stream)
-        lines = iter(stream)
-        (n, m, nnz), _ = _read_header(lines, "coordinate", fields)
-        entries = _bulk_entries(n, m, nnz, lines)
-        if entries is None:
-            rewind()
-            lines = iter(stream)
-            _read_header(lines, "coordinate", fields)
-            entries = _bulk_entries(n, m, nnz, itertools.filterfalse(_comment_line, lines))
-        if entries is None:
-            rewind()
-            _, body = _read_header(stream, "coordinate", fields)
-            entries = _scan_entries(n, m, nnz, body)
-    return entries
-
-
-def _replayable(stream):
-    """(lines, rewind): ``lines`` can be read again after ``rewind()``.
-
-    A seekable stream is returned as it is, rewound by a seek back to
-    where it is now; anything else is read into a list, which can be
-    iterated again as it is.
-    """
-    try:
-        start = stream.tell()
-    except (AttributeError, OSError):
-        return list(stream), lambda: None
-    return stream, lambda: stream.seek(start)
+    return _parse(source, _bulk_entries, _scan_entries)
 
 
 def _load_table(lines, dtype, delimiter=None):
@@ -453,14 +436,16 @@ def _load_table(lines, dtype, delimiter=None):
         return None
 
 
-def _bulk_entries(n, m, nnz, lines):
-    """ObservedEntries from one array parse of the lines after the size
-    line, or None.
+def _bulk_entries(lines):
+    """ObservedEntries from one array parse of a coordinate file, or None.
 
-    None when the parse rejects a line (a comment line too) or a line
+    The header is read first, and raises as in ``_scan_entries``.  None
+    when the parse rejects an entry line (a comment line too) or a line
     fails a check.  The parse accepts a subset of what ``_scan_entries``
     accepts, with the same values.
     """
+    lines = iter(lines)
+    (n, m, nnz), _ = _read_header(lines, "coordinate", _COORDINATE)
     table = _load_table(lines, _ENTRY)
     if table is None:
         return None
@@ -474,12 +459,13 @@ def _bulk_entries(n, m, nnz, lines):
         return None
 
 
-def _scan_entries(n, m, nnz, body):
-    """ObservedEntries from the entry lines, checked one line at a time.
+def _scan_entries(lines):
+    """ObservedEntries from a coordinate file, checked one line at a time.
 
     Entries are gathered as they are read, so memory follows the lines
     present, not the count the size line promises.
     """
+    (n, m, nnz), body = _read_header(lines, "coordinate", _COORDINATE)
     rows, cols, vals = [], [], []
     seen = {}
     for lineno, text in body:

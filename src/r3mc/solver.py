@@ -453,29 +453,24 @@ def cost_plateau(trace, x):
     return None
 
 
-def rank_incremental_solve(problem, max_rank, config=SolverConfig(), seed=0,
-                           validation=None):
+def rank_incremental_solve(problem, config=SolverConfig(), seed=0, validation=None):
     """Homotopy over ranks: solve, grow by one, repeat.
 
     Starts from the rank-one initializer, runs ``early_stopped_solve`` on
     ``validation`` with the ``cost_plateau`` rule at each rank from one up
-    to ``max_rank``, and grows through ``rank_one_update``.  With a
+    to ``problem.rank``, and grows through ``rank_one_update``.  With a
     validation pattern the homotopy stops once a rank's validation error
     exceeds the previous rank's, and chooses the first step with the
     lowest error; without one it chooses the last step.
 
     Returns (step, steps): the chosen RankStep and one RankStep per visited rank.
     """
-    if max_rank < 1:
-        raise ConfigError("max_rank must be at least one")
-    if max_rank > min(problem.n, problem.m):
-        raise ConfigError("max_rank exceeds min(n, m)")
     if validation is not None:
         check_held_out("validation", validation, problem.entries)
 
     x = initial_rank_one_point(problem, seed)
     steps = []
-    for r in range(1, max_rank + 1):
+    for r in range(1, problem.rank + 1):
         prob_r = CompletionProblem(problem.entries, r)
         try:
             step = early_stopped_solve(prob_r, x, config, validation, (cost_plateau,))
@@ -491,7 +486,7 @@ def rank_incremental_solve(problem, max_rank, config=SolverConfig(), seed=0,
             break
         if step.trace.final_cost <= config.cost_tolerance:
             break
-        if r < max_rank:
+        if r < problem.rank:
             try:
                 # grow with the exact one-dimensional step: the raw sigma of
                 # the mean-scaled residual shrinks with 1/|Omega|, which

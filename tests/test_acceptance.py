@@ -380,9 +380,9 @@ def test_08_rank_growth_lowers_heldout_error_until_the_true_rank():
     train, heldout, _ = split_train_val_test(
         pool, (count / total, 5000 / total, 0.0), 11
     )
-    problem = CompletionProblem(train, 8)
+    problem = CompletionProblem(train, 10)
     config = SolverConfig(max_iterations=500)
-    step, steps = rank_incremental_solve(problem, 10, config, seed=9, validation=heldout)
+    step, steps = rank_incremental_solve(problem, config, seed=9, validation=heldout)
     x = step.point
 
     mses = [s.validation_mse for s in steps]

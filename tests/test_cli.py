@@ -3,6 +3,7 @@
 import csv
 import json
 import statistics
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -273,6 +274,24 @@ def test_complete_warm_start_option(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["result"]["final_cost"] <= 1e-12
     assert doc["config"]["warm_start_cols"] == 40
+
+
+def test_complete_prints_each_warning_as_one_line(tmp_path, capsys):
+    data, _ = write_problem(tmp_path, n=30, m=30, rank=2, ratio=4.0, seed=5)
+    argv = ("complete", "--data", str(data), "--rank", "2", "--seed", "6",
+            "--warm-start-cols", "2")
+    shown = warnings.showwarning
+    assert run_cli(*argv) == 0
+    err = capsys.readouterr().err
+    assert err == ("warning: truncated problem is undersampled (ratio 0.250); "
+                   "the warm start may be poor\n")
+    assert ".py" not in err
+    assert warnings.showwarning is shown
+    # the warning filters still apply: an error filter raises the warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="undersampled"):
+            run_cli(*argv)
 
 
 def test_complete_rejects_exclusive_strategies(tmp_path, capsys):

@@ -174,6 +174,8 @@ def test_completion_problem_validations_and_ratios():
         CompletionProblem(ObservedEntries(3, 3, [], [], []), 1)
     with pytest.raises(ContractViolationError):
         CompletionProblem(e, 9)
+    with pytest.raises(ContractViolationError):
+        CompletionProblem(e, 0)
 
 
 def gather_patterns(n, m, seed):
@@ -673,7 +675,7 @@ def test_homotopy_with_validation_is_byte_identical_to_the_reference_kernels():
     problem = CompletionProblem(train, 3)
 
     def homotopy():
-        step, steps = rank_incremental_solve(problem, 3, SolverConfig(max_iterations=30),
+        step, steps = rank_incremental_solve(problem, SolverConfig(max_iterations=30),
                                              seed=2, validation=val)
         return factor_bytes(step.point), [(s.rank, s.validation_mse, trace_rows(s.trace))
                                  for s in steps]

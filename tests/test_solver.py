@@ -442,7 +442,7 @@ def test_solves_write_nothing_to_stdout_or_stderr(capsys):
     problem, _ = make_problem(20, 20, 2, 4.0, 15)
     config = SolverConfig(max_iterations=20, cost_tolerance=0.0)
     _, trace = cg_solve(problem, random_point(20, 20, 2, 16), config)
-    _, steps = rank_incremental_solve(problem, 3, config)
+    _, steps = rank_incremental_solve(problem_at_rank(problem, 3), config)
     assert trace.iterations > 0 and sum(s.trace.iterations for s in steps) > 0
     assert capsys.readouterr() == ("", "")
 
@@ -607,26 +607,18 @@ def problem_at_rank(problem, r):
     return CompletionProblem(problem.entries, r)
 
 
-def test_rank_schedule_guards():
-    problem, _ = make_problem(20, 24, 2, 4.0, 50)
-    with pytest.raises(ConfigError, match="max_rank must be at least one"):
-        rank_incremental_solve(problem, 0)
-
-
 def test_rank_incremental_solve_guards():
     problem, _ = make_problem(20, 24, 2, 4.0, 50)
-    with pytest.raises(ConfigError):
-        rank_incremental_solve(problem, 21)
     empty = ObservedEntries(20, 24, [], [], [])
     with pytest.raises(ConfigError, match="empty"):
-        rank_incremental_solve(problem, 2, validation=empty)
+        rank_incremental_solve(problem, validation=empty)
     wrong_grid = ObservedEntries(19, 24, [0], [0], [1.0])
     with pytest.raises(ConfigError, match="grid"):
-        rank_incremental_solve(problem, 2, validation=wrong_grid)
+        rank_incremental_solve(problem, validation=wrong_grid)
     e = problem.entries
     overlap = ObservedEntries(20, 24, e.rows[:1], e.cols[:1], e.vals[:1])
     with pytest.raises(ConfigError, match="overlap"):
-        rank_incremental_solve(problem, 2, validation=overlap)
+        rank_incremental_solve(problem, validation=overlap)
 
 
 def test_check_held_out_finds_a_shared_cell_wherever_it_sits():
@@ -648,7 +640,7 @@ def test_check_held_out_finds_a_shared_cell_wherever_it_sits():
 def test_rank_incremental_solve_stops_at_the_true_rank():
     problem, x_true = make_problem(60, 60, 4, 5.0, 51)
     config = SolverConfig(cost_tolerance=1e-16)
-    step, steps = rank_incremental_solve(problem, 8, config)
+    step, steps = rank_incremental_solve(problem_at_rank(problem, 8), config)
     assert [s.rank for s in steps] == [1, 2, 3, 4]
     assert step.point.r == 4
     assert steps[-1].trace.final_cost <= 1e-10
@@ -660,7 +652,7 @@ def test_rank_incremental_solve_stops_at_the_true_rank():
 
 def test_rank_incremental_solve_single_rank_schedule():
     problem, _ = make_problem(30, 30, 2, 4.0, 52)
-    step, steps = rank_incremental_solve(problem, 1)
+    step, steps = rank_incremental_solve(problem_at_rank(problem, 1))
     assert len(steps) == 1 and steps[0].rank == 1
     assert step.point.r == 1
 
@@ -669,7 +661,7 @@ def test_rank_incremental_solve_reraises_a_singular_first_rank(monkeypatch):
     problem, _ = make_problem(30, 30, 2, 4.0, 54)
     fail_calls(monkeypatch, solver_module, "early_stopped_solve", SingularMatrixError, {1})
     with pytest.raises(SingularMatrixError, match="forced failure"):
-        rank_incremental_solve(problem, 3)
+        rank_incremental_solve(problem_at_rank(problem, 3))
 
 
 @pytest.mark.parametrize("name, error, failing", [
@@ -680,9 +672,9 @@ def test_rank_incremental_solve_reraises_a_singular_first_rank(monkeypatch):
 def test_rank_incremental_solve_returns_the_last_solved_rank_when_growing_fails(
         monkeypatch, name, error, failing):
     problem, _ = make_problem(30, 30, 2, 4.0, 55)
-    want, want_steps = rank_incremental_solve(problem, 1)
+    want, want_steps = rank_incremental_solve(problem_at_rank(problem, 1))
     calls = fail_calls(monkeypatch, solver_module, name, error, failing)
-    step, steps = rank_incremental_solve(problem, 3)
+    step, steps = rank_incremental_solve(problem_at_rank(problem, 3))
     assert len(calls) == max(failing)
     assert [s.rank for s in steps] == [1] and step.point.r == 1
     assert_same_point(step.point, want.point)
@@ -699,8 +691,7 @@ def test_rank_incremental_solve_returns_best_validation_point():
     vals = masked_values(x_true, probe) + 1e-3 * CounterRng(55).standard_normal(count + 200)
     train = ObservedEntries(50, 50, rows[:count], cols[:count], vals[:count])
     val = ObservedEntries(50, 50, rows[count:], cols[count:], vals[count:])
-    problem = CompletionProblem(train, 3)
-    step, steps = rank_incremental_solve(problem, 6, validation=val)
+    step, steps = rank_incremental_solve(CompletionProblem(train, 6), validation=val)
     mses = [s.validation_mse for s in steps]
     assert all(v is not None for v in mses)
     assert mean_squared_error(step.point, val) == pytest.approx(min(mses), rel=1e-12)
@@ -934,7 +925,8 @@ def test_rank_incremental_solve_matches_the_hand_written_homotopy(validated):
     problem = CompletionProblem(train, 3)
     validation = val if validated else None
     config = SolverConfig(max_iterations=200)
-    step, steps = rank_incremental_solve(problem, 5, config, seed=3, validation=validation)
+    step, steps = rank_incremental_solve(problem_at_rank(problem, 5), config, seed=3,
+                                         validation=validation)
     x_ref, steps_ref = hand_written_homotopy(problem, 5, validation, config, seed=3)
     assert_same_point(step.point, x_ref)
     assert [(s.rank, trace_rows(s.trace), s.trace.reason, s.validation_mse)
@@ -951,7 +943,8 @@ def test_rank_incremental_solve_matches_the_monitor_protocol(validated, monkeypa
     problem = CompletionProblem(train, 3)
     validation = val if validated else None
     config = SolverConfig(max_iterations=200)
-    step, steps = rank_incremental_solve(problem, 5, config, seed=3, validation=validation)
+    step, steps = rank_incremental_solve(problem_at_rank(problem, 5), config, seed=3,
+                                         validation=validation)
     fired = []
 
     def protocol_solve(prob_r, x0, config, validation, stops):
@@ -962,8 +955,8 @@ def test_rank_incremental_solve_matches_the_monitor_protocol(validated, monkeypa
         return RankStep(x, trace, v)
 
     monkeypatch.setattr(solver_module, "early_stopped_solve", protocol_solve)
-    step_ref, steps_ref = rank_incremental_solve(problem, 5, config, seed=3,
-                                                 validation=validation)
+    step_ref, steps_ref = rank_incremental_solve(problem_at_rank(problem, 5), config,
+                                                 seed=3, validation=validation)
     assert_same_point(step.point, step_ref.point)
     assert len(steps) == len(steps_ref) == len(fired) > 1
     for s, ref, rule in zip(steps, steps_ref, fired):
@@ -1025,7 +1018,7 @@ def test_rank_incremental_solve_returns_the_first_rank_with_the_lowest_validatio
         return RankStep(step.point, step.trace, next(scripted))
 
     monkeypatch.setattr(solver_module, "early_stopped_solve", scripted_solve)
-    step, steps = rank_incremental_solve(CompletionProblem(train, 4), 5, validation=val)
+    step, steps = rank_incremental_solve(CompletionProblem(train, 5), validation=val)
     assert [s.validation_mse for s in steps] == [0.5, 0.3, 0.3, 0.4]
     assert step.point is points[1] and step.rank == 2
 
@@ -1034,7 +1027,7 @@ def test_rank_incremental_solve_returns_the_first_rank_with_the_lowest_validatio
 def test_rank_incremental_solve_returns_one_of_its_steps(validated):
     train, val = train_and_validation(40, 40, 3, 500, 150, 65, 0.01)
     validation = val if validated else None
-    step, steps = rank_incremental_solve(CompletionProblem(train, 3), 5,
+    step, steps = rank_incremental_solve(CompletionProblem(train, 5),
                                          SolverConfig(max_iterations=200), seed=3,
                                          validation=validation)
     assert [s for s in steps if s is step] == [step]
