@@ -86,8 +86,11 @@ def _float_list(text):
 
 
 def _distinct(option, values):
-    """A sweep's value list; a repeated value would run its tasks twice and
-    count both copies in each of its summary rows."""
+    """A sweep's value list; an empty one would run nothing, and a repeated
+    value would run its tasks twice and count both copies in each of its
+    summary rows."""
+    if not values:
+        raise ConfigError("%s lists no value" % option)
     if len(set(values)) < len(values):
         raise ConfigError("%s lists a value twice" % option)
     return values
@@ -98,9 +101,13 @@ def _atomic_write(path, write_body):
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        write_body(fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write_body(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _solver_config(args):
@@ -369,6 +376,8 @@ def _write_rows_csv(fh, header, rows):
 
 
 def cmd_bench(args):
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
     common = {"config": _solver_config(args), "deterministic": args.deterministic}
     # each protocol checks its values before any run and supplies its cell, run
     # columns, constant columns, sweep axes, specs, seeds, count column and
@@ -378,9 +387,10 @@ def cmd_bench(args):
             raise ConfigError("--movielens needs --ranks")
         axes = {"rank": _distinct("--ranks", _int_list(args.ranks))}
         common["fractions"] = check_fractions(_float_list(args.fractions))
-        seeds = _distinct("--seeds", _int_list(args.seeds or ""))
+        seeds = _int_list(args.seeds or "")
         if not seeds:
             raise ConfigError("--movielens needs --seeds")
+        seeds = _distinct("--seeds", seeds)
         if len(seeds) > 1:
             raise ConfigError("--movielens takes one --seeds value; the splits "
                               "count up from it")

@@ -71,8 +71,8 @@ def check_grid(n, m, rank=0):
 class ObservedEntries:
     """Sorted sparse pattern with values on an n x m grid.
 
-    Triplets are stored row-major sorted with no duplicates: one stable
-    sort by cell number i m + j, which needs n m <= 2**63, or none when
+    Triplets are stored row-major sorted with no duplicates: one sort
+    by cell number i m + j, which needs n m <= 2**63, or none when
     the cell numbers already strictly increase.  The instance keeps its
     own copies of the arrays either way.  An empty
     pattern is allowed here and rejected where a nonempty one is required
@@ -105,7 +105,7 @@ class ObservedEntries:
             del key  # so the copies peak at the output alone
             rows, cols, vals = rows.copy(), cols.copy(), vals.copy()
         else:
-            order = np.argsort(key, kind="stable")
+            order = np.argsort(key)  # equal keys refuse the input
             key = key[order]
             rows, cols, vals = rows[order], cols[order], vals[order]
             same = key[1:] == key[:-1]

@@ -34,8 +34,9 @@ def spd_factorization(p):
     the factor condition number, so no coarser cutoff is safe here.
     """
     vals, vecs = np.linalg.eigh(sym(p))
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
+    # eigh's ascending order reversed, in a column-major copy: the products
+    # with vecs round differently in other layouts
+    vals, vecs = vals[::-1], np.asfortranarray(vecs[:, ::-1])
     floor = vals.size * np.finfo(np.float64).eps * max(vals[0], 0.0)
     if vals[-1] <= floor or vals[-1] <= 0.0:
         raise SingularMatrixError(

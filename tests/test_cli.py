@@ -349,6 +349,34 @@ def test_usage_errors_print_one_line(tmp_path, capsys, monkeypatch, argv, messag
     assert not (tmp_path / "out").exists()
 
 
+def test_a_failed_report_write_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    write_problem(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rep").mkdir()  # the report cannot replace a directory
+    assert run_cli("complete", "--data", "entries.mtx", "--rank", "2", "--seed", "1",
+                   "--max-iters", "3", "--report", "rep") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["entries.mtx", "rep"]
+    assert list((tmp_path / "rep").iterdir()) == []
+
+
+def test_atomic_write_removes_its_temporary_file_when_the_body_raises(tmp_path):
+    def failing(fh):
+        fh.write("partial")
+        raise RuntimeError("body failed")
+
+    path = tmp_path / "out.txt"
+    with pytest.raises(RuntimeError, match="body failed"):
+        cli._atomic_write(path, failing)
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"earlier\n")
+    with pytest.raises(RuntimeError, match="body failed"):
+        cli._atomic_write(path, failing)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"earlier\n"
+
+
 def test_complete_val_returns_the_best_validation_iterate(tmp_path):
     # rank 5 on noisy rank-2 data overfits, so validation error turns up
     # and the solve stops five rises after its best iterate
@@ -501,6 +529,15 @@ def test_bench_isolates_per_run_failures(tmp_path, capsys, monkeypatch):
      "fractions must sum to one"),
     (["--movielens", "ratings.dat", "--ranks", "1,13"],
      "rank 13 must lie in [1, 12] on the 15 x 12 grid"),
+    # a sweep that would run nothing
+    (["--seeds", ""], "--seeds lists no value"),
+    (["--ranks", ""], "--ranks lists no value"),
+    (["--os", ","], "--os lists no value"),
+    (["--cn", ""], "--cn lists no value"),
+    (["--movielens", "ratings.dat", "--ranks", ""], "--ranks lists no value"),
+    (["--jobs", "0"], "--jobs must be at least 1"),
+    (["--jobs", "-4"], "--jobs must be at least 1"),
+    (["--movielens", "ratings.dat", "--jobs", "-4"], "--jobs must be at least 1"),
 ])
 def test_bench_rejects_an_invalid_sweep_before_any_run(tmp_path, capsys, monkeypatch,
                                                        sweep, message):

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from r3mc import CounterRng, sample_mask
-from r3mc.rng import stable_argsort
 
 MASK = (1 << 64) - 1
 
@@ -128,37 +127,11 @@ def test_permutation_varies_with_seed():
     )
 
 
-def argsorts_alike(keys):
-    got = stable_argsort(keys)
-    assert got.dtype == np.intp
-    return got.tolist() == np.argsort(keys, kind="stable").tolist()
-
-
-@given(st.lists(st.integers(-3, 3), max_size=300)
-       | st.lists(st.integers(-2**63, 2**63 - 1), max_size=50))
-def test_stable_argsort_on_int64_keys(keys):
-    assert argsorts_alike(np.array(keys, dtype=np.int64))
-
-
-@given(st.lists(st.integers(2**63 - 2, 2**63 + 2) | st.integers(2**64 - 3, 2**64 - 1)
-                | st.integers(0, 2), max_size=200))
-def test_stable_argsort_on_uint64_keys_above_2_63(keys):
-    assert argsorts_alike(np.array(keys, dtype=np.uint64))
-
-
-@given(st.lists(st.sampled_from([-0.0, 0.0, 1.5, -np.inf])
-                | st.floats(allow_nan=False), max_size=200))
-def test_stable_argsort_on_float64_keys_with_signed_zeros(keys):
-    assert argsorts_alike(np.array(keys, dtype=np.float64))
-
-
-@pytest.mark.parametrize("keys", [
-    np.array([], dtype=np.int64), np.array([7], dtype=np.int64),
-    np.array([], dtype=np.float64), np.array([-0.0]), np.array([2**64 - 1], dtype=np.uint64),
-    np.array([0.0, -0.0, 0.0, -0.0]), np.zeros(1000, dtype=np.int64),
-])
-def test_stable_argsort_on_edge_cases(keys):
-    assert argsorts_alike(keys)
+def test_permutation_puts_tied_uniforms_in_index_order(monkeypatch):
+    keys = (np.arange(1000) * 7 % 3) / 4.0  # three values, each tied 333 times
+    monkeypatch.setattr(CounterRng, "uniform", lambda rng, count: keys[:count])
+    got = CounterRng(0).permutation(1000).tolist()
+    assert got == sorted(range(1000), key=lambda i: keys[i])
 
 
 def test_sample_without_replacement_properties():
@@ -249,6 +222,26 @@ def test_sample_rejects_exactly_the_words_at_or_above_the_limit(
     rng = CounterRng(0)
     assert rng.sample_without_replacement(population, 1).tolist() == [want]
     assert rng._counter == used
+
+
+@pytest.mark.parametrize("population, count", [
+    (300_000, 299_000),          # most draws repeat an earlier one
+    (200, 150),
+    (4_000_000, 159_600),        # the recover-2k mask
+])
+def test_sample_does_not_depend_on_the_order_of_tied_draws(
+        monkeypatch, population, count):
+    want = [CounterRng(seed).sample_without_replacement(population, count)
+            for seed in range(3)]
+
+    def ties_last_first(a, kind=None):
+        assert kind is None
+        return np.lexsort((-np.arange(a.size), a))
+
+    monkeypatch.setattr(np, "argsort", ties_last_first)
+    for seed, sample in enumerate(want):
+        got = CounterRng(seed).sample_without_replacement(population, count)
+        assert got.tobytes() == sample.tobytes()
 
 
 def test_sample_golden_large():

@@ -34,11 +34,19 @@ def test_sym_skew_decompose_and_idempotent():
 
 def test_spd_factorization_applies_inverse():
     rng = CounterRng(1)
-    for r in (1, 2, 5, 8):
-        p = random_spd(rng, r)
+    # tied spectra too: the order of equal eigenvalues is eigh's, reversed
+    tied = [3.0 * np.eye(3), np.diag([2.0, 1.0, 1.0, 3.0])]
+    for p in [random_spd(rng, r) for r in (1, 2, 5, 8)] + tied:
+        r = p.shape[0]
         vals, vecs = spd_factorization(p)
         b = rng.standard_normal((r, 3))
         assert np.all(np.diff(vals) <= 0.0)
+        want_vals, want_vecs = np.linalg.eigh(sym(p))
+        assert np.array_equal(vals, want_vals[::-1])
+        assert np.array_equal(vecs, want_vecs[:, ::-1])
+        # column-major: products with vecs round differently in other
+        # layouts, which would move seeded iterates
+        assert vecs.flags.f_contiguous
         inverse_b = vecs @ ((vecs.T @ b) / vals[:, None])
         assert np.allclose(inverse_b, np.linalg.solve(p, b), atol=1e-10)
 
