@@ -11,7 +11,6 @@ from .errors import (
     ContractViolationError,
     DegenerateDirectionError,
     DimensionError,
-    NonDescentDirectionError,
     ParseError,
     RetractionError,
     SingularMatrixError,

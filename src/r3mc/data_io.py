@@ -524,9 +524,12 @@ def read_dense_matrix_market(source):
             if len(data) >= size:
                 raise ParseError("more than %d values" % size, lineno)
             try:
-                data.append(float(text))
+                v = float(text)
             except ValueError:
                 raise ParseError("malformed value", lineno) from None
+            if not np.isfinite(v):
+                raise ParseError("non-finite value", lineno)
+            data.append(v)
     if len(data) != size:
         raise ParseError("expected %d values, found %d" % (size, len(data)))
     return np.array(data).reshape((cols, rows)).T

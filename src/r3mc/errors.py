@@ -21,10 +21,6 @@ class DegenerateDirectionError(RuntimeError):
     """The search direction vanishes on the observed entries."""
 
 
-class NonDescentDirectionError(RuntimeError):
-    """The linearized model predicts no decrease along the direction."""
-
-
 class ConfigError(ValueError):
     """Invalid solver, schedule, or generator configuration."""
 

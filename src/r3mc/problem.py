@@ -27,7 +27,6 @@ from .errors import (
     ContractViolationError,
     DegenerateDirectionError,
     DimensionError,
-    NonDescentDirectionError,
 )
 from .manifold import FixedRankPoint, HorizontalVector, TangentTriple
 from .smallmat import solve_lyapunov_spd, sym
@@ -322,19 +321,14 @@ def initial_step(problem, ev, xi):
 
     Solves min_s |e + s d|^2 where e is the plain model-minus-data error
     and d the directional derivative of the model on the pattern, giving
-    s* = -(e . d) / (d . d).  Raises on a degenerate direction (d = 0)
-    or a non-descent pairing (e . d >= 0 with e nonzero).
+    s* = -(e . d) / (d . d), whatever its sign: a direction along which
+    the linearized model predicts no decrease gives s* <= 0 (an exact
+    fit gives -0.0).  Raises only on a degenerate direction (d = 0).
     """
     if not isinstance(xi, TangentTriple):
         raise TypeError("initial_step expects a tangent vector")
-    e = ev.error
     d = direction_values(ev.point, xi, problem.entries)
     dd = float(d @ d)
     if dd == 0.0:
         raise DegenerateDirectionError("direction vanishes on the observed entries")
-    if not np.any(e):
-        return 0.0
-    ed = float(e @ d)
-    if ed >= 0.0:
-        raise NonDescentDirectionError("linearized model predicts no decrease")
-    return -ed / dd
+    return -float(ev.error @ d) / dd

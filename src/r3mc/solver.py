@@ -19,7 +19,6 @@ from .errors import (
     ContractViolationError,
     DegenerateDirectionError,
     DimensionError,
-    NonDescentDirectionError,
     RetractionError,
     SingularMatrixError,
 )
@@ -142,14 +141,13 @@ def _line_search(problem, ev, eta, slope, steepest):
     """One attempt along eta from the evaluated point ev: seed the step
     with the linearized minimizer, then backtrack until the Armijo bound
     holds.  Returns the accepted trial's evaluation, its step and the
-    backtrack count, or None when the direction gives no positive step
-    or the backtracks run out.  A direction invisible on the pattern
-    gives None, or a unit step when it is the ``steepest`` descent one.
-    Each trial point is evaluated once."""
+    backtrack count, or None when the linearized minimizer is not
+    positive (the one non-descent test) or the backtracks run out.  A
+    direction invisible on the pattern gives None, or a unit step when
+    it is the ``steepest`` descent one.  Each trial point is evaluated
+    once."""
     try:
         s = initial_step(problem, ev, eta)
-    except NonDescentDirectionError:
-        return None
     except DegenerateDirectionError:
         if not steepest:
             return None
@@ -524,7 +522,8 @@ def truncated_warm_start(problem, p, config=SolverConfig(), seed=0):
     by ridge least squares against U, and orthonormalizes the fitted
     coefficients into (R, V).  Warns when the truncated problem drops
     below unit oversampling, when the truncated solve does not converge,
-    and when columns carry no observations or fewer than the rank.
+    and when columns (rows of a tall problem) carry no observations or
+    fewer than the rank.
     """
     rank = problem.rank
     tall = problem.n > problem.m
@@ -564,14 +563,15 @@ def truncated_warm_start(problem, p, config=SolverConfig(), seed=0):
     rhs = sparse_apply(SparseResidual(ent, ent.vals), u, transpose=True)
     w = np.linalg.solve(gram + 1e-10 * np.eye(rank), rhs[:, :, None])[:, :, 0]
     counts = np.bincount(ent.cols, minlength=m)
-    empty_columns = np.count_nonzero(counts == 0)
-    if empty_columns:
-        warnings.warn("%d columns have no observed entries; their fitted coefficients "
-                      "are zero" % empty_columns, RuntimeWarning, stacklevel=2)
-    short_columns = np.count_nonzero((counts > 0) & (counts < rank))
-    if short_columns:
-        warnings.warn("%d columns have fewer observed entries than the rank %d; their "
-                      "fit is under-determined" % (short_columns, rank),
+    axis = "rows" if tall else "columns"
+    empty = np.count_nonzero(counts == 0)
+    if empty:
+        warnings.warn("%d %s have no observed entries; their fitted coefficients "
+                      "are zero" % (empty, axis), RuntimeWarning, stacklevel=2)
+    short = np.count_nonzero((counts > 0) & (counts < rank))
+    if short:
+        warnings.warn("%d %s have fewer observed entries than the rank %d; their "
+                      "fit is under-determined" % (short, axis, rank),
                       RuntimeWarning, stacklevel=2)
     q, t = np.linalg.qr(w)
     sig = np.linalg.svd(t, compute_uv=False)

@@ -477,6 +477,11 @@ def test_dense_matrix_market_errors():
     # line numbers count the banner, the size line, blanks and comments
     ("1\n2\n% comment\n3\n4\n5\n", "more than 4 values", 8),
     ("1\n\n2\nthree\n4\n", "malformed value", 6),
+    # non-finite values are refused as the coordinate reader refuses them
+    ("1\nnan\n3\n4\n", "non-finite value", 4),
+    ("1\n2\n% comment\ninf\n4\n", "non-finite value", 6),
+    ("1\n2\n3\n-inf\n", "non-finite value", 6),
+    ("1e400\n2\n3\n4\n", "non-finite value", 3),
 ])
 def test_dense_reader_body_errors_name_their_line(body, message, line):
     text = "%%MatrixMarket matrix array real general\n2 2\n" + body

@@ -20,7 +20,6 @@ from r3mc import (
     DimensionError,
     FixedRankPoint,
     HorizontalVector,
-    NonDescentDirectionError,
     ObservedEntries,
     PointEvaluation,
     SingularMatrixError,
@@ -370,9 +369,12 @@ def test_initial_step_error_paths():
     zero = HorizontalVector(x, np.zeros((6, 2)), np.zeros((2, 2)), np.zeros((6, 2)))
     with pytest.raises(DegenerateDirectionError):
         initial_step(p, ev, zero)
+    # the ascent direction's linearized minimizer is returned, negative
     ascent = riemannian_gradient(p, ev)
-    with pytest.raises(NonDescentDirectionError):
-        initial_step(p, ev, ascent)
+    s = initial_step(p, ev, ascent)
+    d = direction_values(x, ascent, e)
+    assert s < 0.0
+    assert s == -float(ev.error @ d) / float(d @ d)
     with pytest.raises(TypeError):
         initial_step(p, ev, (np.zeros((6, 2)), np.zeros((2, 2)), np.zeros((6, 2))))
 
@@ -572,6 +574,30 @@ def test_sparse_apply_matches_the_fancy_index_loop_bit_for_bit(e, rank, seed):
             reset_op_count()
             assert_same_bits(got, reference_sparse_apply(s, dense, transpose))
             assert op_count() == flops
+
+
+@given(e=kernel_patterns(), rank=st.integers(1, 13), seed=st.integers(0, 2**20))
+def test_initial_step_is_the_signed_linearized_minimizer_bit_for_bit(e, rank, seed):
+    # the step along xi and along -xi is the closed form whatever its
+    # sign, so at most one of the two is positive
+    assume(e.count > 0)
+    r = min(rank, e.n, e.m)
+    p = CompletionProblem(e, r)
+    x = random_point(e.n, e.m, r, seed)
+    ev = evaluate(p, x)
+    xi = random_horizontal(x, seed + 1)
+    steps = []
+    for direction in (xi, -xi):
+        d = reference_direction_values(x, direction, e)
+        dd = float(d @ d)
+        if dd == 0.0:
+            with pytest.raises(DegenerateDirectionError):
+                initial_step(p, ev, direction)
+            continue
+        s = initial_step(p, ev, direction)
+        assert_same_bits(s, -float(ev.error @ d) / dd)
+        steps.append(s)
+    assert sum(s > 0.0 for s in steps) <= 1
 
 
 def test_row_counts_are_lazy_and_read_only():

@@ -15,7 +15,6 @@ from r3mc import (
     CounterRng,
     DegenerateDirectionError,
     DimensionError,
-    NonDescentDirectionError,
     ObservedEntries,
     RankStep,
     RetractionError,
@@ -62,15 +61,18 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def fail_calls(monkeypatch, module, name, error, failing):
-    """Make module.name raise ``error`` on the calls numbered in ``failing``
-    (from one) and run as before on the others; returns the call list."""
+def fail_calls(monkeypatch, module, name, outcome, failing):
+    """Make module.name raise ``outcome`` when it is an exception class, or
+    else return it, on the calls numbered in ``failing`` (from one), and
+    run as before on the others; returns the call list."""
     calls, original = [], getattr(module, name)
 
     def maybe_failing(*args, **kwargs):
         calls.append(args)
         if len(calls) in failing:
-            raise error("forced failure")
+            if isinstance(outcome, type):
+                raise outcome("forced failure")
+            return outcome
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, maybe_failing)
@@ -225,12 +227,13 @@ def test_cg_solve_backtracks_when_the_retraction_fails(monkeypatch):
 
 
 @pytest.mark.parametrize("error, failing, outcome", [
-    (NonDescentDirectionError, {1}, "same step"),
+    # a nonpositive linearized step marks a non-descent pairing
+    (-1.0, {1}, "same step"),
     (DegenerateDirectionError, {1}, "same step"),
     # on the reset direction a degenerate direction tries a unit step
     (DegenerateDirectionError, {1, 2}, "unit step"),
     # on the reset direction a non-descent pairing leaves nothing to try
-    (NonDescentDirectionError, {1, 2}, "stall"),
+    (-1.0, {1, 2}, "stall"),
 ])
 def test_cg_solve_retries_from_steepest_descent_when_the_initial_step_fails(
         monkeypatch, error, failing, outcome):
@@ -306,8 +309,6 @@ def reference_cg_solve(problem, x0, config=SolverConfig()):
         while True:
             try:
                 s0 = solver_module.initial_step(problem, ev, eta)
-            except NonDescentDirectionError:
-                s0 = None
             except DegenerateDirectionError:
                 s0 = 1.0 if reset else None
             if s0 is not None and s0 > 0.0:
@@ -382,15 +383,15 @@ def test_cg_solve_matches_the_reference_loop_on_an_ill_conditioned_problem():
 
 @pytest.mark.parametrize("name, error, failing, reason, resets", [
     # the CG direction of the second iteration fails; steepest descent stands in
-    ("initial_step", NonDescentDirectionError, {2}, "max_iterations", [2]),
+    ("initial_step", -1.0, {2}, "max_iterations", [2]),
     ("initial_step", DegenerateDirectionError, {2}, "max_iterations", [2]),
     # degenerate steepest descent falls back to a unit step; later
     # iterations of that trajectory reset on the descent test
     ("initial_step", DegenerateDirectionError, {1, 2}, "max_iterations", [1]),
     ("initial_step", DegenerateDirectionError, {3, 4}, "max_iterations", [3, 5, 7, 8]),
-    # non-descent on both directions: a stall
-    ("initial_step", NonDescentDirectionError, {1, 2}, "line_search_stall", []),
-    ("initial_step", NonDescentDirectionError, {3, 4}, "line_search_stall", []),
+    # a nonpositive step on both directions: a stall
+    ("initial_step", -1.0, {1, 2}, "line_search_stall", []),
+    ("initial_step", -1.0, {3, 4}, "line_search_stall", []),
     # failed retractions count as backtracks
     ("retract", RetractionError, {1, 2, 5}, "max_iterations", []),
 ])
@@ -410,19 +411,10 @@ def test_cg_solve_matches_the_reference_loop_on_a_nonpositive_initial_step(bad):
     # a CG direction whose initial step is not positive gives no step;
     # steepest descent stands in
     problem, _ = make_problem(30, 30, 2, 4.0, 21)
-
-    def patch(mp):
-        calls, original = [], solver_module.initial_step
-
-        def step(*args):
-            calls.append(args)
-            return bad if len(calls) == 2 else original(*args)
-
-        mp.setattr(solver_module, "initial_step", step)
-
     config = SolverConfig(max_iterations=8, cost_tolerance=0.0)
-    trace = assert_solves_like_the_reference(problem, random_point(30, 30, 2, 22), config,
-                                             patch)
+    trace = assert_solves_like_the_reference(
+        problem, random_point(30, 30, 2, 22), config,
+        lambda mp: fail_calls(mp, solver_module, "initial_step", bad, {2}))
     assert [row.iteration for row in trace.rows if row.reset] == [2]
 
 
@@ -1138,8 +1130,11 @@ def test_truncated_warm_start_warnings_point_at_the_caller_on_tall_problems():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         warm = truncated_warm_start(problem, 5, config)
-    assert len(caught) == 3   # undersampled, inner stop, under-determined columns
+    assert len(caught) == 3   # undersampled, inner stop, under-determined rows
     assert [w.filename for w in caught] == [__file__] * 3
+    # the short lines of a tall problem are its rows
+    assert "rows have fewer observed entries" in str(caught[2].message)
+    assert not any("columns" in str(w.message) for w in caught)
     # the tall problem is fitted in the wide orientation and transposed back
     e = problem.entries
     wide = CompletionProblem(ObservedEntries(30, 60, e.cols, e.rows, e.vals), 2)
@@ -1148,3 +1143,14 @@ def test_truncated_warm_start_warnings_point_at_the_caller_on_tall_problems():
         flipped = truncated_warm_start(wide, 5, config)
     assert np.array_equal(warm.U, flipped.V) and np.array_equal(warm.V, flipped.U)
     assert np.array_equal(warm.R, flipped.R.T)
+    # an empty row of a tall problem is named as a row, not a column
+    problem, _ = synthesize(SyntheticSpec(60, 20, 2, 4.0), seed=1)
+    e = problem.entries
+    keep = e.rows != 3
+    holed = CompletionProblem(
+        ObservedEntries(60, 20, e.rows[keep], e.cols[keep], e.vals[keep]), 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        truncated_warm_start(holed, 30, SolverConfig(max_iterations=50))
+    assert [str(w.message).split(";")[0] for w in caught][-1:] == [
+        "1 rows have no observed entries"]
