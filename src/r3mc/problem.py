@@ -4,22 +4,37 @@ The objective is the mean squared error over the observed set Omega,
 
     f(x) = |P_Omega(U R VT) - data|^2 / |Omega|,
 
-so gradients carry a 2 / |Omega| scale.  Products with the sparse matrix
-on Omega are one ``np.bincount`` scatter-add per dense column over the
-row-major sorted triplets, accumulating in triplet order, so results are
-bit-reproducible for a fixed thread count.  Model values on Omega are
-gathered the other way round, one pair of contiguous factor columns at a
-time.  As the triplets are sorted by row, a row-side gather ``a[rows]``
-is ``np.repeat(a, row_counts)``, which streams instead of gathering; the
-column side is a ``take`` on ``cols``.  Each kernel multiplies into the
-gathered temporary in place, and IEEE products commute, so the results
-are bit for bit those of ``a[rows] * b[cols]``.  ``evaluate`` computes
-the error at a point once, and the gradient, initial step and residual
-take that ``PointEvaluation`` rather than evaluate the model again.
+so gradients carry a 2 / |Omega| scale.  The sparse kernels (model values
+on Omega, and products S D and ST D with a sparse S on Omega) are one
+pass over the row-major sorted triplets each, in C (``_kernels.c``),
+walking the per-row counts and the columns.  ``problem`` compiles that
+file when it is first imported, into ``__pycache__`` beside it (or a
+private temporary directory when that cannot be written), and loads it
+through ``ctypes``.  The C loops add in the order the numpy kernels
+below do, so results are bit for bit theirs and bit-reproducible for a
+fixed thread count; the numpy kernels run instead when no C compiler is
+found.  In numpy, a product with S is one ``np.bincount`` scatter-add
+per dense column, in triplet order, and model values are gathered one
+pair of contiguous factor columns at a time.  As the triplets are sorted
+by row, a row-side gather ``a[rows]`` is ``np.repeat(a, row_counts)``,
+which streams instead of gathering; the column side is a ``take`` on
+``cols``.  Each numpy kernel multiplies into the gathered temporary in
+place, and IEEE products commute, so the results are bit for bit those
+of ``a[rows] * b[cols]``.  ``evaluate`` computes the error at a point
+once, and the gradient, initial step and residual take that
+``PointEvaluation`` rather than evaluate the model again.
 """
 
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import sysconfig
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -113,6 +128,8 @@ class ObservedEntries:
                 raise ContractViolationError(
                     "duplicate entry at (%d, %d)" % (rows[k], cols[k])
                 )
+        # the compiled kernels index by the pattern, so it cannot be changed
+        rows.flags.writeable = cols.flags.writeable = False
         self.n, self.m = n, m
         self.rows, self.cols, self.vals = rows, cols, vals
 
@@ -179,13 +196,91 @@ class CompletionProblem:
         return self.entries.count / self.dof
 
 
+_SOURCE = Path(__file__).with_name("_kernels.c")
+# no contraction of a * b + c into a fused multiply-add, which rounds once
+# where numpy rounds twice
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _load_kernels(cache=_SOURCE.with_name("__pycache__")):
+    """The C kernels of ``_kernels.c`` loaded through ctypes, or None when
+    the source or a C compiler ``cc`` is missing or the build fails.
+
+    A build is kept in ``cache`` under the sha256 of the source, the flags
+    and the platform, and written there as a temporary file that is then
+    renamed, so processes that import at once each load a whole library.
+    When ``cache`` cannot be written, the build goes to a private temporary
+    directory, removed once the library is loaded.
+    """
+    try:
+        key = b"\0".join([_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(),
+                          sysconfig.get_platform().encode()])
+    except OSError:
+        return None
+    name = "_kernels.%s.so" % hashlib.sha256(key).hexdigest()[:16]
+    private = None
+    try:
+        if not (cache / name).exists():
+            try:
+                cache.mkdir(exist_ok=True)
+                fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            except OSError:  # the cache cannot be written
+                cache = private = Path(tempfile.mkdtemp())
+                fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run(["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)],
+                               check=True, capture_output=True)
+                os.chmod(tmp, 0o755)  # readable by all, as a compiler would leave it
+                os.replace(tmp, cache / name)
+            except (OSError, subprocess.CalledProcessError):  # no compiler, or no build
+                os.unlink(tmp)
+                return None
+        return _bind(ctypes.CDLL(str(cache / name)))
+    except OSError:  # no private directory, or a library that does not load
+        return None
+    finally:
+        if private is not None:
+            shutil.rmtree(private, ignore_errors=True)
+
+
+def _bind(lib):
+    """Declare the kernels' signatures; ctypes then refuses any buffer that
+    is not a C-contiguous array of the declared dtype and dimension."""
+    size = ctypes.c_int64
+    index = np.ctypeslib.ndpointer(np.int64, 1, flags="C_CONTIGUOUS")
+    values = np.ctypeslib.ndpointer(np.float64, 1, flags="C_CONTIGUOUS")
+    block = np.ctypeslib.ndpointer(np.float64, 2, flags="C_CONTIGUOUS")
+    out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS, WRITEABLE")
+    lib.gather_sum.argtypes = [size, size, index, index, block, block, out]
+    lib.apply_rows.argtypes = [size, size, index, index, values, block, out]
+    lib.apply_cols.argtypes = [size, size, index, index, values, block, out]
+    for f in (lib.gather_sum, lib.apply_rows, lib.apply_cols):
+        f.restype = None
+    return lib
+
+
+_kernels = _load_kernels()
+
+
 def _gather_sum(left, right, entries):
-    """vals[k] = sum_j left[j, rows[k]] * right[j, cols[k]] for (k, n) and
-    (k, m) blocks, gathering from one contiguous row of each at a time
-    (a contiguous column of the factors), which beats gathering r-wide rows."""
-    vals = np.zeros(entries.count)
-    for a, b in zip(np.ascontiguousarray(left), np.ascontiguousarray(right)):
-        vals += outer_values(a, b, entries)
+    """vals[k] = sum_t left[rows[k], t] * right[cols[k], t], t ascending,
+    for an (n, w) block ``left`` and an (m, w) block ``right``.  In numpy,
+    one contiguous column of each at a time, which beats gathering w-wide
+    rows."""
+    left = np.ascontiguousarray(left, dtype=np.float64)
+    right = np.ascontiguousarray(right, dtype=np.float64)
+    if (left.ndim != 2 or right.ndim != 2 or left.shape[0] != entries.n
+            or right.shape != (entries.m, left.shape[1])):
+        raise DimensionError("factor blocks do not match the pattern grid")
+    if _kernels is None:
+        vals = np.zeros(entries.count)
+        for a, b in zip(np.ascontiguousarray(left.T), np.ascontiguousarray(right.T)):
+            vals += outer_values(a, b, entries)
+        return vals
+    vals = np.empty(entries.count)
+    _kernels.gather_sum(entries.n, left.shape[1], entries.row_counts, entries.cols,
+                        left, right, vals)
     return vals
 
 
@@ -201,32 +296,44 @@ def masked_values(x, entries):
     """Model values U R VT evaluated on the pattern, in pattern order."""
     if x.n != entries.n or x.m != entries.m:
         raise DimensionError("point shape does not match the pattern grid")
-    vals = _gather_sum((x.U @ x.R).T, x.V.T, entries)
+    vals = _gather_sum(x.U @ x.R, x.V, entries)
     op_counter.add(2 * entries.count * x.r)
     return vals
 
 
 def sparse_apply(s, dense, transpose=False):
     """Product S @ dense (or ST @ dense) for a sparse S on the pattern:
-    column j scatter-adds s.vals * dense[in, j] into the rows out, with
-    (out, in) = (rows, cols) for S and (cols, rows) for ST."""
+    column j scatter-adds s.vals * dense[in, j] into the rows out, in
+    triplet order, with (out, in) = (rows, cols) for S and (cols, rows)
+    for ST.  The result is Fortran-ordered, a column per dense column."""
     pat = s.pattern
     dense = np.asarray(dense, dtype=np.float64)
     if transpose:
         out_idx, size, in_size = pat.cols, pat.m, pat.n
     else:
         out_idx, size, in_size = pat.rows, pat.n, pat.m
-    if dense.shape[0] != in_size:
-        raise DimensionError("dense operand must have %d rows" % in_size)
-    # gathers from contiguous columns run faster than strided ones
-    columns = np.ascontiguousarray(dense.T)
-    out = np.empty((dense.shape[1], size))
-    for j, column in enumerate(columns):
-        weights = np.repeat(column, pat.row_counts) if transpose else column.take(pat.cols)
-        weights *= s.vals
-        out[j] = np.bincount(out_idx, weights=weights, minlength=size)
-    op_counter.add(2 * pat.count * dense.shape[1])
-    return out.T
+    if dense.ndim != 2 or dense.shape[0] != in_size:
+        raise DimensionError("dense operand must be a matrix with %d rows" % in_size)
+    k = dense.shape[1]
+    if _kernels is None:
+        # gathers from contiguous columns run faster than strided ones
+        columns = np.ascontiguousarray(dense.T)
+        out = np.empty((k, size))
+        for j, column in enumerate(columns):
+            weights = np.repeat(column, pat.row_counts) if transpose else column.take(pat.cols)
+            weights *= s.vals
+            out[j] = np.bincount(out_idx, weights=weights, minlength=size)
+        out = out.T
+    else:
+        # row-major bins take an entry's k products in one cache line or two;
+        # the copy is the transpose of a (k, size) array, as numpy's result
+        out = np.zeros((size, k))
+        apply = _kernels.apply_cols if transpose else _kernels.apply_rows
+        apply(pat.n, k, pat.row_counts, pat.cols, np.ascontiguousarray(s.vals, dtype=np.float64),
+              np.ascontiguousarray(dense), out)
+        out = np.array(out.T, order="C").T
+    op_counter.add(2 * pat.count * k)
+    return out
 
 
 def cost(problem, x, out=None):
@@ -309,9 +416,11 @@ def direction_values(x, xi, entries):
 
     one 2r-wide gather of [dU R + U dR | U R] against [V | dV].
     """
+    if x.n != entries.n or x.m != entries.m:
+        raise DimensionError("point shape does not match the pattern grid")
     left = np.hstack([xi.dU @ x.R + x.U @ xi.dR, x.U @ x.R])
     right = np.hstack([x.V, xi.dV])
-    vals = _gather_sum(left.T, right.T, entries)
+    vals = _gather_sum(left, right, entries)
     op_counter.add(4 * entries.count * x.r)
     return vals
 

@@ -8,13 +8,16 @@ the test or in the library, is checked for membership
 own ``validate``).  The patch is undone after each test, so it does not
 reach tests collected from outside this directory.  Property tests run
 under one ``hypothesis`` profile: derandomized, so every run tries the
-same examples, and with no per-example deadline.
+same examples, and with no per-example deadline.  A test that takes
+``kernel_path`` runs once on the compiled sparse kernels and once on
+the numpy ones.
 """
 
 import pytest
 from hypothesis import settings
 
 from r3mc import FixedRankPoint, TangentTriple
+from r3mc import problem
 
 settings.register_profile("r3mc", derandomize=True, deadline=None)
 settings.load_profile("r3mc")
@@ -32,3 +35,14 @@ def _validating(post_init):
 def _invariant_checks(monkeypatch):
     for cls in (FixedRankPoint, TangentTriple):
         monkeypatch.setattr(cls, "__post_init__", _validating(cls.__post_init__))
+
+
+@pytest.fixture(params=["native", "numpy"])
+def kernel_path(request, monkeypatch):
+    """The compiled kernels, or the numpy ones in their place; the native
+    run fails, not skips, when the library did not load."""
+    if request.param == "numpy":
+        monkeypatch.setattr(problem, "_kernels", None)
+    else:
+        assert problem._kernels is not None, "the compiled kernels did not load"
+    return request.param

@@ -359,6 +359,17 @@ def test_random_horizontal_unit_norm_and_deterministic():
     assert np.array_equal(h.dV, h2.dV)
 
 
+@pytest.mark.xfail(strict=True, raises=ContractViolationError,
+                   reason="the tangent projection loses tangency at an ill-conditioned R")
+def test_tangent_projection_holds_at_an_ill_conditioned_random_point():
+    # R's singular values span 4.6 to 4.5e-4, inside random_point's
+    # resampling floor of 1e-6.  project_to_tangent forms W1 = R RT and
+    # divides by it twice; its defect is 0.19 against validate's
+    # allowance of 0.11, which scales with cond(R)^2.
+    x = random_point(5, 8, 5, 5)
+    random_horizontal(x, 6)
+
+
 def test_package_sets_no_module_state():
     """No ``global`` statement: a module-level switch would give the
     package a second configuration that tests and benchmarks must cover."""

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from _geometry import random_horizontal
@@ -543,11 +543,27 @@ def special_values(rng, shape):
     return vals
 
 
+def kernel_direction(x, seed):
+    """random_horizontal(x, seed), where the tangent projection passes its
+    check: the kernel tests need a direction, and the projection's loss of
+    tangency at an ill-conditioned R is
+    test_manifold's test_tangent_projection_holds_at_an_ill_conditioned_random_point."""
+    try:
+        return random_horizontal(x, seed)
+    except ContractViolationError:
+        assume(False)
+
+
+# the kernel path a test is given holds for every example hypothesis draws
+each_kernel_path = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@each_kernel_path
 @given(e=kernel_patterns(), rank=st.integers(1, 13), seed=st.integers(0, 2**20))
-def test_gathers_match_the_fancy_index_loops_bit_for_bit(e, rank, seed):
+def test_gathers_match_the_fancy_index_loops_bit_for_bit(kernel_path, e, rank, seed):
     r = min(rank, e.n, e.m)
     x = random_point(e.n, e.m, r, seed)
-    xi = random_horizontal(x, seed + 1)
+    xi = kernel_direction(x, seed + 1)
     reset_op_count()
     got = masked_values(x, e), direction_values(x, xi, e)
     flops = op_count()
@@ -561,8 +577,9 @@ def test_gathers_match_the_fancy_index_loops_bit_for_bit(e, rank, seed):
     assert_same_bits(problem_module.outer_values(a, b, e), reference_outer_values(a, b, e))
 
 
+@each_kernel_path
 @given(e=kernel_patterns(), rank=st.integers(2, 13), seed=st.integers(0, 2**20))
-def test_sparse_apply_matches_the_fancy_index_loop_bit_for_bit(e, rank, seed):
+def test_sparse_apply_matches_the_fancy_index_loop_bit_for_bit(kernel_path, e, rank, seed):
     rng = np.random.default_rng(seed)
     s = SparseResidual(e, special_values(rng, e.count))
     for k in (1, rank):
@@ -572,12 +589,16 @@ def test_sparse_apply_matches_the_fancy_index_loop_bit_for_bit(e, rank, seed):
             got = sparse_apply(s, dense, transpose)
             flops = op_count()
             reset_op_count()
-            assert_same_bits(got, reference_sparse_apply(s, dense, transpose))
+            want = reference_sparse_apply(s, dense, transpose)
+            assert_same_bits(got, want)
+            assert got.strides == want.strides  # the layout BLAS sees downstream
             assert op_count() == flops
 
 
+@each_kernel_path
 @given(e=kernel_patterns(), rank=st.integers(1, 13), seed=st.integers(0, 2**20))
-def test_initial_step_is_the_signed_linearized_minimizer_bit_for_bit(e, rank, seed):
+def test_initial_step_is_the_signed_linearized_minimizer_bit_for_bit(kernel_path, e, rank,
+                                                                    seed):
     # the step along xi and along -xi is the closed form whatever its
     # sign, so at most one of the two is positive
     assume(e.count > 0)
@@ -585,7 +606,7 @@ def test_initial_step_is_the_signed_linearized_minimizer_bit_for_bit(e, rank, se
     p = CompletionProblem(e, r)
     x = random_point(e.n, e.m, r, seed)
     ev = evaluate(p, x)
-    xi = random_horizontal(x, seed + 1)
+    xi = kernel_direction(x, seed + 1)
     steps = []
     for direction in (xi, -xi):
         d = reference_direction_values(x, direction, e)
