@@ -5,7 +5,9 @@ Subcommands: synth (generate a problem), complete (solve one), bench
 (convert a ratings file into Matrix Market splits).
 
 Exit codes: 0 solved, 2 bad configuration or unreadable input, 3
-iteration budget exhausted, 4 line-search stall.
+iteration budget exhausted, 4 line-search stall, 5 a cost or gradient
+that overflowed (reason non_finite).  Reports are strict JSON: a
+non-finite number in one is written as null.
 Wall-clock fields in outputs are zeroed under --deterministic so that
 identical seeded runs are byte-identical (pin BLAS threads to one for
 full reproducibility).
@@ -16,6 +18,7 @@ import concurrent.futures
 import functools
 import itertools
 import json
+import math
 import os
 import statistics
 import sys
@@ -52,6 +55,7 @@ from .problem import (
 )
 from .solver import (
     REASON_MAX_ITERATIONS,
+    REASON_NON_FINITE,
     REASON_STALL,
     SolverConfig,
     cg_solve,
@@ -65,8 +69,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MAX_ITERATIONS = 3
 EXIT_STALL = 4
+EXIT_NON_FINITE = 5
 
-_REASON_EXIT = {REASON_MAX_ITERATIONS: EXIT_MAX_ITERATIONS, REASON_STALL: EXIT_STALL}
+_REASON_EXIT = {REASON_MAX_ITERATIONS: EXIT_MAX_ITERATIONS, REASON_STALL: EXIT_STALL,
+                REASON_NON_FINITE: EXIT_NON_FINITE}
 
 TRACE_HEADER = "iter,cost,grad_norm,step,backtracks,reset,time_s"
 
@@ -108,6 +114,18 @@ def _atomic_write(path, write_body):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _strict_json(value):
+    """value with each non-finite float in it replaced by None: JSON has no
+    such number, and ``json.dump`` would write a NaN or Infinity token."""
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _solver_config(args):
@@ -265,9 +283,8 @@ def cmd_complete(args):
             },
             "result": result,
         }
-        _atomic_write(
-            args.report, lambda fh: json.dump(report, fh, indent=2, sort_keys=True)
-        )
+        _atomic_write(args.report, lambda fh: json.dump(
+            _strict_json(report), fh, indent=2, sort_keys=True, allow_nan=False))
     if args.solution_prefix:
         for name, mat in (("U", x.U), ("R", x.R), ("V", x.V)):
             _atomic_write(

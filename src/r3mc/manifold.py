@@ -12,7 +12,10 @@ which adapts step lengths to the current spectrum.  Tangent vectors are
 represented by their horizontal lifts: triples whose projection kills the
 group directions, which unpack as (dU, dR, dV).  Shapes and finiteness
 are checked where values enter: by the constructors and by
-``project_to_tangent`` on its ambient input.  The membership conditions
+``project_to_tangent`` on its ambient input.  The triples computed from
+checked values (the arithmetic, both projections and the gradient) are
+built by ``TangentTriple._at``, which skips that scan; an overflow in them
+shows in the solver's cost and gradient norm.  The membership conditions
 (orthonormal U, V, invertible R, tangency and horizontality) are checked
 by each class's ``validate``.
 """
@@ -95,7 +98,7 @@ class FixedRankPoint:
                     "%s is not orthonormal, defect %.3e" % (name, defect)
                 )
         sig = np.linalg.svd(self.R, compute_uv=False)
-        if sig[-1] <= RANK_TOL * sig[0] or sig[0] == 0.0:
+        if not sig[-1] > RANK_TOL * sig[0]:
             raise SingularMatrixError("R is numerically singular")
 
     def matrix(self):
@@ -122,6 +125,14 @@ class TangentTriple:
         self.dR = _as_factor("dR", self.dR, rows=x.r, cols=x.r)
         self.dV = _as_factor("dV", self.dV, rows=x.m, cols=x.r)
 
+    @classmethod
+    def _at(cls, point, du, dr, dv):
+        """The triple at ``point`` of C-ordered float64 blocks of its shapes,
+        computed from checked values, built without the constructor's checks."""
+        xi = cls.__new__(cls)
+        xi.point, xi.dU, xi.dR, xi.dV = point, du, dr, dv
+        return xi
+
     def validate(self):
         # Projections divide by R RT, so attainable accuracy degrades with
         # its condition number; the tolerance tracks that honestly.
@@ -134,7 +145,7 @@ class TangentTriple:
         return iter((self.dU, self.dR, self.dV))
 
     def _like(self, du, dr, dv):
-        return type(self)(self.point, du, dr, dv)
+        return type(self)._at(self.point, du, dr, dv)
 
     def __add__(self, other):
         if not isinstance(other, TangentTriple):
@@ -234,7 +245,7 @@ def project_to_tangent(x, ambient):
     bv = solve_lyapunov_spd(w2, w2 @ (x.V.T @ zv + zv.T @ x.V) @ w2)
     du = zu - x.U @ np.linalg.solve(w1, bu).T
     dv = zv - x.V @ np.linalg.solve(w2, bv).T
-    return TangentTriple(x, du, zr, dv)
+    return TangentTriple._at(x, du, zr, dv)
 
 
 def project_to_horizontal(x, xi):
@@ -247,7 +258,7 @@ def project_to_horizontal(x, xi):
     if not isinstance(xi, TangentTriple):
         raise TypeError("project_to_horizontal expects a TangentTriple")
     o1, o2 = solve_coupled_lyapunov(x.R, *_horizontality_residual(x, *xi))
-    return HorizontalVector(
+    return HorizontalVector._at(
         x,
         xi.dU - x.U @ o1,
         xi.dR + o1 @ x.R - x.R @ o2,
@@ -260,9 +271,11 @@ def retract(x, xi, step):
 
     U and V shift and re-orthonormalize through the polar factor,
     R shifts additively.  A zero step returns x itself.  Raises
-    RetractionError when a shifted factor loses rank, or when either
+    RetractionError when a shifted U or V loses rank, or when either
     metric weight of the new point is not positive definite to the
-    precision of ``spd_factorization``, which the gradient there needs.
+    precision of ``spd_factorization``, which the gradient there needs
+    (a stricter test than a singular value ratio of the shifted R at
+    ``RANK_TOL``).
     """
     if not isinstance(xi, HorizontalVector):
         raise TypeError("retract expects a HorizontalVector")
@@ -274,12 +287,8 @@ def retract(x, xi, step):
         v_new = polar_orthonormal_factor(x.V + s * xi.dV)
     except SingularMatrixError as exc:
         raise RetractionError("shifted factor lost rank") from exc
-    r_new = x.R + s * xi.dR
-    sig = np.linalg.svd(r_new, compute_uv=False)
-    if sig[0] == 0.0 or sig[-1] <= RANK_TOL * sig[0]:
-        raise RetractionError("shifted R factor is numerically singular")
-    y = FixedRankPoint(u_new, r_new, v_new)
     try:
+        y = FixedRankPoint(u_new, x.R + s * xi.dR, v_new)
         for w in y.weights:
             spd_factorization(w)
     except SingularMatrixError as exc:

@@ -404,9 +404,10 @@ def riemannian_gradient(problem, ev):
     t2 = x.V.T @ stu @ x.R
     bu = solve_lyapunov_spd(w1, 2.0 * sym(w1 @ t1))
     bv = solve_lyapunov_spd(w2, 2.0 * sym(w2 @ t2))
-    du = np.linalg.solve(w1, (sv @ x.R.T - x.U @ bu).T).T
-    dv = np.linalg.solve(w2, (stu @ x.R - x.V @ bv).T).T
-    return HorizontalVector(x, du, dr, dv)
+    # C order, as in every triple: the metric's sums add in memory order
+    du = np.ascontiguousarray(np.linalg.solve(w1, (sv @ x.R.T - x.U @ bu).T).T)
+    dv = np.ascontiguousarray(np.linalg.solve(w2, (stu @ x.R - x.V @ bv).T).T)
+    return HorizontalVector._at(x, du, dr, dv)
 
 
 def direction_values(x, xi, entries):

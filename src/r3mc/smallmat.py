@@ -2,9 +2,12 @@
 
 Outputs with a structural guarantee (symmetric, skew-symmetric) are
 returned in explicitly symmetrized form so the guarantee is exact, not
-just within rounding.  Shapes are not checked here: callers pass blocks of
-known shape, built from the factors a ``FixedRankPoint`` or ``TangentTriple``
-checked.  The kernels raise only ``SingularMatrixError``, on singular input.
+just within rounding.  Shapes and finiteness are not checked here:
+callers pass blocks of known shape, built from the factors a
+``FixedRankPoint`` or ``TangentTriple`` checked or computed from them.  The
+kernels raise only ``SingularMatrixError``, on singular input; the
+singular value and eigenvalue tests are each one comparison that a NaN
+fails, so an overflowed block counts as singular.
 """
 
 import numpy as np
@@ -38,7 +41,8 @@ def spd_factorization(p):
     # with vecs round differently in other layouts
     vals, vecs = vals[::-1], np.asfortranarray(vecs[:, ::-1])
     floor = vals.size * np.finfo(np.float64).eps * max(vals[0], 0.0)
-    if vals[-1] <= floor or vals[-1] <= 0.0:
+    # one comparison that a NaN eigenvalue (from non-finite input) fails too
+    if not vals[-1] > floor:
         raise SingularMatrixError(
             "matrix is not positive definite (min eigenvalue %.3e)" % vals[-1]
         )
@@ -48,7 +52,7 @@ def spd_factorization(p):
 def polar_orthonormal_factor(a):
     """Orthonormal polar factor uf(A) = A (AT A)^{-1/2} via the thin SVD."""
     w, s, zt = np.linalg.svd(a, full_matrices=False)
-    if s[0] <= 0.0 or s[-1] <= RANK_TOL * s[0]:
+    if not s[-1] > RANK_TOL * s[0]:
         raise SingularMatrixError(
             "polar factor undefined: singular value ratio %.3e"
             % (s[-1] / s[0] if s[0] > 0.0 else 0.0)
@@ -90,7 +94,7 @@ def solve_coupled_lyapunov(r, c1, c2):
     dividing.
     """
     w, sig, zt = np.linalg.svd(r)
-    if sig[-1] <= RANK_TOL * sig[0] or sig[0] <= 0.0:
+    if not sig[-1] > RANK_TOL * sig[0]:
         raise SingularMatrixError("R is numerically singular")
     z = zt.T
     c1p = w.T @ c1 @ w

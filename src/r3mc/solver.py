@@ -50,6 +50,7 @@ REASON_MAX_ITERATIONS = "max_iterations"
 REASON_STALL = "line_search_stall"
 REASON_PLATEAU = "cost_plateau"
 REASON_VALIDATION = "validation_rise"
+REASON_NON_FINITE = "non_finite"
 
 CONVERGED_REASONS = (REASON_COST, REASON_GRADIENT, REASON_PLATEAU, REASON_VALIDATION)
 
@@ -142,17 +143,17 @@ def _line_search(problem, ev, eta, slope, steepest):
     with the linearized minimizer, then backtrack until the Armijo bound
     holds.  Returns the accepted trial's evaluation, its step and the
     backtrack count, or None when the linearized minimizer is not
-    positive (the one non-descent test) or the backtracks run out.  A
-    direction invisible on the pattern gives None, or a unit step when
-    it is the ``steepest`` descent one.  Each trial point is evaluated
-    once."""
+    positive and finite (the one non-descent test) or the backtracks run
+    out.  A direction invisible on the pattern gives None, or a unit step
+    when it is the ``steepest`` descent one.  Each trial point is
+    evaluated once."""
     try:
         s = initial_step(problem, ev, eta)
     except DegenerateDirectionError:
         if not steepest:
             return None
         s = 1.0
-    if not s > 0.0:
+    if not 0.0 < s < np.inf:
         return None
     for k in range(MAX_BACKTRACKS + 1):
         try:
@@ -186,8 +187,9 @@ def cg_solve(problem, x0, config=SolverConfig(), stops=()):
     (FixedRankPoint, SolverTrace)
         The best iterate found and the per-iteration trace.  The trace
         reason is one of cost_tolerance, gradient_tolerance,
-        max_iterations, line_search_stall, or the reason of the stop
-        rule that fired.
+        max_iterations, line_search_stall, non_finite (the cost or the
+        gradient norm at the iterate overflowed), or the reason of the
+        stop rule that fired.
     """
     if x0.n != problem.n or x0.m != problem.m:
         raise DimensionError("start point does not match the problem grid")
@@ -203,6 +205,11 @@ def cg_solve(problem, x0, config=SolverConfig(), stops=()):
     eta = -grad
 
     while True:
+        # tested first: with an infinite starting norm, the relative
+        # gradient stop below would pass any gradient
+        if not (np.isfinite(ev.cost) and np.isfinite(grad_norm_sq)):
+            trace.reason = REASON_NON_FINITE
+            break
         if ev.cost <= config.cost_tolerance:
             trace.reason = REASON_COST
             break
@@ -459,7 +466,8 @@ def rank_incremental_solve(problem, config=SolverConfig(), seed=0, validation=No
     to ``problem.rank``, and grows through ``rank_one_update``.  With a
     validation pattern the homotopy stops once a rank's validation error
     exceeds the previous rank's, and chooses the first step with the
-    lowest error; without one it chooses the last step.
+    lowest error; without one it chooses the last step.  A rank whose
+    solve ends ``non_finite`` is the last one visited.
 
     Returns (step, steps): the chosen RankStep and one RankStep per visited rank.
     """
@@ -482,7 +490,8 @@ def rank_incremental_solve(problem, config=SolverConfig(), seed=0, validation=No
         if validation is not None and len(steps) > 1 and (
                 step.validation_mse > steps[-2].validation_mse):
             break
-        if step.trace.final_cost <= config.cost_tolerance:
+        if (step.trace.reason == REASON_NON_FINITE
+                or step.trace.final_cost <= config.cost_tolerance):
             break
         if r < problem.rank:
             try:
@@ -575,7 +584,7 @@ def truncated_warm_start(problem, p, config=SolverConfig(), seed=0):
                       RuntimeWarning, stacklevel=2)
     q, t = np.linalg.qr(w)
     sig = np.linalg.svd(t, compute_uv=False)
-    if sig[0] == 0.0 or sig[-1] <= RANK_TOL * sig[0]:
+    if not sig[-1] > RANK_TOL * sig[0]:
         raise SingularMatrixError("fitted coefficients are rank deficient")
     x = FixedRankPoint(u, t.T, q)
     return _transpose_point(x) if tall else x

@@ -2,17 +2,20 @@
 
 Every test runs with the constructors of ``FixedRankPoint`` and
 ``TangentTriple`` patched to call ``validate()`` after their own checks,
-so every point, tangent triple and horizontal vector a test builds, in
-the test or in the library, is checked for membership
-(``HorizontalVector`` inherits the patched constructor and reaches its
-own ``validate``).  The patch is undone after each test, so it does not
-reach tests collected from outside this directory.  Property tests run
-under one ``hypothesis`` profile: derandomized, so every run tries the
-same examples, and with no per-example deadline.  A test that takes
-``kernel_path`` runs once on the compiled sparse kernels and once on
-the numpy ones.
+and with ``TangentTriple._at``, the constructor the library uses for the
+triples it computes from checked values, patched to check the layout it
+promises and to call ``validate()``.  So every point, tangent triple and
+horizontal vector a test builds, in the test or in the library, is
+checked for membership (``HorizontalVector`` inherits both patched
+constructors and reaches its own ``validate``).  The patch is undone
+after each test, so it does not reach tests collected from outside this
+directory.  Property tests run under one ``hypothesis`` profile:
+derandomized, so every run tries the same examples, and with no
+per-example deadline.  A test that takes ``kernel_path`` runs once on
+the compiled sparse kernels and once on the numpy ones.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -31,10 +34,24 @@ def _validating(post_init):
     return checked_post_init
 
 
+def _validating_at(at):
+    def checked_at(cls, point, *blocks):
+        for block, shape in zip(blocks, ((point.n, point.r), (point.r, point.r),
+                                         (point.m, point.r))):
+            assert block.shape == shape and block.dtype == np.float64
+            assert block.flags.c_contiguous
+        xi = at(cls, point, *blocks)
+        xi.validate()
+        return xi
+
+    return classmethod(checked_at)
+
+
 @pytest.fixture(autouse=True)
 def _invariant_checks(monkeypatch):
     for cls in (FixedRankPoint, TangentTriple):
         monkeypatch.setattr(cls, "__post_init__", _validating(cls.__post_init__))
+    monkeypatch.setattr(TangentTriple, "_at", _validating_at(TangentTriple._at.__func__))
 
 
 @pytest.fixture(params=["native", "numpy"])

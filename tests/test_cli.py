@@ -227,6 +227,65 @@ def test_complete_on_one_outlying_value_ends_in_a_stall(tmp_path, capsys, seed):
     assert json.loads(report.read_text())["result"]["reason"] == "line_search_stall"
 
 
+def write_scaled(tmp_path, k):
+    """The 20 x 15 rank-2 ``synth --os 3 --seed 1`` file with every value
+    multiplied by 10**k."""
+    out = tmp_path / "gen"
+    assert run_cli("synth", "--n", "20", "--m", "15", "--rank", "2", "--os", "3",
+                   "--seed", "1", "--out", str(out)) == 0
+    e = read_matrix_market(out / "entries.mtx")
+    data = tmp_path / "scaled.mtx"
+    write_matrix_market(data, ObservedEntries(e.n, e.m, e.rows, e.cols, e.vals * 10.0**k))
+    return data
+
+
+def strict_json(text):
+    def refuse(token):
+        raise ValueError("%s is not a JSON number" % token)
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("k, argv, code, reason, iterations, rank", [
+    # some transports overflow; their CG directions fail the step test
+    # and steepest descent stands in
+    (62, ["--rank", "2"], 0, "gradient_tolerance", None, 2),
+    # the gradient overflows after the first step
+    (100, ["--rank", "2"], 5, "non_finite", None, 2),
+    # the cost overflows at the start
+    (154, ["--rank", "2"], 5, "non_finite", 0, 2),
+    # the homotopy's first rank overflows, and it grows no further
+    (100, ["--rank-updates", "2"], 5, "non_finite", 0, 1),
+], ids=["1e62", "1e100", "1e154", "1e100-homotopy"])
+def test_complete_on_values_whose_products_overflow(tmp_path, capsys, k, argv, code,
+                                                    reason, iterations, rank):
+    # the metric weights make the small-side products grow like sigma(R)^4,
+    # so finite data overflows; that ends the solve by name, with a report
+    data = write_scaled(tmp_path, k)
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert run_cli("complete", "--data", str(data), *argv, "--seed", "1",
+                   "--report", str(report)) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err and "error:" not in err
+    assert out.startswith("reason=%s " % reason)
+    result = strict_json(report.read_text())["result"]
+    assert (result["reason"], result["exit_code"], result["final_rank"]) == (
+        reason, code, rank)
+    if iterations is not None:
+        assert result["iterations"] == iterations
+    # JSON has no infinite number: an overflowed cost is written as null
+    assert (result["final_cost"] is None) == (k == 154)
+
+
+def test_reports_write_each_non_finite_number_as_null():
+    report = {"a": [1.5, float("nan"), {"b": float("inf")}], "c": -float("inf"),
+              "d": 3, "e": None, "f": "inf", "g": np.float64(np.inf), "h": 2.0**-1074}
+    assert cli._strict_json(report) == {
+        "a": [1.5, None, {"b": None}], "c": None, "d": 3, "e": None, "f": "inf",
+        "g": None, "h": 2.0**-1074}
+
+
 def test_complete_homotopy_reports_per_rank_results(tmp_path, capsys):
     problem, _ = synthesize(SyntheticSpec(30, 30, 2, 5.0), 4)
     train, val, test = split_train_val_test(problem.entries, (0.8, 0.1, 0.1), 5)

@@ -29,7 +29,7 @@ from r3mc import (
 )
 
 N_USERS, N_ITEMS = 12, 10
-EXIT_CODES = (0, 2, 3, 4)
+EXIT_CODES = (0, 2, 3, 4, 5)
 SPECIAL_NUMBERS = ("0", "-1", "-7", "2.5", "1e400", "nan", "inf", "-inf", "x", "",
                    str(2**62), str(2**63), str(10**30))
 

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import r3mc
 from _geometry import group_action, random_horizontal, rotate_vector, vertical_lift
+from r3mc import manifold
 from r3mc import (
     ContractViolationError,
     DimensionError,
@@ -15,6 +18,7 @@ from r3mc import (
     CounterRng,
     FixedRankPoint,
     HorizontalVector,
+    ObservedEntries,
     RetractionError,
     TangentTriple,
     horizontality_defect,
@@ -27,7 +31,14 @@ from r3mc import (
     tangency_defect,
     transport_to,
 )
-from r3mc.smallmat import polar_orthonormal_factor, skew, sym
+from r3mc.problem import CompletionProblem, evaluate, riemannian_gradient
+from r3mc.smallmat import (
+    RANK_TOL,
+    polar_orthonormal_factor,
+    skew,
+    spd_factorization,
+    sym,
+)
 
 
 def metric_direct(x, xi, eta):
@@ -242,9 +253,27 @@ def test_retraction_type_and_rank_guards():
         retract(x, collapse, 1.0)
 
 
+@given(r=st.sampled_from([2, 3, 5, 10, 20]), ratio=st.floats(0.0, RANK_TOL),
+       scale=st.sampled_from([1e-50, 1e-10, 1.0, 1e10, 1e50]), seed=st.integers(0, 2**20))
+def test_an_r_below_the_rank_tolerance_fails_the_weight_test(r, ratio, scale, seed):
+    # retract tests the shifted R only through its weights; that test
+    # refuses every R a singular value test at RANK_TOL would refuse
+    rng = CounterRng(seed)
+    sig = np.sort(np.exp(rng.uniform(r) * np.log(RANK_TOL)))[::-1]
+    sig[0], sig[-1] = 1.0, ratio
+    q1 = polar_orthonormal_factor(rng.standard_normal((r, r)))
+    q2 = polar_orthonormal_factor(rng.standard_normal((r, r)))
+    r_mid = scale * (q1 * sig) @ q2.T
+    computed = np.linalg.svd(r_mid, compute_uv=False)
+    assume(not computed[-1] > RANK_TOL * computed[0])
+    for w in (r_mid @ r_mid.T, r_mid.T @ r_mid):
+        with pytest.raises(SingularMatrixError):
+            spd_factorization(w)
+
+
 def test_retraction_refuses_a_point_whose_weights_are_not_positive_definite():
-    # the new R = diag(1, 2e-12) passes the singular value test (ratio
-    # above RANK_TOL), but its weight R RT = diag(1, 4e-24) falls below
+    # the new R = diag(1, 2e-12) has a singular value ratio above
+    # RANK_TOL, but its weight R RT = diag(1, 4e-24) falls below
     # the eigensolve floor that the gradient at the new point needs
     u = np.eye(4, 2)
     x = FixedRankPoint(u, np.eye(2), u)
@@ -292,6 +321,44 @@ def test_project_to_tangent_checks_the_ambient_shapes(component, cut):
     z[component] = z[component][cut]
     with pytest.raises(DimensionError):
         project_to_tangent(x, z)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_values_are_checked_for_finiteness_where_they_enter(bad):
+    x = random_point(8, 6, 2, 33)
+    h = random_horizontal(x, 34)
+    u = x.U.copy()
+    u[3, 1] = bad
+    du = h.dU.copy()
+    du[3, 1] = bad
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        FixedRankPoint(u, x.R, x.V)
+    for cls in (TangentTriple, HorizontalVector):
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            cls(x, du, h.dR, h.dV)
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        project_to_tangent(x, (du, h.dR, h.dV))
+
+
+def test_the_triples_computed_from_checked_values_skip_the_entry_scan(monkeypatch):
+    x = random_point(8, 6, 2, 33)
+    problem = CompletionProblem(ObservedEntries(
+        8, 6, np.repeat(np.arange(8), 6), np.tile(np.arange(6), 8),
+        CounterRng(35).standard_normal(48)), 2)
+    scanned = []
+    scan = manifold._as_factor
+    monkeypatch.setattr(manifold, "_as_factor",
+                        lambda name, *args, **kwargs: scanned.append(name)
+                        or scan(name, *args, **kwargs))
+    g = riemannian_gradient(problem, evaluate(problem, x))
+    eta = -g + 0.5 * (g - g * 2.0)
+    assert isinstance(eta, HorizontalVector)
+    tangent = TangentTriple._at(x, g.dU, g.dR, g.dV)
+    assert isinstance(project_to_horizontal(x, tangent), HorizontalVector)
+    assert scanned == []
+    # the ambient input of a projection, and so of a transport, is scanned
+    transport_to(x, eta)
+    assert scanned == ["zU", "zR", "zV"]
 
 
 def test_transport_from_a_point_of_another_rank_is_a_dimension_error():

@@ -51,11 +51,15 @@ def test_spd_factorization_applies_inverse():
         assert np.allclose(inverse_b, np.linalg.solve(p, b), atol=1e-10)
 
 
-def test_spd_factorization_rejects_indefinite():
+@pytest.mark.parametrize("p", [
+    np.diag([1.0, -1.0]),
+    np.zeros((2, 2)),
+    # an overflowed block has NaN eigenvalues, which fail the test too
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+], ids=["indefinite", "zero", "overflowed"])
+def test_spd_factorization_rejects_indefinite(p):
     with pytest.raises(SingularMatrixError):
-        spd_factorization(np.diag([1.0, -1.0]))
-    with pytest.raises(SingularMatrixError):
-        spd_factorization(np.zeros((2, 2)))
+        spd_factorization(p)
 
 
 def test_polar_factor_matches_scipy():
@@ -74,8 +78,13 @@ def test_polar_factor_identity_on_orthonormal_input():
     assert np.allclose(polar_orthonormal_factor(q), q, atol=1e-13)
 
 
-def test_polar_factor_rejects_rank_deficient():
-    a = np.ones((5, 3))
+@pytest.mark.parametrize("a", [
+    np.ones((5, 3)),
+    np.zeros((5, 3)),
+    # the SVD of an overflowed operand has NaN singular values
+    np.array([[np.inf, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+], ids=["rank-one", "zero", "overflowed"])
+def test_polar_factor_rejects_rank_deficient(a):
     with pytest.raises(SingularMatrixError):
         polar_orthonormal_factor(a)
 
@@ -173,7 +182,12 @@ def test_coupled_lyapunov_identity_closed_form():
     assert np.allclose(o2, (2 * c2 + c1) / 3.0, atol=1e-13)
 
 
-def test_coupled_lyapunov_rejects_singular_middle():
+@pytest.mark.parametrize("r", [
+    np.diag([1.0, 0.0]),
+    np.zeros((2, 2)),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+], ids=["rank-one", "zero", "overflowed"])
+def test_coupled_lyapunov_rejects_singular_middle(r):
     c = skew(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     with pytest.raises(SingularMatrixError):
-        solve_coupled_lyapunov(np.diag([1.0, 0.0]), c, c)
+        solve_coupled_lyapunov(r, c, c)
