@@ -19,14 +19,12 @@ from .manifold import (
     FixedRankPoint,
     HorizontalVector,
     TangentTriple,
-    horizontality_defect,
     metric,
     norm,
     project_to_horizontal,
     project_to_tangent,
     random_point,
     retract,
-    tangency_defect,
     transport_to,
 )
 from .problem import (

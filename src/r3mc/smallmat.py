@@ -7,7 +7,8 @@ callers pass blocks of known shape, built from the factors a
 ``FixedRankPoint`` or ``TangentTriple`` checked or computed from them.  The
 kernels raise only ``SingularMatrixError``, on singular input; the
 singular value and eigenvalue tests are each one comparison that a NaN
-fails, so an overflowed block counts as singular.
+fails, so an overflowed block counts as singular, and an SVD that does not
+converge (as on a NaN operand) is re-raised as singular too.
 """
 
 import numpy as np
@@ -51,7 +52,10 @@ def spd_factorization(p):
 
 def polar_orthonormal_factor(a):
     """Orthonormal polar factor uf(A) = A (AT A)^{-1/2} via the thin SVD."""
-    w, s, zt = np.linalg.svd(a, full_matrices=False)
+    try:
+        w, s, zt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("polar factor undefined: %s" % exc) from exc
     if not s[-1] > RANK_TOL * s[0]:
         raise SingularMatrixError(
             "polar factor undefined: singular value ratio %.3e"
@@ -93,7 +97,10 @@ def solve_coupled_lyapunov(r, c1, c2):
     The determinant a^2 - b^2 is at least 3 sig_min^4, checked before
     dividing.
     """
-    w, sig, zt = np.linalg.svd(r)
+    try:
+        w, sig, zt = np.linalg.svd(r)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("R is numerically singular: %s" % exc) from exc
     if not sig[-1] > RANK_TOL * sig[0]:
         raise SingularMatrixError("R is numerically singular")
     z = zt.T

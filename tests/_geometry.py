@@ -1,9 +1,10 @@
 """Quotient-geometry helpers that only the tests use.
 
-The orthogonal group action (U O1, O1T R O2, V O2), its push-forward on
+The membership check ``check_member`` and its defect measures, the
+orthogonal group action (U O1, O1T R O2, V O2), its push-forward on
 tangent triples, the vertical lift of a skew pair, and a seeded random
-horizontal vector.  They exercise the symmetry the solver relies on but
-never call, so they live here rather than in the package.
+horizontal vector.  They check or exercise the geometry the solver
+relies on but never calls, so they live here rather than in the package.
 """
 
 import numpy as np
@@ -13,12 +14,101 @@ from r3mc import (
     CounterRng,
     DimensionError,
     FixedRankPoint,
+    HorizontalVector,
+    SingularMatrixError,
     TangentTriple,
     norm,
     project_to_horizontal,
     project_to_tangent,
 )
-from r3mc.manifold import CHECK_TOL
+from r3mc.smallmat import RANK_TOL, skew, sym
+
+CHECK_TOL = 1e-10
+
+
+def tangency_defect(x, triple):
+    """Size of the symmetric parts of UT dU and VT dV (zero on the tangent space)."""
+    du, _, dv = triple
+    return max(
+        np.linalg.norm(sym(x.U.T @ du)),
+        np.linalg.norm(sym(x.V.T @ dv)),
+    )
+
+
+def _horizontality(u, r, v, du, dr, dv):
+    c1 = skew(u.T @ du @ (r @ r.T) + r @ dr.T)
+    c2 = skew(v.T @ dv @ (r.T @ r) + r.T @ dr)
+    return max(np.linalg.norm(c1), np.linalg.norm(c2))
+
+
+def horizontality_defect(x, triple):
+    """Residual of the horizontality conditions
+
+        Skew(UT dU R RT + R dRT) = 0 and Skew(VT dV RT R + RT dR) = 0.
+    """
+    return _horizontality(x.U, x.R, x.V, *triple)
+
+
+def _size(block):
+    """Frobenius norm of ``block``, formed on the block over its largest
+    entry so that no square overflows."""
+    top = np.max(np.abs(block))
+    return top * np.linalg.norm(block / top) if top > 0.0 else 0.0
+
+
+def check_member(obj):
+    """Raise unless ``obj`` is a member of its class.
+
+    A ``FixedRankPoint`` needs orthonormal U and V (to ``CHECK_TOL``) and
+    an R whose singular value ratio exceeds ``RANK_TOL``.  A tangent
+    triple needs UT dU and VT dV skew, and a ``HorizontalVector`` also
+    the horizontality conditions.  The projections divide by R RT, so
+    their attainable accuracy degrades with cond(R)^2, and so do the
+    allowances.
+
+    Both conditions are homogeneous: (dU, a dR, dV) is horizontal at
+    (U, a R, V) when (dU, dR, dV) is at (U, R, V), and so is any multiple
+    of it.  So the defects are formed on R / a, with a = |R|_2, and on
+    the triple (dU, dR / a, dV) over c, the largest of its block norms
+    and 1.  The allowance is CHECK_TOL cond(R)^2 times the size of those
+    blocks plus 1 / c (and times 1 + |R / a|_F^2 for horizontality).  So
+    the verdict does not depend on the scale of R, nor on that of a
+    triple larger than the point, and no product overflows on finite
+    input.  The 1 / c, a floor at the size of the point's own factors,
+    accepts the rounding left when two nearly equal triples are
+    subtracted.  A non-finite triple passes: the solver ends its solve as
+    ``non_finite``.
+    """
+    if isinstance(obj, FixedRankPoint):
+        for name, f in (("U", obj.U), ("V", obj.V)):
+            defect = np.linalg.norm(f.T @ f - np.eye(obj.r))
+            if defect > CHECK_TOL:
+                raise ContractViolationError(
+                    "%s is not orthonormal, defect %.3e" % (name, defect)
+                )
+        sig = np.linalg.svd(obj.R, compute_uv=False)
+        if not sig[-1] > RANK_TOL * sig[0]:
+            raise SingularMatrixError("R is numerically singular")
+        return
+    if not all(np.all(np.isfinite(block)) for block in obj):
+        return
+    x = obj.point
+    sig = np.linalg.svd(x.R, compute_uv=False)
+    a = sig[0]
+    c = max(1.0, _size(obj.dU), _size(obj.dR) / a, _size(obj.dV))
+    du, dr, dv = obj.dU / c, obj.dR / (a * c), obj.dV / c
+    allowance = CHECK_TOL * (sig[0] / sig[-1]) ** 2
+    defect = tangency_defect(x, (du, dr, dv))
+    scale = 1.0 / c + np.linalg.norm(du) + np.linalg.norm(dv)
+    if defect > allowance * scale:
+        raise ContractViolationError("not a tangent triple, defect %.3e" % defect)
+    if isinstance(obj, HorizontalVector):
+        r = x.R / a
+        defect = _horizontality(x.U, r, x.V, du, dr, dv)
+        scale = 1.0 / c + np.linalg.norm(du) + np.linalg.norm(dr) + np.linalg.norm(dv)
+        scale *= 1.0 + np.linalg.norm(r) ** 2
+        if defect > allowance * scale:
+            raise ContractViolationError("not horizontal, defect %.3e" % defect)
 
 
 def _generator(x, name, o):

@@ -247,6 +247,9 @@ def strict_json(text):
 
 
 @pytest.mark.parametrize("k, argv, code, reason, iterations, rank", [
+    # the products of the horizontality conditions would overflow here if
+    # they were formed unscaled
+    (60, ["--rank", "2"], 0, "gradient_tolerance", None, 2),
     # some transports overflow; their CG directions fail the step test
     # and steepest descent stands in
     (62, ["--rank", "2"], 0, "gradient_tolerance", None, 2),
@@ -256,7 +259,7 @@ def strict_json(text):
     (154, ["--rank", "2"], 5, "non_finite", 0, 2),
     # the homotopy's first rank overflows, and it grows no further
     (100, ["--rank-updates", "2"], 5, "non_finite", 0, 1),
-], ids=["1e62", "1e100", "1e154", "1e100-homotopy"])
+], ids=["1e60", "1e62", "1e100", "1e154", "1e100-homotopy"])
 def test_complete_on_values_whose_products_overflow(tmp_path, capsys, k, argv, code,
                                                     reason, iterations, rank):
     # the metric weights make the small-side products grow like sigma(R)^4,

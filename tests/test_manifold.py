@@ -9,7 +9,15 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import r3mc
-from _geometry import group_action, random_horizontal, rotate_vector, vertical_lift
+from _geometry import (
+    check_member,
+    group_action,
+    horizontality_defect,
+    random_horizontal,
+    rotate_vector,
+    tangency_defect,
+    vertical_lift,
+)
 from r3mc import manifold
 from r3mc import (
     ContractViolationError,
@@ -21,14 +29,12 @@ from r3mc import (
     ObservedEntries,
     RetractionError,
     TangentTriple,
-    horizontality_defect,
     metric,
     norm,
     project_to_horizontal,
     project_to_tangent,
     random_point,
     retract,
-    tangency_defect,
     transport_to,
 )
 from r3mc.problem import CompletionProblem, evaluate, riemannian_gradient
@@ -127,6 +133,28 @@ def test_horizontal_vector_rejects_a_vertical_tangent():
     lift = vertical_lift(x, skew(np.arange(4.0).reshape(2, 2)), np.zeros((2, 2)))
     with pytest.raises(ContractViolationError, match="not horizontal"):
         HorizontalVector(x, *lift)
+
+
+@given(k=st.integers(-100, 100), j=st.integers(-100, 100))
+def test_the_membership_check_is_scale_free(k, j):
+    # (dU, a dR, dV) is horizontal at (U, a R, V) when (dU, dR, dV) is at
+    # (U, R, V), and so is any multiple of it; the products of the check
+    # grow like a^2 and the vector's size, and must neither overflow nor
+    # hide a vertical part
+    x = random_point(8, 6, 2, 5)
+    h = random_horizontal(x, 6)
+    a, s = 10.0**k, 10.0**j
+    y = FixedRankPoint(x.U, a * x.R, x.V)
+    scaled = HorizontalVector(y, s * h.dU, s * a * h.dR, s * h.dV)
+    check_member(scaled)
+    if j >= 0:
+        # in a vector smaller than the point's factors, a vertical part can
+        # hide under the floor that takes the rounding of a subtraction
+        lift = vertical_lift(y, skew(np.arange(4.0).reshape(2, 2)), np.zeros((2, 2)))
+        tilted = s * lift + scaled
+        # tests/conftest.py runs check_member in the constructor
+        with pytest.raises(ContractViolationError, match="not horizontal"):
+            HorizontalVector(y, *tilted)
 
 
 def test_metric_matches_direct_formula_and_is_positive():
@@ -431,7 +459,7 @@ def test_random_horizontal_unit_norm_and_deterministic():
 def test_tangent_projection_holds_at_an_ill_conditioned_random_point():
     # R's singular values span 4.6 to 4.5e-4, inside random_point's
     # resampling floor of 1e-6.  project_to_tangent forms W1 = R RT and
-    # divides by it twice; its defect is 0.19 against validate's
+    # divides by it twice; its defect is 0.19 against check_member's
     # allowance of 0.11, which scales with cond(R)^2.
     x = random_point(5, 8, 5, 5)
     random_horizontal(x, 6)

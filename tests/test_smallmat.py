@@ -56,7 +56,8 @@ def test_spd_factorization_applies_inverse():
     np.zeros((2, 2)),
     # an overflowed block has NaN eigenvalues, which fail the test too
     np.array([[np.inf, 0.0], [0.0, 1.0]]),
-], ids=["indefinite", "zero", "overflowed"])
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+], ids=["indefinite", "zero", "overflowed", "nan"])
 def test_spd_factorization_rejects_indefinite(p):
     with pytest.raises(SingularMatrixError):
         spd_factorization(p)
@@ -83,7 +84,9 @@ def test_polar_factor_identity_on_orthonormal_input():
     np.zeros((5, 3)),
     # the SVD of an overflowed operand has NaN singular values
     np.array([[np.inf, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-], ids=["rank-one", "zero", "overflowed"])
+    # and its SVD does not converge on a NaN one
+    np.array([[np.nan, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+], ids=["rank-one", "zero", "overflowed", "nan"])
 def test_polar_factor_rejects_rank_deficient(a):
     with pytest.raises(SingularMatrixError):
         polar_orthonormal_factor(a)
@@ -186,7 +189,8 @@ def test_coupled_lyapunov_identity_closed_form():
     np.diag([1.0, 0.0]),
     np.zeros((2, 2)),
     np.array([[np.inf, 0.0], [0.0, 1.0]]),
-], ids=["rank-one", "zero", "overflowed"])
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+], ids=["rank-one", "zero", "overflowed", "nan"])
 def test_coupled_lyapunov_rejects_singular_middle(r):
     c = skew(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     with pytest.raises(SingularMatrixError):
