@@ -7,13 +7,14 @@ The objective is the mean squared error over the observed set Omega,
 so gradients carry a 2 / |Omega| scale.  The sparse kernels (model values
 on Omega, and products S D and ST D with a sparse S on Omega) are one
 pass over the row-major sorted triplets each, in C (``_kernels.c``),
-walking the per-row counts and the columns.  ``problem`` compiles that
-file when it is first imported, into ``__pycache__`` beside it (or a
-private temporary directory when that cannot be written), and loads it
-through ``ctypes``.  The C loops add in the order the numpy kernels
-below do, so results are bit for bit theirs and bit-reproducible for a
-fixed thread count; the numpy kernels run instead when no C compiler is
-found.  In numpy, a product with S is one ``np.bincount`` scatter-add
+walking the per-row counts and the columns; the gradient's S V and ST U
+share one pass (``residual_products``), which scales the error as it
+reads it.  ``problem`` compiles that file when it is first imported,
+into ``__pycache__`` beside it (or a private temporary directory when
+that cannot be written), and loads it through ``ctypes``.  The C loops
+add in the order the numpy kernels below do, so results are bit for bit
+theirs and bit-reproducible for a fixed thread count; the numpy kernels
+run instead when no C compiler is found.  In numpy, a product with S is one ``np.bincount`` scatter-add
 per dense column, in triplet order, and model values are gathered one
 pair of contiguous factor columns at a time.  As the triplets are sorted
 by row, a row-side gather ``a[rows]`` is ``np.repeat(a, row_counts)``,
@@ -198,8 +199,10 @@ class CompletionProblem:
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 # no contraction of a * b + c into a fused multiply-add, which rounds once
-# where numpy rounds twice
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# where numpy rounds twice; no flag that reassociates sums (-ffast-math),
+# and none that targets this CPU (-march=native), as the cache key does
+# not record the CPU
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _load_kernels(cache=_SOURCE.with_name("__pycache__")):
@@ -255,7 +258,9 @@ def _bind(lib):
     lib.gather_sum.argtypes = [size, size, index, index, block, block, out]
     lib.apply_rows.argtypes = [size, size, index, index, values, block, out]
     lib.apply_cols.argtypes = [size, size, index, index, values, block, out]
-    for f in (lib.gather_sum, lib.apply_rows, lib.apply_cols):
+    lib.apply_pair.argtypes = [size, size, index, index, values, ctypes.c_double,
+                               block, block, out, out]
+    for f in (lib.gather_sum, lib.apply_rows, lib.apply_cols, lib.apply_pair):
         f.restype = None
     return lib
 
@@ -331,9 +336,15 @@ def sparse_apply(s, dense, transpose=False):
         apply = _kernels.apply_cols if transpose else _kernels.apply_rows
         apply(pat.n, k, pat.row_counts, pat.cols, np.ascontiguousarray(s.vals, dtype=np.float64),
               np.ascontiguousarray(dense), out)
-        out = np.array(out.T, order="C").T
+        out = _fortran(out)
     op_counter.add(2 * pat.count * k)
     return out
+
+
+def _fortran(out):
+    """The C-ordered result of a compiled product in numpy's layout: the
+    transpose of a C-ordered (k, size) array."""
+    return np.array(out.T, order="C").T
 
 
 def cost(problem, x, out=None):
@@ -372,6 +383,27 @@ def residual(problem, ev):
     return SparseResidual(problem.entries, ev.error * (2.0 / problem.entries.count))
 
 
+def residual_products(problem, ev):
+    """(S V, ST U) for the scaled residual S of ``residual(problem, ev)``
+    at the evaluated point ev, bit for bit and in the layout of
+    ``sparse_apply(S, V)`` and ``sparse_apply(S, U, transpose=True)``.
+    Compiled, both come from one pass over the triplets that scales the
+    error as it goes, so S is never formed.  An evaluation whose point or
+    error does not fit the pattern is a DimensionError."""
+    x, ent = ev.point, problem.entries
+    if x.n != ent.n or x.m != ent.m or np.shape(ev.error) != (ent.count,):
+        raise DimensionError("evaluation does not match the pattern")
+    if _kernels is None:
+        s = residual(problem, ev)
+        return sparse_apply(s, x.V), sparse_apply(s, x.U, transpose=True)
+    sv, stu = np.zeros((ent.n, x.r)), np.zeros((ent.m, x.r))
+    _kernels.apply_pair(ent.n, x.r, ent.row_counts, ent.cols,
+                        np.ascontiguousarray(ev.error, dtype=np.float64), 2.0 / ent.count,
+                        x.U, x.V, sv, stu)
+    op_counter.add(4 * ent.count * x.r)
+    return _fortran(sv), _fortran(stu)
+
+
 def mean_squared_error(x, entries):
     """MSE of the model against values on an arbitrary pattern (validation sets)."""
     if entries.count == 0:
@@ -395,9 +427,7 @@ def riemannian_gradient(problem, ev):
     construction, no explicit projection needed.
     """
     x = ev.point
-    s = residual(problem, ev)
-    sv = sparse_apply(s, x.V)
-    stu = sparse_apply(s, x.U, transpose=True)
+    sv, stu = residual_products(problem, ev)
     w1, w2 = x.weights
     dr = x.U.T @ sv
     t1 = dr @ x.R.T

@@ -16,9 +16,11 @@ import pytest
 
 from _geometry import random_horizontal
 from r3mc import (
+    CompletionProblem,
     CounterRng,
     DimensionError,
     ObservedEntries,
+    PointEvaluation,
     SparseResidual,
     direction_values,
     masked_values,
@@ -114,6 +116,15 @@ def test_sparse_apply_rejects_an_operand_that_is_not_a_matrix(kernel_path):
                 sparse_apply(s, np.ones(shape), transpose)
 
 
+def test_residual_products_reject_an_evaluation_off_the_pattern(kernel_path):
+    rows, cols = sample_mask(50, 40, 300, 5)
+    p = CompletionProblem(ObservedEntries(50, 40, rows, cols, np.ones(300)), 2)
+    for x, size in ((random_point(50, 40, 2, 0), 299), (random_point(50, 40, 2, 0), 301),
+                    (random_point(40, 50, 2, 0), 300), (random_point(50, 41, 2, 0), 300)):
+        with pytest.raises(DimensionError):
+            problem_module.residual_products(p, PointEvaluation(x, np.ones(size), 0.0))
+
+
 def test_gather_rejects_factor_blocks_off_the_pattern_grid(kernel_path):
     rows, cols = sample_mask(50, 40, 300, 3)
     e = ObservedEntries(50, 40, rows, cols, np.ones(300))
@@ -143,6 +154,20 @@ def test_native_kernels_refuse_buffers_of_another_dtype_or_layout():
                  (e.row_counts, e.cols, left, right, np.empty(4, dtype=np.float32))):
         with pytest.raises(ctypes.ArgumentError):
             lib.gather_sum(4, 2, *args)
+    err, u, v = np.ones(4), np.ones((4, 2)), np.ones((3, 2))
+    sv, stu = np.zeros((4, 2)), np.zeros((3, 2))
+    lib.apply_pair(4, 2, e.row_counts, e.cols, err, 0.5, u, v, sv, stu)
+    assert sv.tolist() == [[0.5, 0.5], [0.5, 0.5], [0.0, 0.0], [1.0, 1.0]]
+    assert stu.tolist() == [[0.5, 0.5], [0.5, 0.5], [1.0, 1.0]]
+    read_only = np.zeros((3, 2))
+    read_only.flags.writeable = False
+    for args in ((err.astype(np.float32), 0.5, u, v, sv, stu),
+                 (err, "0.5", u, v, sv, stu),
+                 (err, 0.5, np.asfortranarray(np.ones((4, 3)))[:, :2], v, sv, stu),
+                 (err, 0.5, u, v.astype(np.float32), sv, stu),
+                 (err, 0.5, u, v, sv, read_only)):
+        with pytest.raises(ctypes.ArgumentError):
+            lib.apply_pair(4, 2, e.row_counts, e.cols, *args)
 
 
 def test_sparse_apply_takes_an_operand_in_any_layout_or_dtype(kernel_path):
@@ -162,9 +187,14 @@ def test_sparse_apply_takes_an_operand_in_any_layout_or_dtype(kernel_path):
 
 
 def kernel_outputs(x, xi, e, s):
-    """Every kernel's output at (x, xi) on e, with its strides."""
+    """Every kernel's output at (x, xi) on e, with its strides; the
+    gradient's pair of products, with s's values as the error, needs a
+    nonempty pattern."""
     outputs = [masked_values(x, e), direction_values(x, xi, e),
                sparse_apply(s, x.V), sparse_apply(s, x.U, transpose=True)]
+    if e.count:
+        ev = PointEvaluation(x, s.vals, 0.0)
+        outputs += problem_module.residual_products(CompletionProblem(e, x.r), ev)
     return [(a.tobytes(), a.shape, a.strides) for a in outputs]
 
 
@@ -186,6 +216,31 @@ def test_kernels_agree_across_paths_bit_for_bit(monkeypatch, n, m, r):
         with monkeypatch.context() as mp:
             mp.setattr(problem_module, "_kernels", None)
             assert kernel_outputs(x, xi, e, s) == native
+
+
+def test_kernel_bits_do_not_depend_on_the_optimisation_level(tmp_path, monkeypatch):
+    # a flag that let the compiler reassociate a sum would show here
+    monkeypatch.setattr(problem_module, "_CFLAGS",
+                        ("-O0", "-ffp-contract=off", "-shared", "-fPIC"))
+    unoptimised = problem_module._load_kernels(tmp_path)
+    optimised = problem_module._kernels
+    assert unoptimised is not None and optimised is not None
+    n, m = 300, 200
+    rng = np.random.default_rng(9)
+    # power-law row degrees over shuffled rows, 200 down to 3
+    degrees = rng.permutation((m / np.arange(1, n + 1) ** 0.7).astype(np.int64))
+    cells = np.concatenate([i * m + rng.choice(m, size=d, replace=False)
+                            for i, d in enumerate(degrees)])
+    rows, cols = np.divmod(cells, m)
+    e = ObservedEntries(n, m, rows, cols, rng.standard_normal(rows.size))
+    s = SparseResidual(e, rng.standard_normal(e.count))
+    for r in (1, 10, 40):
+        x = random_point(n, m, r, r)
+        xi = random_horizontal(x, r + 1)
+        with monkeypatch.context() as mp:
+            mp.setattr(problem_module, "_kernels", unoptimised)
+            want = kernel_outputs(x, xi, e, s)
+        assert kernel_outputs(x, xi, e, s) == want
 
 
 SOLVES = """

@@ -487,6 +487,14 @@ def reference_sparse_apply(s, dense, transpose=False):
     return out.T
 
 
+def reference_residual_products(problem, ev):
+    """``residual_products`` as two fancy-index products with the scaled
+    error, kept as the reference."""
+    s = SparseResidual(problem.entries, ev.error * (2.0 / problem.entries.count))
+    x = ev.point
+    return reference_sparse_apply(s, x.V), reference_sparse_apply(s, x.U, transpose=True)
+
+
 def reference_outer_values(a, b, entries):
     """``outer_values`` (the exact-scale direction of ``rank_one_update``)
     as a fancy-index gather, kept as the reference."""
@@ -497,6 +505,7 @@ REFERENCE_KERNELS = {
     "masked_values": reference_masked_values,
     "direction_values": reference_direction_values,
     "sparse_apply": reference_sparse_apply,
+    "residual_products": reference_residual_products,
     "outer_values": reference_outer_values,
 }
 
@@ -593,6 +602,50 @@ def test_sparse_apply_matches_the_fancy_index_loop_bit_for_bit(kernel_path, e, r
             assert_same_bits(got, want)
             assert got.strides == want.strides  # the layout BLAS sees downstream
             assert op_count() == flops
+
+
+def assert_same_products(problem, ev):
+    """``residual_products`` at ev against the reference: bytes, strides
+    and flop count."""
+    reset_op_count()
+    got = problem_module.residual_products(problem, ev)
+    flops = op_count()
+    reset_op_count()
+    want = reference_residual_products(problem, ev)
+    assert op_count() == flops
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+        assert g.strides == w.strides  # the layout BLAS sees downstream
+
+
+@each_kernel_path
+@given(e=kernel_patterns(), rank=st.integers(1, 13), seed=st.integers(0, 2**20))
+def test_residual_products_match_the_fancy_index_loops_bit_for_bit(kernel_path, e, rank,
+                                                                   seed):
+    assume(e.count > 0)
+    r = min(rank, e.n, e.m)
+    x = random_point(e.n, e.m, r, seed)
+    error = special_values(np.random.default_rng(seed), e.count)
+    assert_same_products(CompletionProblem(e, r), PointEvaluation(x, error, 0.0))
+
+
+@pytest.mark.parametrize("r", [1, 3, 13, 40])
+def test_kernels_match_the_references_on_every_row_length_mod_four(kernel_path, r):
+    # the gathers take four entries of a row at a time: rows of 0 to 9
+    # entries give every remainder, and rows shorter than four
+    n, m = 40, 48
+    rng = np.random.default_rng(r)
+    degrees = rng.permutation(np.arange(n) % 10)
+    cells = np.concatenate([i * m + rng.choice(m, size=d, replace=False)
+                            for i, d in enumerate(degrees)])
+    rows, cols = np.divmod(cells, m)
+    e = ObservedEntries(n, m, rows, cols, special_values(rng, rows.size))
+    p = CompletionProblem(e, r)
+    x = random_point(n, m, r, r + 1)
+    xi = random_horizontal(x, r + 2)
+    assert_same_bits(masked_values(x, e), reference_masked_values(x, e))
+    assert_same_bits(direction_values(x, xi, e), reference_direction_values(x, xi, e))
+    assert_same_products(p, evaluate(p, x))
 
 
 @each_kernel_path
@@ -711,7 +764,7 @@ def test_cold_solve_is_byte_identical_to_the_reference_kernels(condition_number)
 
     shipped, reference, calls = run_both_ways(solve)
     assert shipped == reference
-    assert calls["masked_values"] and calls["direction_values"] and calls["sparse_apply"]
+    assert calls["masked_values"] and calls["direction_values"] and calls["residual_products"]
 
 
 def test_homotopy_with_validation_is_byte_identical_to_the_reference_kernels():
