@@ -8,7 +8,8 @@ respectively,
 
     g((a, b, c), (d, e, f)) = tr(R RT aT d) + tr(bT e) + tr(RT R cT f),
 
-which adapts step lengths to the current spectrum.  Tangent vectors are
+which adapts step lengths to the current spectrum; its solves are
+entrywise divisions in R's singular bases.  Tangent vectors are
 represented by their horizontal lifts: triples whose projection kills the
 group directions, which unpack as (dU, dR, dV).  Shapes and finiteness
 are checked where values enter: by the constructors and by
@@ -35,9 +36,8 @@ from .rng import CounterRng
 from .smallmat import (
     polar_orthonormal_factor,
     skew,
-    solve_coupled_lyapunov,
-    solve_lyapunov_spd,
-    spd_factorization,
+    solve_coupled_in_basis,
+    thin_svd,
 )
 
 
@@ -56,12 +56,13 @@ def _as_factor(name, a, rows=None, cols=None):
 
 @dataclass(frozen=True)
 class FixedRankPoint:
-    """Factor triple (U, R, V) with U, V orthonormal and R invertible; the
-    constructor forms the metric's ``weights`` (W1, W2) = (R RT, RT R)."""
+    """Factor triple (U, R, V), U and V orthonormal, R invertible; the constructor
+    forms R's SVD ``svd`` = (W, sig, Z) and the ``weights`` (R RT, RT R)."""
 
     U: np.ndarray
     R: np.ndarray
     V: np.ndarray
+    svd: tuple = field(init=False, repr=False, compare=False)
     weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -72,6 +73,7 @@ class FixedRankPoint:
             raise DimensionError("R must be square")
         if self.r > min(self.n, self.m):
             raise DimensionError("rank exceeds min(n, m)")
+        object.__setattr__(self, "svd", thin_svd(self.R))
         object.__setattr__(self, "weights", (self.R @ self.R.T, self.R.T @ self.R))
 
     @property
@@ -169,23 +171,38 @@ def norm(x, xi):
     return float(np.sqrt(max(metric(x, xi, xi), 0.0)))
 
 
+def check_weights(x):
+    """Raise SingularMatrixError unless the weights diag(sig^2) of x are positive
+    definite to an eigensolve's rounding of R RT: sig_min^2 > r eps sig_max^2."""
+    ratio = x.svd[1][-1] / x.svd[1][0]
+    # one comparison that a NaN ratio (a zero R) fails too
+    if not ratio * ratio > x.r * np.finfo(np.float64).eps:
+        raise SingularMatrixError("metric weights are singular (ratio %.3e)" % ratio)
+
+
+def normal_coordinates(x, t):
+    """c o (T + TT), c_ij = sig_i^2 / (sig_i^2 + sig_j^2): for T = WT UT zU W,
+    the normal part U S W1^{-1} of an ambient zU in R's left singular basis,
+    WT S W1^{-1} W (on the V side, in Z).  As c_ij + c_ji = 1, subtracting
+    it leaves UT dU skew to rounding at any cond(R)."""
+    s2 = (x.svd[1] / x.svd[1][0]) ** 2
+    return s2[:, None] / (s2[:, None] + s2[None, :]) * (t + t.T)
+
+
 def project_to_tangent(x, ambient):
     """Metric-orthogonal projection of an ambient triple onto the tangent space.
 
-    The U component solves the Lyapunov equation
-    W B + B W = W (UT zU + zUT U) W with W = R RT and subtracts
-    U B W^{-1}; the V side is analogous with W = RT R; the R component
-    passes through unchanged.
+    With R = W diag(sig) ZT, the U component subtracts
+    U W (c o WT (UT zU + zUT U) W) WT (``normal_coordinates``), the V side
+    likewise with V, zV and Z; the R component passes through unchanged.
     """
     zu, zr, zv = ambient
     zu = _as_factor("zU", zu, rows=x.n, cols=x.r)
     zr = _as_factor("zR", zr, rows=x.r, cols=x.r)
     zv = _as_factor("zV", zv, rows=x.m, cols=x.r)
-    w1, w2 = x.weights
-    bu = solve_lyapunov_spd(w1, w1 @ (x.U.T @ zu + zu.T @ x.U) @ w1)
-    bv = solve_lyapunov_spd(w2, w2 @ (x.V.T @ zv + zv.T @ x.V) @ w2)
-    du = zu - x.U @ np.linalg.solve(w1, bu).T
-    dv = zv - x.V @ np.linalg.solve(w2, bv).T
+    w, _, z = x.svd
+    du = zu - x.U @ (w @ normal_coordinates(x, w.T @ (x.U.T @ zu) @ w) @ w.T)
+    dv = zv - x.V @ (z @ normal_coordinates(x, z.T @ (x.V.T @ zv) @ z) @ z.T)
     return TangentTriple._at(x, du, zr, dv)
 
 
@@ -198,7 +215,7 @@ def project_to_horizontal(x, xi):
     """
     if not isinstance(xi, TangentTriple):
         raise TypeError("project_to_horizontal expects a TangentTriple")
-    o1, o2 = solve_coupled_lyapunov(x.R, *_horizontality_residual(x, *xi))
+    o1, o2 = solve_coupled_in_basis(*x.svd, *_horizontality_residual(x, *xi))
     return HorizontalVector._at(
         x,
         xi.dU - x.U @ o1,
@@ -212,11 +229,9 @@ def retract(x, xi, step):
 
     U and V shift and re-orthonormalize through the polar factor,
     R shifts additively.  A zero step returns x itself.  Raises
-    RetractionError when a shifted U or V loses rank, or when either
-    metric weight of the new point is not positive definite to the
-    precision of ``spd_factorization``, which the gradient there needs
-    (a stricter test than a singular value ratio of the shifted R at
-    ``RANK_TOL``).
+    RetractionError when a shifted U or V loses rank, or when the new
+    point fails ``check_weights``, as the gradient there would (a stricter
+    test than a singular value ratio of the shifted R at ``RANK_TOL``).
     """
     if not isinstance(xi, HorizontalVector):
         raise TypeError("retract expects a HorizontalVector")
@@ -230,8 +245,7 @@ def retract(x, xi, step):
         raise RetractionError("shifted factor lost rank") from exc
     try:
         y = FixedRankPoint(u_new, x.R + s * xi.dR, v_new)
-        for w in y.weights:
-            spd_factorization(w)
+        check_weights(y)
     except SingularMatrixError as exc:
         raise RetractionError("metric weight of the shifted point is singular") from exc
     return y
@@ -253,8 +267,6 @@ def random_point(n, m, r, seed):
     u = polar_orthonormal_factor(rng.standard_normal((n, r)))
     v = polar_orthonormal_factor(rng.standard_normal((m, r)))
     while True:
-        r_mid = rng.standard_normal((r, r))
-        sv = np.linalg.svd(r_mid, compute_uv=False)
-        if sv[-1] > 1e-6 * sv[0]:
-            break
-    return FixedRankPoint(u, r_mid, v)
+        x = FixedRankPoint(u, rng.standard_normal((r, r)), v)
+        if x.svd[1][-1] > 1e-6 * x.svd[1][0]:
+            return x

@@ -44,8 +44,8 @@ from .errors import (
     DegenerateDirectionError,
     DimensionError,
 )
-from .manifold import FixedRankPoint, HorizontalVector, TangentTriple
-from .smallmat import solve_lyapunov_spd, sym
+from .manifold import (FixedRankPoint, HorizontalVector, TangentTriple, check_weights,
+                       normal_coordinates)
 
 
 class _OpCounter:
@@ -415,28 +415,26 @@ def mean_squared_error(x, entries):
 def riemannian_gradient(problem, ev):
     """Gradient of the objective in the quotient metric at the evaluated point ev.
 
-    Writing S for the scaled residual 2 e / |Omega| on the pattern and
-    W1 = R RT, W2 = RT R, the components are
+    Writing S for the scaled residual 2 e / |Omega| on the pattern,
+    R = W diag(sig) ZT and A' = WT (UT S V) Z, the components are
 
-        grad_U = (S V RT - U B_U) W1^{-1}
+        grad_U = (S V Z diag(sig)^{-1} - U W C_U) WT
         grad_R = UT S V
-        grad_V = (ST U R - V B_V) W2^{-1}
+        grad_V = (ST U W diag(sig)^{-1} - V Z C_V) ZT
 
-    with B_U solving W1 B + B W1 = 2 Sym(W1 UT S V RT) and B_V solving
-    W2 B + B W2 = 2 Sym(W2 VT ST U R).  The result is horizontal by
-    construction, no explicit projection needed.
+    with C_U and C_V the ``normal_coordinates`` of A' diag(sig)^{-1} and
+    A'T diag(sig)^{-1}: the tangent projection of the Euclidean gradient
+    over the weights, horizontal by construction.  Raises where
+    ``check_weights`` does.
     """
     x = ev.point
+    check_weights(x)
     sv, stu = residual_products(problem, ev)
-    w1, w2 = x.weights
+    w, sig, z = x.svd
     dr = x.U.T @ sv
-    t1 = dr @ x.R.T
-    t2 = x.V.T @ stu @ x.R
-    bu = solve_lyapunov_spd(w1, 2.0 * sym(w1 @ t1))
-    bv = solve_lyapunov_spd(w2, 2.0 * sym(w2 @ t2))
-    # C order, as in every triple: the metric's sums add in memory order
-    du = np.ascontiguousarray(np.linalg.solve(w1, (sv @ x.R.T - x.U @ bu).T).T)
-    dv = np.ascontiguousarray(np.linalg.solve(w2, (stu @ x.R - x.V @ bv).T).T)
+    a = w.T @ dr @ z
+    du = (sv @ (z / sig) - x.U @ (w @ normal_coordinates(x, a / sig))) @ w.T
+    dv = (stu @ (w / sig) - x.V @ (z @ normal_coordinates(x, a.T / sig))) @ z.T
     return HorizontalVector._at(x, du, dr, dv)
 
 

@@ -2,8 +2,9 @@
 
 The membership check ``check_member`` and its defect measures, the
 orthogonal group action (U O1, O1T R O2, V O2), its push-forward on
-tangent triples, the vertical lift of a skew pair, and a seeded random
-horizontal vector.  They check or exercise the geometry the solver
+tangent triples, the vertical lift of a skew pair, a seeded random
+horizontal vector, and the tangent projection and gradient in their
+weight-solve form, the reference for the library's spectral form.  They check or exercise the geometry the solver
 relies on but never calls, so they live here rather than in the package.
 """
 
@@ -21,7 +22,8 @@ from r3mc import (
     project_to_horizontal,
     project_to_tangent,
 )
-from r3mc.smallmat import RANK_TOL, skew, sym
+from r3mc.problem import residual_products
+from r3mc.smallmat import RANK_TOL, skew, solve_lyapunov_spd, sym
 
 CHECK_TOL = 1e-10
 
@@ -171,3 +173,36 @@ def random_horizontal(x, seed):
     if scale == 0.0:
         raise ContractViolationError("projected gaussian triple vanished")
     return (1.0 / scale) * eta
+
+
+def reference_project_to_tangent(x, ambient):
+    """The blocks (dU, dR, dV) of ``project_to_tangent`` through solves with
+    the weights W1 = R RT and W2 = RT R: the U block subtracts U B W1^{-1}
+    with B solving W1 B + B W1 = W1 (UT zU + zUT U) W1, the V block
+    likewise with W2, and zR passes through."""
+    zu, zr, zv = ambient
+    w1, w2 = x.R @ x.R.T, x.R.T @ x.R
+    bu = solve_lyapunov_spd(w1, w1 @ (x.U.T @ zu + zu.T @ x.U) @ w1)
+    bv = solve_lyapunov_spd(w2, w2 @ (x.V.T @ zv + zv.T @ x.V) @ w2)
+    return zu - x.U @ np.linalg.solve(w1, bu).T, zr, zv - x.V @ np.linalg.solve(w2, bv).T
+
+
+def reference_riemannian_gradient(problem, ev):
+    """The blocks (dU, dR, dV) of ``riemannian_gradient`` through solves with
+    the weights: for the scaled residual S,
+
+        grad_U = (S V RT - U B_U) W1^{-1}
+        grad_R = UT S V
+        grad_V = (ST U R - V B_V) W2^{-1}
+
+    with B_U solving W1 B + B W1 = 2 Sym(W1 UT S V RT) and B_V solving
+    W2 B + B W2 = 2 Sym(W2 VT ST U R)."""
+    x = ev.point
+    sv, stu = residual_products(problem, ev)
+    w1, w2 = x.R @ x.R.T, x.R.T @ x.R
+    dr = x.U.T @ sv
+    bu = solve_lyapunov_spd(w1, 2.0 * sym(w1 @ dr @ x.R.T))
+    bv = solve_lyapunov_spd(w2, 2.0 * sym(w2 @ x.V.T @ stu @ x.R))
+    du = np.linalg.solve(w1, (sv @ x.R.T - x.U @ bu).T).T
+    dv = np.linalg.solve(w2, (stu @ x.R - x.V @ bv).T).T
+    return du, dr, dv

@@ -16,6 +16,8 @@ same examples, and with no per-example deadline.  A test that takes
 numpy ones.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -29,6 +31,9 @@ settings.load_profile("r3mc")
 
 
 def _checked(post_init):
+    # the unchecked constructor stays reachable as ``__wrapped__``, for a
+    # test of what the library itself refuses
+    @functools.wraps(post_init)
     def checked_post_init(self):
         post_init(self)
         check_member(self)

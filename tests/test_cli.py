@@ -249,26 +249,31 @@ def strict_json(text):
 @pytest.mark.parametrize("k, argv, code, reason, iterations, rank", [
     # the products of the horizontality conditions would overflow here if
     # they were formed unscaled
-    (60, ["--rank", "2"], 0, "gradient_tolerance", None, 2),
-    # some transports overflow; their CG directions fail the step test
-    # and steepest descent stands in
-    (62, ["--rank", "2"], 0, "gradient_tolerance", None, 2),
-    # the gradient overflows after the first step
-    (100, ["--rank", "2"], 5, "non_finite", None, 2),
+    (60, ["--rank", "2", "--seed", "1"], 0, "gradient_tolerance", None, 2),
+    # the metric's solves form no power of sigma(R) above the second, so
+    # the transported CG directions hold here and far above
+    (62, ["--rank", "2", "--seed", "1"], 0, "gradient_tolerance", None, 2),
+    (100, ["--rank", "2", "--seed", "1"], 0, "gradient_tolerance", None, 2),
+    # the squared error stays finite, but the gradient's squared norm,
+    # which grows like sigma(R)^2 |dU|^2, overflows on the way
+    (153, ["--rank", "2", "--seed", "1"], 5, "non_finite", None, 2),
     # the cost overflows at the start
-    (154, ["--rank", "2"], 5, "non_finite", 0, 2),
+    (154, ["--rank", "2", "--seed", "1"], 5, "non_finite", 0, 2),
+    # from a warm start too, whose R is as large as the data
+    (154, ["--rank", "2", "--warm-start-cols", "5", "--seed", "2"], 5, "non_finite", 0, 2),
+    (100, ["--rank-updates", "2", "--seed", "1"], 0, "gradient_tolerance", None, 2),
     # the homotopy's first rank overflows, and it grows no further
-    (100, ["--rank-updates", "2"], 5, "non_finite", 0, 1),
-], ids=["1e60", "1e62", "1e100", "1e154", "1e100-homotopy"])
+    (154, ["--rank-updates", "2", "--seed", "1"], 5, "non_finite", 0, 1),
+], ids=["1e60", "1e62", "1e100", "1e153", "1e154", "1e154-warm-start", "1e100-homotopy",
+        "1e154-homotopy"])
 def test_complete_on_values_whose_products_overflow(tmp_path, capsys, k, argv, code,
                                                     reason, iterations, rank):
-    # the metric weights make the small-side products grow like sigma(R)^4,
-    # so finite data overflows; that ends the solve by name, with a report
+    # values whose squares pass the float range overflow the cost or the
+    # gradient's norm; that ends the solve by name, with a report
     data = write_scaled(tmp_path, k)
     capsys.readouterr()
     report = tmp_path / "report.json"
-    assert run_cli("complete", "--data", str(data), *argv, "--seed", "1",
-                   "--report", str(report)) == code
+    assert run_cli("complete", "--data", str(data), *argv, "--report", str(report)) == code
     out, err = capsys.readouterr()
     assert "Traceback" not in err and "error:" not in err
     assert out.startswith("reason=%s " % reason)

@@ -14,6 +14,8 @@ from _geometry import (
     group_action,
     horizontality_defect,
     random_horizontal,
+    reference_project_to_tangent,
+    reference_riemannian_gradient,
     rotate_vector,
     tangency_defect,
     vertical_lift,
@@ -42,7 +44,6 @@ from r3mc.smallmat import (
     RANK_TOL,
     polar_orthonormal_factor,
     skew,
-    spd_factorization,
     sym,
 )
 
@@ -77,6 +78,22 @@ def independent_tangent(rng, x):
 
 def random_orthogonal(rng, r):
     return polar_orthonormal_factor(rng.standard_normal((r, r)))
+
+
+def conditioned_point(rng, n, m, r, scale, cond):
+    """Random point whose R has singular values scale * cond^(-k / (r - 1)),
+    k = 0..r-1, in random singular bases."""
+    u = polar_orthonormal_factor(rng.standard_normal((n, r)))
+    v = polar_orthonormal_factor(rng.standard_normal((m, r)))
+    sig = scale * cond ** -np.linspace(0.0, 1.0, r)
+    return FixedRankPoint(u, (random_orthogonal(rng, r) * sig) @ random_orthogonal(rng, r).T, v)
+
+
+def metric_size(x, blocks):
+    """Metric norm of the blocks (dU, dR, dV) at x, whether or not they are tangent."""
+    du, dr, dv = blocks
+    return float(np.sqrt(np.linalg.norm(du @ x.R) ** 2 + np.linalg.norm(dr) ** 2
+                         + np.linalg.norm(dv @ x.R.T) ** 2))
 
 
 def test_fixed_rank_point_shape_properties():
@@ -283,9 +300,12 @@ def test_retraction_type_and_rank_guards():
 
 @given(r=st.sampled_from([2, 3, 5, 10, 20]), ratio=st.floats(0.0, RANK_TOL),
        scale=st.sampled_from([1e-50, 1e-10, 1.0, 1e10, 1e50]), seed=st.integers(0, 2**20))
-def test_an_r_below_the_rank_tolerance_fails_the_weight_test(r, ratio, scale, seed):
-    # retract tests the shifted R only through its weights; that test
-    # refuses every R a singular value test at RANK_TOL would refuse
+def test_retraction_refuses_every_r_below_the_rank_tolerance(r, ratio, scale, seed):
+    # retract tests the shifted R only through its singular values, against
+    # r eps; that test refuses every R a singular value test at RANK_TOL
+    # would refuse.  The membership check of tests/conftest.py refuses such
+    # an R in the constructor, before retract's own test, so the
+    # constructors run unchecked here
     rng = CounterRng(seed)
     sig = np.sort(np.exp(rng.uniform(r) * np.log(RANK_TOL)))[::-1]
     sig[0], sig[-1] = 1.0, ratio
@@ -294,15 +314,20 @@ def test_an_r_below_the_rank_tolerance_fails_the_weight_test(r, ratio, scale, se
     r_mid = scale * (q1 * sig) @ q2.T
     computed = np.linalg.svd(r_mid, compute_uv=False)
     assume(not computed[-1] > RANK_TOL * computed[0])
-    for w in (r_mid @ r_mid.T, r_mid.T @ r_mid):
-        with pytest.raises(SingularMatrixError):
-            spd_factorization(w)
+    u, zero = np.eye(r + 1, r), np.zeros((r + 1, r))
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (FixedRankPoint, TangentTriple):
+            mp.setattr(cls, "__post_init__", cls.__post_init__.__wrapped__)
+        # from R = 0, a unit step lands on R = r_mid exactly
+        x = FixedRankPoint(u, np.zeros((r, r)), u)
+        with pytest.raises(RetractionError, match="metric weight"):
+            retract(x, HorizontalVector(x, zero, r_mid, zero), 1.0)
 
 
 def test_retraction_refuses_a_point_whose_weights_are_not_positive_definite():
     # the new R = diag(1, 2e-12) has a singular value ratio above
     # RANK_TOL, but its weight R RT = diag(1, 4e-24) falls below
-    # the eigensolve floor that the gradient at the new point needs
+    # the floor r eps that an eigensolve of the weight would resolve
     u = np.eye(4, 2)
     x = FixedRankPoint(u, np.eye(2), u)
     dr = np.diag([0.0, -(1.0 - 2e-12)])
@@ -454,15 +479,104 @@ def test_random_horizontal_unit_norm_and_deterministic():
     assert np.array_equal(h.dV, h2.dV)
 
 
-@pytest.mark.xfail(strict=True, raises=ContractViolationError,
-                   reason="the tangent projection loses tangency at an ill-conditioned R")
 def test_tangent_projection_holds_at_an_ill_conditioned_random_point():
     # R's singular values span 4.6 to 4.5e-4, inside random_point's
-    # resampling floor of 1e-6.  project_to_tangent forms W1 = R RT and
-    # divides by it twice; its defect is 0.19 against check_member's
-    # allowance of 0.11, which scales with cond(R)^2.
+    # resampling floor of 1e-6; the projection works in R's singular
+    # bases, so its tangency defect does not grow with cond(R)
     x = random_point(5, 8, 5, 5)
-    random_horizontal(x, 6)
+    h = random_horizontal(x, 6)
+    assert tangency_defect(x, h) <= 1e-14 * max(np.linalg.norm(h.dU), np.linalg.norm(h.dV))
+
+
+@given(n=st.integers(1, 40), m=st.integers(1, 40), r=st.integers(1, 12),
+       log_scale=st.floats(-3.0, 3.0), log_cond=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2**20))
+def test_tangent_projection_is_tangent_to_rounding_at_any_condition(n, m, r, log_scale,
+                                                                    log_cond, seed):
+    # UT dU and VT dV are skew to rounding, relative to the ambient blocks,
+    # with a bound that does not depend on cond(R)
+    assume(r <= min(n, m))
+    rng = CounterRng(seed)
+    x = conditioned_point(rng, n, m, r, 10.0**log_scale, 10.0**log_cond)
+    z = ambient_triple(rng, x)
+    psi = project_to_tangent(x, z)
+    assert np.linalg.norm(sym(x.U.T @ psi.dU)) <= 1e-13 * np.linalg.norm(z[0])
+    assert np.linalg.norm(sym(x.V.T @ psi.dV)) <= 1e-13 * np.linalg.norm(z[2])
+
+
+@given(k=st.integers(-150, 150))
+def test_projections_are_scale_free(k):
+    # at (U, a R, V), the projections of (zU, a zR, zV) are those of
+    # (zU, zR, zV) at (U, R, V) with their R block a times larger; no power
+    # of sigma(R) above the second is formed, so none overflows or
+    # underflows while a^2 does not
+    x = random_point(8, 6, 3, 5)
+    a = 10.0**k
+    y = FixedRankPoint(x.U, a * x.R, x.V)
+    zu, zr, zv = ambient_triple(CounterRng(6), x)
+    want = project_to_horizontal(x, project_to_tangent(x, (zu, zr, zv)))
+    got = project_to_horizontal(y, project_to_tangent(y, (zu, a * zr, zv)))
+    for g, w, f in zip(got, want, (1.0, a, 1.0)):
+        assert np.linalg.norm(g / f - w) <= 1e-12 * np.linalg.norm(w)
+
+
+@given(k=st.integers(-300, 300))
+def test_gradient_is_scale_free(k):
+    # with data a times larger, the gradient at (U, a R, V) is the one at
+    # (U, R, V) with its R block a times larger: it divides by sigma(R)
+    # and forms no power of it, so it holds wherever the data is finite
+    x = random_point(8, 6, 3, 5)
+    a = 10.0**k
+    rows, cols = np.repeat(np.arange(8), 6), np.tile(np.arange(6), 8)
+    vals = CounterRng(7).standard_normal(48)
+    problem = CompletionProblem(ObservedEntries(8, 6, rows, cols, vals), 3)
+    scaled = CompletionProblem(ObservedEntries(8, 6, rows, cols, a * vals), 3)
+    want = riemannian_gradient(problem, evaluate(problem, x))
+    # the weights R RT and the squared error, which the gradient does not
+    # read, overflow from about 1e154
+    with np.errstate(over="ignore"):
+        y = FixedRankPoint(x.U, a * x.R, x.V)
+        got = riemannian_gradient(scaled, evaluate(scaled, y))
+    for g, w, f in zip(got, want, (1.0, a, 1.0)):
+        assert np.linalg.norm(g / f - w) <= 1e-12 * np.linalg.norm(w)
+
+
+def test_tangent_projection_matches_the_weight_solve_reference():
+    # the reference divides by R RT and RT R, so it loses about cond(R)^3
+    # eps in the metric: 1e-11 at cond(R) = 100, 3e-8 at 1e3
+    rng = CounterRng(40)
+    for trial in range(200):
+        r = trial % 12 + 1
+        x = conditioned_point(rng, r + trial % 7, r + trial % 5, r,
+                              10.0 ** (trial % 7 - 3), 10.0 ** (trial % 5 / 2))
+        z = ambient_triple(rng, x)
+        got = project_to_tangent(x, z)
+        want = reference_project_to_tangent(x, z)
+        diff = [a - b for a, b in zip(got, want)]
+        assert metric_size(x, diff) <= 1e-10 * metric_size(x, z)
+
+
+def test_gradient_matches_the_weight_solve_reference_and_is_horizontal(kernel_path):
+    rng = CounterRng(41)
+    for trial in range(100):
+        r = trial % 12 + 1
+        n, m = r + trial % 7, r + trial % 5 + 3
+        x = conditioned_point(rng, n, m, r, 10.0 ** (trial % 7 - 3), 10.0 ** (trial % 5 / 2))
+        count = min(n * m, 3 * r * (n + m - r))
+        cells = np.sort(rng.permutation(n * m)[:count])
+        problem = CompletionProblem(ObservedEntries(
+            n, m, cells // m, cells % m, rng.standard_normal(count)), r)
+        ev = evaluate(problem, x)
+        g = riemannian_gradient(problem, ev)
+        want = reference_riemannian_gradient(problem, ev)
+        assert metric_size(x, [a - b for a, b in zip(g, want)]) <= 1e-10 * norm(x, g)
+        # both horizontality conditions hold to rounding of their terms
+        w1, w2 = x.weights
+        size = np.linalg.norm(x.R) * np.linalg.norm(g.dR)
+        c1 = skew(x.U.T @ g.dU @ w1 + x.R @ g.dR.T)
+        c2 = skew(x.V.T @ g.dV @ w2 + x.R.T @ g.dR)
+        assert np.linalg.norm(c1) <= 1e-13 * (np.linalg.norm(g.dU) * np.linalg.norm(w1) + size)
+        assert np.linalg.norm(c2) <= 1e-13 * (np.linalg.norm(g.dV) * np.linalg.norm(w2) + size)
 
 
 def test_package_sets_no_module_state():

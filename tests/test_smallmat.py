@@ -10,7 +10,6 @@ from r3mc.smallmat import (
     skew,
     solve_coupled_lyapunov,
     solve_lyapunov_spd,
-    spd_factorization,
     sym,
 )
 
@@ -30,37 +29,6 @@ def test_sym_skew_decompose_and_idempotent():
         assert np.array_equal(k, -k.T)
         assert np.array_equal(sym(s), s)
         assert np.array_equal(skew(k), k)
-
-
-def test_spd_factorization_applies_inverse():
-    rng = CounterRng(1)
-    # tied spectra too: the order of equal eigenvalues is eigh's, reversed
-    tied = [3.0 * np.eye(3), np.diag([2.0, 1.0, 1.0, 3.0])]
-    for p in [random_spd(rng, r) for r in (1, 2, 5, 8)] + tied:
-        r = p.shape[0]
-        vals, vecs = spd_factorization(p)
-        b = rng.standard_normal((r, 3))
-        assert np.all(np.diff(vals) <= 0.0)
-        want_vals, want_vecs = np.linalg.eigh(sym(p))
-        assert np.array_equal(vals, want_vals[::-1])
-        assert np.array_equal(vecs, want_vecs[:, ::-1])
-        # column-major: products with vecs round differently in other
-        # layouts, which would move seeded iterates
-        assert vecs.flags.f_contiguous
-        inverse_b = vecs @ ((vecs.T @ b) / vals[:, None])
-        assert np.allclose(inverse_b, np.linalg.solve(p, b), atol=1e-10)
-
-
-@pytest.mark.parametrize("p", [
-    np.diag([1.0, -1.0]),
-    np.zeros((2, 2)),
-    # an overflowed block has NaN eigenvalues, which fail the test too
-    np.array([[np.inf, 0.0], [0.0, 1.0]]),
-    np.array([[np.nan, 0.0], [0.0, 1.0]]),
-], ids=["indefinite", "zero", "overflowed", "nan"])
-def test_spd_factorization_rejects_indefinite(p):
-    with pytest.raises(SingularMatrixError):
-        spd_factorization(p)
 
 
 def test_polar_factor_matches_scipy():
@@ -106,14 +74,30 @@ def lyapunov_kronecker(p, q):
 
 def test_lyapunov_spd_matches_kronecker_oracle():
     rng = CounterRng(4)
-    for trial in range(1000):
-        r = trial % 8 + 1
-        p = random_spd(rng, r, spread=0.1)
+    # tied spectra too: the eigenbasis of a repeated eigenvalue is not unique
+    tied = [3.0 * np.eye(3), np.diag([2.0, 1.0, 1.0, 3.0])]
+    spd = [random_spd(rng, trial % 8 + 1, spread=0.1) for trial in range(1000)]
+    for p in spd + tied:
+        r = p.shape[0]
         q = sym(rng.standard_normal((r, r)))
         got = solve_lyapunov_spd(p, q)
         want = lyapunov_kronecker(p, q)
         assert np.allclose(got, want, atol=1e-9 * max(1.0, np.abs(want).max()))
         assert np.allclose(p @ got + got @ p, q, atol=1e-9)
+
+
+@pytest.mark.parametrize("p", [
+    np.diag([1.0, -1.0]),
+    np.zeros((2, 2)),
+    # below the eigensolve's own rounding floor, size * eps * max eigenvalue
+    np.diag([1.0, 4e-24]),
+    # an overflowed block has NaN eigenvalues, which fail the test too
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+], ids=["indefinite", "zero", "below-floor", "overflowed", "nan"])
+def test_lyapunov_spd_rejects_a_matrix_that_is_not_positive_definite(p):
+    with pytest.raises(SingularMatrixError, match="not positive definite"):
+        solve_lyapunov_spd(p, np.eye(2))
 
 
 def test_lyapunov_spd_symmetric_output():
@@ -183,6 +167,22 @@ def test_coupled_lyapunov_identity_closed_form():
     o1, o2 = solve_coupled_lyapunov(np.eye(5), c1, c2)
     assert np.allclose(o1, (2 * c1 + c2) / 3.0, atol=1e-13)
     assert np.allclose(o2, (2 * c2 + c1) / 3.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("k", [-150, -100, -60, 60, 100, 150])
+def test_coupled_lyapunov_is_scale_free(k):
+    # (a R, a^2 C1, a^2 C2) has the solution of (R, C1, C2): the fourth
+    # powers of R's singular values, which overflow or underflow at these
+    # scales, are never formed
+    rng = CounterRng(9)
+    r_mid = rng.standard_normal((4, 4))
+    c1 = skew(rng.standard_normal((4, 4)))
+    c2 = skew(rng.standard_normal((4, 4)))
+    a = 10.0**k
+    want = solve_coupled_lyapunov(r_mid, c1, c2)
+    got = solve_coupled_lyapunov(a * r_mid, a * a * c1, a * a * c2)
+    for g, w in zip(got, want):
+        assert np.allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
 
 @pytest.mark.parametrize("r", [

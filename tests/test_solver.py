@@ -17,6 +17,7 @@ from r3mc import (
     CounterRng,
     DegenerateDirectionError,
     DimensionError,
+    FixedRankPoint,
     ObservedEntries,
     RankStep,
     RetractionError,
@@ -460,8 +461,10 @@ def scaled_problem(scale, rank=2, seed=1):
 
 
 def test_cg_solve_ends_non_finite_when_the_gradient_overflows():
-    # the metric weights make the small-side products grow like sigma(R)^4
-    problem = scaled_problem(1e100)
+    # the squared error of these values is finite below 8.4e153, but the
+    # solution's sigma(R)^2 overflows from 7.0e153, so on the way to it the
+    # gradient's squared norm tr(R RT dUT dU) + ... overflows
+    problem = scaled_problem(8e153)
     x0 = random_point(20, 15, 2, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -470,6 +473,15 @@ def test_cg_solve_ends_non_finite_when_the_gradient_overflows():
     assert not trace.converged
     assert np.isfinite(trace.final_cost) and trace.final_cost <= trace.initial_cost
     assert not np.isfinite(trace.rows[-1].grad_norm)
+
+
+def test_cg_solve_calls_no_eigensolve_and_no_linear_solve(monkeypatch):
+    # the metric's solves are entrywise divisions in R's singular bases
+    problem, _ = make_problem(30, 30, 3, 4.0, 21)
+    calls = [count_calls(monkeypatch, np.linalg, name) for name in ("eigh", "solve")]
+    _, trace = cg_solve(problem, random_point(30, 30, 3, 22), SolverConfig(max_iterations=40))
+    assert trace.iterations > 0
+    assert calls == [[], []]
 
 
 def test_cg_solve_ends_non_finite_on_an_overflowed_start():
@@ -491,7 +503,8 @@ def test_cg_solve_tests_the_gradient_norm_for_overflow_before_its_size(monkeypat
 
 
 def test_rank_incremental_solve_grows_no_further_after_an_overflow():
-    problem = scaled_problem(1e100, rank=3)
+    # the first rank's squared error overflows at its start
+    problem = scaled_problem(1e154, rank=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         best, steps = rank_incremental_solve(problem, seed=1)
@@ -737,6 +750,19 @@ def test_rank_incremental_solve_reraises_a_singular_first_rank(monkeypatch):
     fail_calls(monkeypatch, solver_module, "early_stopped_solve", SingularMatrixError, {1})
     with pytest.raises(SingularMatrixError, match="forced failure"):
         rank_incremental_solve(problem_at_rank(problem, 3))
+
+
+def test_rank_incremental_solve_stops_where_the_grown_direction_is_below_rounding():
+    # past the exact rank the grown R's smallest singular value sits below
+    # sqrt(r eps) of its largest; the gradient there refuses the point
+    problem, _ = make_problem(30, 30, 2, 4.0, 54, rank=4)
+    config = SolverConfig(max_iterations=300, cost_tolerance=0.0, gradient_norm_tolerance=0.0)
+    step, steps = rank_incremental_solve(problem, config, seed=1)
+    assert [s.rank for s in steps] == [1, 2] and step is steps[-1]
+    x = FixedRankPoint(np.eye(30, 2), np.diag([1.0, 1e-9]), np.eye(30, 2))
+    at_two = problem_at_rank(problem, 2)
+    with pytest.raises(SingularMatrixError):
+        riemannian_gradient(at_two, evaluate(at_two, x))
 
 
 @pytest.mark.parametrize("name, error, failing", [
