@@ -3,7 +3,10 @@ rank-updating homotopy and the truncated-column warm start.
 
 The search direction follows Polak-Ribiere with nonnegativity clipping
 and a reset to steepest descent whenever the combined direction fails
-the descent test or its line search finds no step.  Step sizes seed
+the descent test or its line search finds no step.  Each step transports
+one vector, the previous direction: the transport is a pair of projections
+orthogonal in the new point's metric, so the PR+ numerator reads the
+previous gradient as it is (``pr_plus_beta``).  Step sizes seed
 from the exact minimizer of the linearized objective and backtrack
 under the Armijo rule.
 """
@@ -127,14 +130,20 @@ class SolverTrace:
         return self.reason in CONVERGED_REASONS
 
 
-def pr_plus_beta(x_new, grad_new, grad_prev_transported, prev_norm_sq):
-    """Polak-Ribiere coefficient clipped at zero:
+def pr_plus_beta(x_new, grad_new, grad_prev, new_norm_sq, prev_norm_sq):
+    """Polak-Ribiere coefficient clipped at zero,
 
-        beta = max(0, g(xi, xi - T(xi_prev)) / g(xi_prev, xi_prev)).
+        beta = max(0, (g(xi, xi) - g(xi, xi_prev)) / g(xi_prev, xi_prev)),
+
+    with ``new_norm_sq`` = g(xi, xi) and the metric g at ``x_new``.  The
+    transport T is the tangent and then the horizontal projection at
+    x_new, both orthogonal in its metric, and xi is horizontal there, so
+    g(xi, T(xi_prev)) = g(xi, xi_prev): the previous gradient's blocks
+    enter as they are, untransported.
     """
     if prev_norm_sq <= 0.0:
         raise ContractViolationError("previous gradient norm must be positive")
-    raw = metric(x_new, grad_new, grad_new - grad_prev_transported)
+    raw = new_norm_sq - metric(x_new, grad_new, grad_prev)
     return max(0.0, raw / prev_norm_sq)
 
 
@@ -234,9 +243,10 @@ def cg_solve(problem, x0, config=SolverConfig(), stops=()):
 
         ev, s, backtracks = accepted
         grad_new = riemannian_gradient(problem, ev)
-        beta = pr_plus_beta(ev.point, grad_new, transport_to(ev.point, grad), grad_norm_sq)
+        grad_new_norm_sq = metric(ev.point, grad_new, grad_new)
+        beta = pr_plus_beta(ev.point, grad_new, grad, grad_new_norm_sq, grad_norm_sq)
         eta = -grad_new + beta * transport_to(ev.point, eta)
-        grad, grad_norm_sq = grad_new, metric(ev.point, grad_new, grad_new)
+        grad, grad_norm_sq = grad_new, grad_new_norm_sq
         trace.rows.append(
             TraceRow(
                 iteration=trace.iterations + 1,
@@ -259,14 +269,21 @@ def _dominant_residual_pair(res, seed):
     """Dominant singular triple (sigma, u, v) of a sparse residual.
 
     Power iteration on ST S from a seeded gaussian start; stops when the
-    Rayleigh quotient changes by less than ``POWER_TOL`` relatively.
+    Rayleigh quotient changes by less than ``POWER_TOL`` relatively.  It
+    runs on S 2^-e, with e the exponent of max |S| (``np.frexp``), so its
+    products stay finite for any finite S; a power of two scales exactly,
+    so u and v are the unscaled iteration's and sigma is the scaled one's
+    times 2^e.
     """
     rng = CounterRng(seed)
     m = res.pattern.m
     v = rng.standard_normal((m, 1))
     scale = np.linalg.norm(v)
-    if float(res.vals @ res.vals) == 0.0:
+    top = max(res.vals.max(), -res.vals.min())
+    if top == 0.0:
         raise DegenerateDirectionError("residual is identically zero")
+    e = int(np.frexp(top)[1])
+    res = SparseResidual(res.pattern, np.ldexp(res.vals, -e))
     v /= scale
     rayleigh = -np.inf
     for _ in range(POWER_MAX_ITERATIONS):
@@ -289,7 +306,7 @@ def _dominant_residual_pair(res, seed):
     sigma = float(np.linalg.norm(w))
     if sigma == 0.0:
         raise DegenerateDirectionError("residual has no dominant direction")
-    return sigma, (w / sigma).ravel(), v.ravel()
+    return float(np.ldexp(sigma, e)), (w / sigma).ravel(), v.ravel()
 
 
 def initial_rank_one_point(problem, seed=0):

@@ -264,8 +264,12 @@ def strict_json(text):
     (100, ["--rank-updates", "2", "--seed", "1"], 0, "gradient_tolerance", None, 2),
     # the homotopy's first rank overflows, and it grows no further
     (154, ["--rank-updates", "2", "--seed", "1"], 5, "non_finite", 0, 1),
+    # so far above that the rank-one start's power iteration would overflow
+    # if it ran on the unscaled residual
+    (156, ["--rank-updates", "2", "--seed", "1"], 5, "non_finite", 0, 1),
+    (300, ["--rank-updates", "2", "--seed", "1"], 5, "non_finite", 0, 1),
 ], ids=["1e60", "1e62", "1e100", "1e153", "1e154", "1e154-warm-start", "1e100-homotopy",
-        "1e154-homotopy"])
+        "1e154-homotopy", "1e156-homotopy", "1e300-homotopy"])
 def test_complete_on_values_whose_products_overflow(tmp_path, capsys, k, argv, code,
                                                     reason, iterations, rank):
     # values whose squares pass the float range overflow the cost or the
@@ -283,7 +287,7 @@ def test_complete_on_values_whose_products_overflow(tmp_path, capsys, k, argv, c
     if iterations is not None:
         assert result["iterations"] == iterations
     # JSON has no infinite number: an overflowed cost is written as null
-    assert (result["final_cost"] is None) == (k == 154)
+    assert (result["final_cost"] is None) == (k >= 154)
 
 
 def test_reports_write_each_non_finite_number_as_null():

@@ -37,6 +37,7 @@ from r3mc import (
     masked_values,
     mean_squared_error,
     metric,
+    norm,
     pr_plus_beta,
     random_point,
     rank_incremental_solve,
@@ -126,15 +127,41 @@ def test_pr_plus_beta_identities():
     h = random_horizontal(x, 2)
     gg = metric(x, g, g)
     # zero difference gives zero exactly
-    assert pr_plus_beta(x, g, g, gg) == 0.0
+    assert pr_plus_beta(x, g, g, gg, gg) == 0.0
     # negative numerator clips to zero
-    assert pr_plus_beta(x, g, 2.0 * g, gg) == 0.0
-    # transported part orthogonal to the new gradient reduces to the
-    # ratio of squared norms
+    assert pr_plus_beta(x, g, 2.0 * g, gg, gg) == 0.0
+    # a previous gradient orthogonal to the new one reduces to the ratio
+    # of squared norms
     t = h - (metric(x, h, g) / gg) * g
-    assert pr_plus_beta(x, g, t, 2.5) == pytest.approx(gg / 2.5, rel=1e-12)
+    assert pr_plus_beta(x, g, t, gg, 2.5) == pytest.approx(gg / 2.5, rel=1e-12)
     with pytest.raises(ContractViolationError):
-        pr_plus_beta(x, g, h, 0.0)
+        pr_plus_beta(x, g, h, gg, 0.0)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(4, 30), m=st.integers(4, 30), r=st.integers(1, 4),
+       log_cond=st.floats(0.0, 4.0), seed=st.integers(0, 2**20))
+def test_pr_plus_beta_numerator_needs_no_transport(n, m, r, log_cond, seed):
+    # the transport is a pair of projections orthogonal in the metric at y,
+    # and the new gradient is horizontal there, so its inner product with
+    # the transported previous gradient is the one with its blocks as they
+    # are, and beta matches the form that transports it, at cond(R) to 1e4
+    r = min(r, n, m)
+    p = random_point(n, m, r, seed)
+    w, _, z = p.svd
+    x = FixedRankPoint(p.U, w @ np.diag(np.logspace(0.0, -log_cond, r)) @ z.T, p.V)
+    xi = random_horizontal(x, seed + 1)
+    y = solver_module.retract(x, xi, 0.1 / norm(x, xi))
+    g_old = random_horizontal(x, seed + 2)
+    g_new = random_horizontal(y, seed + 3)
+    carried = solver_module.transport_to(y, g_old)
+    new_sq, prev_sq = metric(y, g_new, g_new), metric(x, g_old, g_old)
+    tol = 1e-13 * np.sqrt(new_sq * metric(y, g_old, g_old))
+    assert abs(metric(y, g_new, g_old) - metric(y, g_new, carried)) <= tol
+    transported = max(0.0, metric(y, g_new, g_new - carried) / prev_sq)
+    # the transported form also rounds its own subtraction, of order eps new_sq
+    assert (abs(pr_plus_beta(y, g_new, g_old, new_sq, prev_sq) - transported)
+            <= (tol + 1e-13 * new_sq) / prev_sq)
 
 
 def test_cg_solve_guards_shapes():
@@ -334,8 +361,7 @@ def reference_cg_solve(problem, x0, config=SolverConfig()):
         x_new = ev.point
         grad_new = riemannian_gradient(problem, ev)
         grad_norm_sq_new = metric(x_new, grad_new, grad_new)
-        beta = pr_plus_beta(x_new, grad_new, solver_module.transport_to(x_new, grad),
-                            grad_norm_sq)
+        beta = max(0.0, (grad_norm_sq_new - metric(x_new, grad_new, grad)) / grad_norm_sq)
         eta = -grad_new + beta * solver_module.transport_to(x_new, eta)
         x, f, grad, grad_norm_sq = x_new, ev.cost, grad_new, grad_norm_sq_new
         trace.rows.append(TraceRow(trace.iterations + 1, f, float(np.sqrt(grad_norm_sq)),
@@ -448,7 +474,17 @@ def test_cg_solve_scans_only_its_trial_points_and_transported_vectors(monkeypatc
     scans = count_calls(monkeypatch, manifold_module, "_as_factor")
     _, trace = cg_solve(problem, x0, SolverConfig(max_iterations=40))
     trials = trace.iterations + sum(row.backtracks for row in trace.rows)
-    assert len(scans) == 3 * trials + 6 * trace.iterations
+    assert len(scans) == 3 * trials + 3 * trace.iterations
+
+
+def test_cg_solve_transports_only_the_direction(monkeypatch):
+    # one transport per accepted iteration, of the previous direction: the
+    # PR+ numerator reads the previous gradient untransported
+    problem, _ = make_problem(30, 30, 2, 4.0, 21)
+    calls = count_calls(monkeypatch, solver_module, "transport_to")
+    _, trace = cg_solve(problem, random_point(30, 30, 2, 71), SolverConfig(max_iterations=40))
+    assert trace.iterations == 40
+    assert len(calls) == trace.iterations
 
 
 def scaled_problem(scale, rank=2, seed=1):
@@ -585,6 +621,21 @@ def test_dominant_residual_pair_reseeds_a_start_the_residual_cannot_see(monkeypa
     w, s, zt = np.linalg.svd(dense)
     assert sigma == pytest.approx(s[0], rel=1e-6)
     assert np.linalg.norm(sigma * np.outer(u, v) - s[0] * np.outer(w[:, 0], zt[0])) <= 1e-3 * s[0]
+
+
+@settings(max_examples=40)
+@given(k=st.integers(-1000, 1000), seed=st.integers(0, 2**20))
+def test_dominant_residual_pair_scales_by_powers_of_two_exactly(k, seed):
+    # the iteration runs on the values over a power of two, so a power of
+    # two on them moves sigma alone, at any exponent the values can hold
+    rows, cols = np.divmod(np.arange(48), 6)
+    vals = CounterRng(seed).standard_normal(48)
+    pattern = ObservedEntries(8, 6, rows, cols, np.zeros(48))
+    sigma, u, v = _dominant_residual_pair(SparseResidual(pattern, vals), seed)
+    sigma_k, u_k, v_k = _dominant_residual_pair(SparseResidual(pattern, np.ldexp(vals, k)),
+                                                seed)
+    assert sigma_k == np.ldexp(sigma, k)
+    assert (u_k.tobytes(), v_k.tobytes()) == (u.tobytes(), v.tobytes())
 
 
 def test_dominant_residual_pair_rejects_zero_residual():
@@ -736,6 +787,23 @@ def test_rank_incremental_solve_stops_at_the_true_rank():
     # each added rank improves the fit
     finals = [s.trace.final_cost for s in steps]
     assert all(b < a for a, b in zip(finals, finals[1:]))
+
+
+def test_rank_incremental_solve_completes_scarce_ill_conditioned_data_a_cold_start_does_not():
+    # oversampling 3 and cond 100: from a random start, 150 iterations leave
+    # the cost near 1e-5 of the data's mean square; the homotopy, each rank
+    # under the same budget, reaches 1e-8 of it
+    problem, _ = synthesize(SyntheticSpec(1000, 1000, 10, 3.0, condition_number=100.0), 1)
+    mean_square = float(problem.entries.vals @ problem.entries.vals) / problem.entries.count
+    _, cold = cg_solve(problem, random_point(1000, 1000, 10, 8),
+                       SolverConfig(max_iterations=150))
+    assert cold.reason == "max_iterations"
+    assert cold.final_cost > 1e-6 * mean_square
+    config = SolverConfig(max_iterations=150, cost_tolerance=1e-8 * mean_square)
+    best, steps = rank_incremental_solve(problem, config)
+    assert (best.rank, best.trace.reason) == (10, "cost_tolerance")
+    assert best.trace.final_cost <= 1e-8 * mean_square
+    assert sum(s.trace.iterations for s in steps) <= 300
 
 
 def test_rank_incremental_solve_single_rank_schedule():
