@@ -7,16 +7,18 @@ The objective is the mean squared error over the observed set Omega,
 so gradients carry a 2 / |Omega| scale.  The sparse kernels (model values
 on Omega, and products S D and ST D with a sparse S on Omega) are one
 pass over the row-major sorted triplets each, in C (``_kernels.c``),
-walking the per-row counts and the columns; the gradient's S V and ST U
-share one pass (``residual_products``), which scales the error as it
-reads it.  ``problem`` compiles that file when it is first imported,
-into ``__pycache__`` beside it (or a private temporary directory when
-that cannot be written), and loads it through ``ctypes``.  The C loops
-add in the order the numpy kernels below do, so results are bit for bit
-theirs and bit-reproducible for a fixed thread count; the numpy kernels
-run instead when no C compiler is found.  In numpy, a product with S is one ``np.bincount`` scatter-add
-per dense column, in triplet order, and model values are gathered one
-pair of contiguous factor columns at a time.  As the triplets are sorted
+walking the row offsets and the columns; the gradient's S V and ST U
+share one call (``residual_products``), which scales the error as it
+reads it.  Each call shares its outputs out among ``_threads()``
+threads, by rows or by column slabs.  ``problem`` compiles that file
+when it is first imported, into ``__pycache__`` beside it (or a private
+temporary directory when that cannot be written), and loads it through
+``ctypes``.  The C loops add in the order the numpy kernels below do,
+so results are bit for bit theirs and independent of the thread count;
+the numpy kernels run instead when no C compiler is found.  In numpy, a
+product with S is one ``np.bincount`` scatter-add per dense column, in
+triplet order, and model values are gathered one pair of contiguous
+factor columns at a time.  As the triplets are sorted
 by row, a row-side gather ``a[rows]`` is ``np.repeat(a, row_counts)``,
 which streams instead of gathering; the column side is a ``take`` on
 ``cols``.  Each numpy kernel multiplies into the gathered temporary in
@@ -145,6 +147,26 @@ class ObservedEntries:
         counts.flags.writeable = False
         return counts
 
+    @cached_property
+    def row_offsets(self):
+        """Entries before each row, and |Omega| last: an (n + 1)-array, read-only;
+        row i holds the entries ``row_offsets[i]`` to ``row_offsets[i + 1] - 1``."""
+        return _prefix(self.row_counts)
+
+    @cached_property
+    def col_offsets(self):
+        """Entries in the columns before each column, and |Omega| last: an
+        (m + 1)-array, read-only."""
+        return _prefix(np.bincount(self.cols, minlength=self.m))
+
+
+def _prefix(counts):
+    """The read-only running sum 0, c0, c0 + c1, ..., sum(c) of the counts."""
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    offsets.flags.writeable = False
+    return offsets
+
 
 @dataclass(frozen=True)
 class SparseResidual:
@@ -203,27 +225,52 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 # and none that targets this CPU (-march=native), as the cache key does
 # not record the CPU
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+# the kernels share their loops out among threads under OpenMP
+_OPENMP_FLAGS = ("-fopenmp",)
+# the kernels' thread count, read once: the CPUs this process may run on,
+# whatever OMP_NUM_THREADS (which pins BLAS) says, up to 2, the most any
+# measurement has covered (BENCH_threaded-kernels.json)
+_THREADS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1, 2)
+_PID = os.getpid()
+
+
+def _threads():
+    """The thread count of a kernel call: ``_THREADS``, or one in a forked
+    child, where the OpenMP threads of the parent do not exist and a team
+    of them would deadlock; so ``bench --jobs`` workers do not
+    oversubscribe the CPUs either."""
+    return _THREADS if os.getpid() == _PID else 1
 
 
 def _load_kernels(cache=_SOURCE.with_name("__pycache__")):
     """The C kernels of ``_kernels.c`` loaded through ctypes, or None when
-    the source or a C compiler ``cc`` is missing or the build fails.
+    the source or a C compiler ``cc`` is missing or no build succeeds.
 
-    A build is kept in ``cache`` under the sha256 of the source, the flags
-    and the platform, and written there as a temporary file that is then
-    renamed, so processes that import at once each load a whole library.
-    When ``cache`` cannot be written, the build goes to a private temporary
-    directory, removed once the library is loaded.
+    The source is built with ``_CFLAGS`` and ``_OPENMP_FLAGS`` or, when
+    that fails, once with ``_CFLAGS`` alone, whose kernels run every call
+    on one thread.  A build is kept in ``cache`` under the sha256 of the
+    source, the flags and the platform, and written there as a temporary
+    file that is then renamed, so processes that import at once each load
+    a whole library.  The serial library is built only when the OpenMP
+    build failed, so a cached library of either is loaded before any
+    compiler runs, and a compiler without OpenMP fails once per cache,
+    not once per import.  When ``cache`` cannot be written, the build
+    goes to a private temporary directory, removed once the library is
+    loaded.
     """
-    try:
-        key = b"\0".join([_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(),
-                          sysconfig.get_platform().encode()])
-    except OSError:
-        return None
-    name = "_kernels.%s.so" % hashlib.sha256(key).hexdigest()[:16]
     private = None
     try:
-        if not (cache / name).exists():
+        source = _SOURCE.read_bytes()
+        builds = []
+        for flags in (_CFLAGS + _OPENMP_FLAGS, _CFLAGS):
+            key = b"\0".join([source, " ".join(flags).encode(),
+                              sysconfig.get_platform().encode()])
+            builds.append((flags, "_kernels.%s.so" % hashlib.sha256(key).hexdigest()[:16]))
+        cached = [name for _, name in builds if (cache / name).exists()]
+        if cached:
+            return _bind(ctypes.CDLL(str(cache / cached[0])))
+        for flags, name in builds:
             try:
                 cache.mkdir(exist_ok=True)
                 fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
@@ -232,15 +279,16 @@ def _load_kernels(cache=_SOURCE.with_name("__pycache__")):
                 fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
             try:
-                subprocess.run(["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)],
+                subprocess.run(["cc", *flags, "-o", tmp, str(_SOURCE)],
                                check=True, capture_output=True)
                 os.chmod(tmp, 0o755)  # readable by all, as a compiler would leave it
                 os.replace(tmp, cache / name)
             except (OSError, subprocess.CalledProcessError):  # no compiler, or no build
                 os.unlink(tmp)
-                return None
-        return _bind(ctypes.CDLL(str(cache / name)))
-    except OSError:  # no private directory, or a library that does not load
+                continue
+            return _bind(ctypes.CDLL(str(cache / name)))
+        return None
+    except OSError:  # no source, no private directory, or a library that does not load
         return None
     finally:
         if private is not None:
@@ -249,19 +297,26 @@ def _load_kernels(cache=_SOURCE.with_name("__pycache__")):
 
 def _bind(lib):
     """Declare the kernels' signatures; ctypes then refuses any buffer that
-    is not a C-contiguous array of the declared dtype and dimension."""
-    size = ctypes.c_int64
+    is not a C-contiguous array of the declared dtype and dimension.  Each
+    kernel takes its thread count first and the pattern's offsets and
+    columns after the sizes.  ``share_start(offsets, n, t, size)`` is where
+    thread t's share starts, and ``openmp()`` is 1 for a threaded build."""
+    threads, size = ctypes.c_int, ctypes.c_int64
     index = np.ctypeslib.ndpointer(np.int64, 1, flags="C_CONTIGUOUS")
     values = np.ctypeslib.ndpointer(np.float64, 1, flags="C_CONTIGUOUS")
     block = np.ctypeslib.ndpointer(np.float64, 2, flags="C_CONTIGUOUS")
     out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS, WRITEABLE")
-    lib.gather_sum.argtypes = [size, size, index, index, block, block, out]
-    lib.apply_rows.argtypes = [size, size, index, index, values, block, out]
-    lib.apply_cols.argtypes = [size, size, index, index, values, block, out]
-    lib.apply_pair.argtypes = [size, size, index, index, values, ctypes.c_double,
-                               block, block, out, out]
+    lib.gather_sum.argtypes = [threads, size, size, index, index, block, block, out]
+    lib.apply_rows.argtypes = [threads, size, size, index, index, values, block, out]
+    lib.apply_cols.argtypes = [threads, size, size, size, index, index, index, values,
+                               block, out]
+    lib.apply_pair.argtypes = [threads, size, size, size, index, index, index, values,
+                               ctypes.c_double, block, block, out, out]
     for f in (lib.gather_sum, lib.apply_rows, lib.apply_cols, lib.apply_pair):
         f.restype = None
+    lib.share_start.argtypes = [index, size, threads, threads]
+    lib.share_start.restype = size
+    lib.openmp.argtypes, lib.openmp.restype = [], ctypes.c_int
     return lib
 
 
@@ -284,8 +339,8 @@ def _gather_sum(left, right, entries):
             vals += outer_values(a, b, entries)
         return vals
     vals = np.empty(entries.count)
-    _kernels.gather_sum(entries.n, left.shape[1], entries.row_counts, entries.cols,
-                        left, right, vals)
+    _kernels.gather_sum(_threads(), entries.n, left.shape[1], entries.row_offsets,
+                        entries.cols, left, right, vals)
     return vals
 
 
@@ -333,9 +388,13 @@ def sparse_apply(s, dense, transpose=False):
         # row-major bins take an entry's k products in one cache line or two;
         # the copy is the transpose of a (k, size) array, as numpy's result
         out = np.zeros((size, k))
-        apply = _kernels.apply_cols if transpose else _kernels.apply_rows
-        apply(pat.n, k, pat.row_counts, pat.cols, np.ascontiguousarray(s.vals, dtype=np.float64),
-              np.ascontiguousarray(dense), out)
+        vals, dense = np.ascontiguousarray(s.vals, dtype=np.float64), np.ascontiguousarray(dense)
+        if transpose:
+            _kernels.apply_cols(_threads(), pat.n, pat.m, k, pat.row_offsets, pat.col_offsets,
+                                pat.cols, vals, dense, out)
+        else:
+            _kernels.apply_rows(_threads(), pat.n, k, pat.row_offsets, pat.cols, vals, dense,
+                                out)
         out = _fortran(out)
     op_counter.add(2 * pat.count * k)
     return out
@@ -387,9 +446,9 @@ def residual_products(problem, ev):
     """(S V, ST U) for the scaled residual S of ``residual(problem, ev)``
     at the evaluated point ev, bit for bit and in the layout of
     ``sparse_apply(S, V)`` and ``sparse_apply(S, U, transpose=True)``.
-    Compiled, both come from one pass over the triplets that scales the
-    error as it goes, so S is never formed.  An evaluation whose point or
-    error does not fit the pattern is a DimensionError."""
+    Compiled, both come from one call that scales the error as it reads
+    it, so S is never formed.  An evaluation whose point or error does not
+    fit the pattern is a DimensionError."""
     x, ent = ev.point, problem.entries
     if x.n != ent.n or x.m != ent.m or np.shape(ev.error) != (ent.count,):
         raise DimensionError("evaluation does not match the pattern")
@@ -397,9 +456,9 @@ def residual_products(problem, ev):
         s = residual(problem, ev)
         return sparse_apply(s, x.V), sparse_apply(s, x.U, transpose=True)
     sv, stu = np.zeros((ent.n, x.r)), np.zeros((ent.m, x.r))
-    _kernels.apply_pair(ent.n, x.r, ent.row_counts, ent.cols,
-                        np.ascontiguousarray(ev.error, dtype=np.float64), 2.0 / ent.count,
-                        x.U, x.V, sv, stu)
+    _kernels.apply_pair(_threads(), ent.n, ent.m, x.r, ent.row_offsets, ent.col_offsets,
+                        ent.cols, np.ascontiguousarray(ev.error, dtype=np.float64),
+                        2.0 / ent.count, x.U, x.V, sv, stu)
     op_counter.add(4 * ent.count * x.r)
     return _fortran(sv), _fortran(stu)
 

@@ -1,10 +1,12 @@
 """The compiled sparse kernels: how they are built and loaded, the checks
 made before each call, and bit-for-bit agreement with the numpy kernels."""
 
+import bisect
 import ctypes
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from _geometry import random_horizontal
 from r3mc import (
@@ -146,28 +150,33 @@ def test_native_kernels_refuse_buffers_of_another_dtype_or_layout():
     assert lib is not None, "the compiled kernels did not load"
     e = ObservedEntries(4, 3, [3, 0, 3, 1], [0, 2, 2, 1], [1.0, 2.0, 3.0, 4.0])
     left, right, out = np.ones((4, 2)), np.ones((3, 2)), np.empty(4)
-    lib.gather_sum(4, 2, e.row_counts, e.cols, left, right, out)
+    lib.gather_sum(2, 4, 2, e.row_offsets, e.cols, left, right, out)
     assert out.tolist() == [2.0] * 4
-    for args in ((e.row_counts.astype(np.int32), e.cols, left, right, out),
-                 (e.row_counts, e.cols, np.asfortranarray(np.ones((4, 3)))[:, :2], right, out),
-                 (e.row_counts, e.cols, left, right.astype(np.float32), out),
-                 (e.row_counts, e.cols, left, right, np.empty(4, dtype=np.float32))):
+    for args in ((e.row_offsets.astype(np.int32), e.cols, left, right, out),
+                 (e.row_offsets, e.cols.astype(np.int32), left, right, out),
+                 (e.row_offsets, e.cols, np.asfortranarray(np.ones((4, 3)))[:, :2], right, out),
+                 (e.row_offsets, e.cols, left, right.astype(np.float32), out),
+                 (e.row_offsets, e.cols, left, right, np.empty(4, dtype=np.float32))):
         with pytest.raises(ctypes.ArgumentError):
-            lib.gather_sum(4, 2, *args)
+            lib.gather_sum(2, 4, 2, *args)
     err, u, v = np.ones(4), np.ones((4, 2)), np.ones((3, 2))
     sv, stu = np.zeros((4, 2)), np.zeros((3, 2))
-    lib.apply_pair(4, 2, e.row_counts, e.cols, err, 0.5, u, v, sv, stu)
+    lib.apply_pair(2, 4, 3, 2, e.row_offsets, e.col_offsets, e.cols, err, 0.5, u, v, sv, stu)
     assert sv.tolist() == [[0.5, 0.5], [0.5, 0.5], [0.0, 0.0], [1.0, 1.0]]
     assert stu.tolist() == [[0.5, 0.5], [0.5, 0.5], [1.0, 1.0]]
+    offsets = (e.row_offsets, e.col_offsets, e.cols)
     read_only = np.zeros((3, 2))
     read_only.flags.writeable = False
-    for args in ((err.astype(np.float32), 0.5, u, v, sv, stu),
-                 (err, "0.5", u, v, sv, stu),
-                 (err, 0.5, np.asfortranarray(np.ones((4, 3)))[:, :2], v, sv, stu),
-                 (err, 0.5, u, v.astype(np.float32), sv, stu),
-                 (err, 0.5, u, v, sv, read_only)):
+    for args in ((e.row_offsets, e.col_offsets.astype(np.int32), e.cols, err, 0.5, u, v, sv, stu),
+                 (*offsets, err.astype(np.float32), 0.5, u, v, sv, stu),
+                 (*offsets, err, "0.5", u, v, sv, stu),
+                 (*offsets, err, 0.5, np.asfortranarray(np.ones((4, 3)))[:, :2], v, sv, stu),
+                 (*offsets, err, 0.5, u, v.astype(np.float32), sv, stu),
+                 (*offsets, err, 0.5, u, v, sv, read_only)):
         with pytest.raises(ctypes.ArgumentError):
-            lib.apply_pair(4, 2, e.row_counts, e.cols, *args)
+            lib.apply_pair(2, 4, 3, 2, *args)
+    with pytest.raises(ctypes.ArgumentError):  # a thread count is an int
+        lib.apply_pair(2.0, 4, 3, 2, *offsets, err, 0.5, u, v, sv, stu)
 
 
 def test_sparse_apply_takes_an_operand_in_any_layout_or_dtype(kernel_path):
@@ -218,6 +227,36 @@ def test_kernels_agree_across_paths_bit_for_bit(monkeypatch, n, m, r):
             assert kernel_outputs(x, xi, e, s) == native
 
 
+def power_law_pattern():
+    """A 300 x 200 pattern with power-law row degrees over shuffled rows,
+    200 down to 3."""
+    n, m = 300, 200
+    rng = np.random.default_rng(9)
+    degrees = rng.permutation((m / np.arange(1, n + 1) ** 0.7).astype(np.int64))
+    cells = np.concatenate([i * m + rng.choice(m, size=d, replace=False)
+                            for i, d in enumerate(degrees)])
+    rows, cols = np.divmod(cells, m)
+    return ObservedEntries(n, m, rows, cols, rng.standard_normal(rows.size))
+
+
+def uneven_patterns():
+    """Patterns whose shares come out uneven: power-law rows; empty rows and
+    columns, first and last among them; one dense row on a grid of fewer
+    rows than the threads tried; one dense column likewise; no entries."""
+    rng = np.random.default_rng(10)
+    rows, cols = sample_mask(60, 50, 900, 11)
+    keep = (rows % 3 != 0) & (cols % 4 != 0) & (rows < 55) & (cols < 47)
+    rows, cols = rows[keep], cols[keep]
+    dense_row = (np.r_[[2] * 120, 0], np.r_[np.arange(120), 7])
+    dense_col = (np.r_[np.arange(120), 7], np.r_[[2] * 120, 0])
+    return {"power-law": power_law_pattern(),
+            "empty rows and columns": ObservedEntries(60, 50, rows, cols,
+                                                      rng.standard_normal(rows.size)),
+            "dense row": ObservedEntries(4, 120, *dense_row, rng.standard_normal(121)),
+            "dense column": ObservedEntries(120, 4, *dense_col, rng.standard_normal(121)),
+            "empty": ObservedEntries(30, 20, [], [], [])}
+
+
 def test_kernel_bits_do_not_depend_on_the_optimisation_level(tmp_path, monkeypatch):
     # a flag that let the compiler reassociate a sum would show here
     monkeypatch.setattr(problem_module, "_CFLAGS",
@@ -225,22 +264,106 @@ def test_kernel_bits_do_not_depend_on_the_optimisation_level(tmp_path, monkeypat
     unoptimised = problem_module._load_kernels(tmp_path)
     optimised = problem_module._kernels
     assert unoptimised is not None and optimised is not None
-    n, m = 300, 200
-    rng = np.random.default_rng(9)
-    # power-law row degrees over shuffled rows, 200 down to 3
-    degrees = rng.permutation((m / np.arange(1, n + 1) ** 0.7).astype(np.int64))
-    cells = np.concatenate([i * m + rng.choice(m, size=d, replace=False)
-                            for i, d in enumerate(degrees)])
-    rows, cols = np.divmod(cells, m)
-    e = ObservedEntries(n, m, rows, cols, rng.standard_normal(rows.size))
-    s = SparseResidual(e, rng.standard_normal(e.count))
+    assert unoptimised.openmp() == optimised.openmp() == 1  # both carry the OpenMP flag
+    e = power_law_pattern()
+    s = SparseResidual(e, np.random.default_rng(9).standard_normal(e.count))
     for r in (1, 10, 40):
-        x = random_point(n, m, r, r)
+        x = random_point(e.n, e.m, r, r)
         xi = random_horizontal(x, r + 1)
         with monkeypatch.context() as mp:
             mp.setattr(problem_module, "_kernels", unoptimised)
             want = kernel_outputs(x, xi, e, s)
         assert kernel_outputs(x, xi, e, s) == want
+
+
+@pytest.mark.parametrize("name", list(uneven_patterns()))
+def test_kernel_bits_do_not_depend_on_the_thread_count(monkeypatch, name):
+    e = uneven_patterns()[name]
+    s = SparseResidual(e, np.random.default_rng(12).standard_normal(e.count))
+    for r in sorted({1, min(e.n, e.m, 10)}):
+        x = random_point(e.n, e.m, r, r)
+        xi = random_horizontal(x, r + 1)
+        outputs = set()
+        for threads in (1, 2, 3, 5):
+            monkeypatch.setattr(problem_module, "_THREADS", threads)
+            outputs.add(repr(kernel_outputs(x, xi, e, s)))
+        assert len(outputs) == 1
+
+
+@given(total=st.integers(0, 2**63 - 1), cuts=st.lists(st.integers(0, 2**63 - 1), max_size=6),
+       size=st.integers(1, 2**31 - 1), t=st.integers(0, 2**31 - 1))
+@example(total=2**63 - 1, cuts=[2**62, 2**63 - 1], size=2**31 - 1, t=2**31 - 2)
+@example(total=2**63 - 1, cuts=[], size=5, t=4)
+def test_shares_split_the_entries_exactly(total, cuts, size, t):
+    # share t starts at the first row whose offset reaches floor(total t /
+    # size), with no overflow for any total below 2**63
+    lib = problem_module._kernels
+    assert lib is not None, "the compiled kernels did not load"
+    offsets = np.array(sorted([0, total, *(c % (total + 1) for c in cuts)]), dtype=np.int64)
+    n, t = offsets.size - 1, t % (size + 1)
+    want = n if t == size else bisect.bisect_left(offsets[:n].tolist(), total * t // size)
+    assert lib.share_start(offsets, n, t, size) == want
+
+
+def test_serial_build_when_openmp_does_not_build(tmp_path, monkeypatch):
+    monkeypatch.setattr(problem_module, "_OPENMP_FLAGS", ("-fno-such-openmp-flag",))
+    serial = problem_module._load_kernels(tmp_path)
+    assert serial is not None and serial.openmp() == 0
+    (library,) = tmp_path.iterdir()  # the failed build leaves nothing
+    assert LIBRARY_NAME.fullmatch(library.name)
+    with monkeypatch.context() as mp:  # the cached serial library loads with no build
+        mp.setattr(problem_module.subprocess, "run", lambda *a, **k: pytest.fail("cc ran"))
+        again = problem_module._load_kernels(tmp_path)
+    assert again is not None and again.openmp() == 0
+    threaded = problem_module._kernels
+    assert threaded is not None and threaded.openmp() == 1
+    for e in uneven_patterns().values():
+        s = SparseResidual(e, np.random.default_rng(13).standard_normal(e.count))
+        r = min(e.n, e.m, 3)
+        x = random_point(e.n, e.m, r, r)
+        xi = random_horizontal(x, r + 1)
+        monkeypatch.setattr(problem_module, "_THREADS", 3)
+        want = kernel_outputs(x, xi, e, s)
+        with monkeypatch.context() as mp:
+            mp.setattr(problem_module, "_kernels", serial)
+            assert kernel_outputs(x, xi, e, s) == want
+
+
+FORKED = """
+import concurrent.futures, hashlib, multiprocessing
+from r3mc import SolverConfig, SyntheticSpec, cg_solve, problem, random_point, synthesize
+
+def solve(seed):
+    p, _ = synthesize(SyntheticSpec(200, 150, 3, 3.0), seed)
+    x, _ = cg_solve(p, random_point(200, 150, 3, seed + 1), SolverConfig(max_iterations=20))
+    return hashlib.sha256(x.U.tobytes() + x.R.tobytes() + x.V.tobytes()).hexdigest()
+
+if __name__ == "__main__":
+    problem._THREADS = max(problem._THREADS, 2)  # start the parent's OpenMP threads
+    here = solve(3)
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(2, mp_context=context) as pool:
+        there = list(pool.map(solve, [3, 3]))
+    print(there == [here, here])
+"""
+
+
+def test_forked_workers_run_the_kernels_after_the_parent_did():
+    # OpenMP's threads do not survive a fork, and a team of them would
+    # deadlock the child; the subprocess bounds a hang, which has no
+    # timeout in the suite, and its session holds the pool's workers
+    proc = subprocess.Popen([sys.executable, "-c", FORKED], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True,
+                            env={**os.environ, "PYTHONPATH": str(Path(problem_module.__file__)
+                                                                 .parents[1])})
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a forked worker hung in the kernels")
+    assert proc.returncode == 0, err
+    assert out.split() == ["True"]
 
 
 SOLVES = """

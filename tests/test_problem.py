@@ -677,13 +677,20 @@ def test_initial_step_is_the_signed_linearized_minimizer_bit_for_bit(kernel_path
 def test_row_counts_are_lazy_and_read_only():
     # a pattern on a grid too tall for an n-array of counts builds and sorts
     tall = ObservedEntries(2**62, 2, [2**62 - 1, 0], [1, 0], [1.0, 2.0])
-    assert "row_counts" not in vars(tall)
+    wide = ObservedEntries(2, 2**62, [1, 0], [2**62 - 1, 0], [1.0, 2.0])
+    for name in ("row_counts", "row_offsets", "col_offsets"):
+        assert name not in vars(tall) and name not in vars(wide)
     e = ObservedEntries(4, 3, [3, 0, 3, 1], [0, 2, 2, 1], [1.0, 2.0, 3.0, 4.0])
-    assert e.row_counts.tolist() == [1, 1, 0, 2]
-    assert e.row_counts is e.row_counts
-    with pytest.raises(ValueError):
-        e.row_counts[0] = 5
-    assert ObservedEntries(3, 3, [], [], []).row_counts.tolist() == [0, 0, 0]
+    empty = ObservedEntries(3, 2, [], [], [])
+    for name, want, none in (("row_counts", [1, 1, 0, 2], [0, 0, 0]),
+                             ("row_offsets", [0, 1, 2, 2, 4], [0, 0, 0, 0]),
+                             ("col_offsets", [0, 1, 2, 4], [0, 0, 0])):
+        got = getattr(e, name)
+        assert got.tolist() == want and got.dtype == np.int64
+        assert got is getattr(e, name)
+        with pytest.raises(ValueError):
+            got[0] = 5
+        assert getattr(empty, name).tolist() == none
 
 
 @given(e=kernel_patterns(min_side=2), seed=st.integers(0, 2**20))
